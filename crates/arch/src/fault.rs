@@ -219,9 +219,9 @@ pub struct Campaign {
 
 /// Runs `n` random register-bit injections at uniformly random cycles.
 ///
-/// Trials run on the lane engine at the `LORI_LANES` width across the
-/// process-global worker pool; results are bit-identical for any width and
-/// worker count (see [`crate::lane`]).
+/// Trials run on the lane engine across the process-global worker pool;
+/// results are bit-identical for any worker count and to the scalar
+/// [`run_with_fault`] loop (see [`crate::lane`]).
 ///
 /// # Errors
 ///
@@ -233,18 +233,10 @@ pub fn random_register_campaign(
     n: usize,
     seed: u64,
 ) -> Result<Campaign, ArchError> {
-    random_register_campaign_with(
-        program,
-        config,
-        protection,
-        n,
-        seed,
-        lane::lanes_from_env(),
-        lori_par::global(),
-    )
+    random_register_campaign_with(program, config, protection, n, seed, lori_par::global())
 }
 
-/// [`random_register_campaign`] with explicit lane width and parallelism.
+/// [`random_register_campaign`] with explicit parallelism.
 ///
 /// # Errors
 ///
@@ -255,7 +247,6 @@ pub fn random_register_campaign_with(
     protection: &Protection,
     n: usize,
     seed: u64,
-    lanes: usize,
     par: Parallelism,
 ) -> Result<Campaign, ArchError> {
     if n == 0 {
@@ -263,7 +254,7 @@ pub fn random_register_campaign_with(
     }
     let golden = crate::cpu::run_golden(program, config);
     // All specs are drawn up front, in exactly the order the scalar loop
-    // would draw them — the lane width never touches the RNG stream.
+    // would draw them — the block split never touches the RNG stream.
     let mut rng = Rng::from_seed(seed);
     let specs: Vec<FaultSpec> = (0..n)
         .map(|_| {
@@ -284,7 +275,6 @@ pub fn random_register_campaign_with(
         protection,
         &golden,
         &specs,
-        lanes,
         par,
         Some(&progress),
     );
@@ -317,17 +307,10 @@ pub fn per_register_vulnerability(
     n_per_reg: usize,
     seed: u64,
 ) -> Result<Vec<f64>, ArchError> {
-    per_register_vulnerability_with(
-        program,
-        config,
-        n_per_reg,
-        seed,
-        lane::lanes_from_env(),
-        lori_par::global(),
-    )
+    per_register_vulnerability_with(program, config, n_per_reg, seed, lori_par::global())
 }
 
-/// [`per_register_vulnerability`] with explicit lane width and parallelism.
+/// [`per_register_vulnerability`] with explicit parallelism.
 ///
 /// # Errors
 ///
@@ -337,7 +320,6 @@ pub fn per_register_vulnerability_with(
     config: &CpuConfig,
     n_per_reg: usize,
     seed: u64,
-    lanes: usize,
     par: Parallelism,
 ) -> Result<Vec<f64>, ArchError> {
     if n_per_reg == 0 {
@@ -368,7 +350,6 @@ pub fn per_register_vulnerability_with(
         &protection,
         &golden,
         &specs,
-        lanes,
         par,
         Some(&progress),
     );
@@ -399,17 +380,10 @@ pub fn per_instruction_sdc(
     n_per_instr: usize,
     seed: u64,
 ) -> Result<Vec<f64>, ArchError> {
-    per_instruction_sdc_with(
-        program,
-        config,
-        n_per_instr,
-        seed,
-        lane::lanes_from_env(),
-        lori_par::global(),
-    )
+    per_instruction_sdc_with(program, config, n_per_instr, seed, lori_par::global())
 }
 
-/// [`per_instruction_sdc`] with explicit lane width and parallelism.
+/// [`per_instruction_sdc`] with explicit parallelism.
 ///
 /// # Errors
 ///
@@ -419,7 +393,6 @@ pub fn per_instruction_sdc_with(
     config: &CpuConfig,
     n_per_instr: usize,
     seed: u64,
-    lanes: usize,
     par: Parallelism,
 ) -> Result<Vec<f64>, ArchError> {
     if n_per_instr == 0 {
@@ -478,7 +451,6 @@ pub fn per_instruction_sdc_with(
         &protection,
         &golden,
         &specs,
-        lanes,
         par,
         Some(&progress),
     );

@@ -32,10 +32,13 @@
 //! lands just before executed step `cycle`), same protection cycle
 //! accounting, same digest. The equivalence suite in
 //! `tests/lane_equivalence.rs` checks this across workloads, protections,
-//! widths, and edge cycles.
+//! block sizes, and edge cycles against a scalar map over
+//! [`run_with_fault`].
+//!
+//! [`run_with_fault`]: crate::fault::run_with_fault
 
 use crate::cpu::{Cpu, CpuConfig, ExecResult, Protection, StopReason};
-use crate::fault::{classify, run_with_fault, FaultSpec, FaultTarget, Outcome};
+use crate::fault::{classify, FaultSpec, FaultTarget, Outcome};
 use crate::isa::{Instr, Program, Reg, NUM_REGS};
 use lori_obs::progress::Progress;
 use lori_par::Parallelism;
@@ -44,55 +47,29 @@ use std::collections::HashMap;
 /// Maximum trials per block: one bit of the active mask per lane.
 pub const MAX_LANES: usize = 64;
 
-/// Lane width from `LORI_LANES`: `1` selects the scalar path, values up to
-/// 64 the lane engine. Unset, unparsable, or out-of-range values mean the
-/// full 64-lane default.
-#[must_use]
-pub fn lanes_from_env() -> usize {
-    match std::env::var("LORI_LANES") {
-        Ok(s) => match s.trim().parse::<usize>() {
-            Ok(n) if (1..=MAX_LANES).contains(&n) => n,
-            _ => MAX_LANES,
-        },
-        Err(_) => MAX_LANES,
-    }
-}
-
 /// Evaluates every fault in `specs` against one shared `golden` run,
 /// returning outcomes in input order — bit-identical to mapping
 /// [`run_with_fault`] over `specs`.
 ///
-/// Specs are split into [`MAX_LANES`]-sized blocks and distributed over
-/// `par` workers (block boundaries depend only on the input, so results
-/// are identical at any worker count); within a block, `width` lanes run
-/// per simulation pass (`width <= 1` selects the scalar reference path).
-/// `progress` ticks once per completed trial.
+/// Specs are split into [`MAX_LANES`]-sized blocks, each run in one
+/// simulation pass, and the blocks are distributed over `par` workers
+/// (block boundaries depend only on the input, so results are identical
+/// at any worker count). `progress` ticks once per completed trial.
+///
+/// [`run_with_fault`]: crate::fault::run_with_fault
 #[must_use]
-#[allow(clippy::too_many_arguments)]
 pub fn campaign_outcomes(
     program: &Program,
     config: &CpuConfig,
     protection: &Protection,
     golden: &ExecResult,
     specs: &[FaultSpec],
-    width: usize,
     par: Parallelism,
     progress: Option<&Progress>,
 ) -> Vec<Outcome> {
-    let width = width.clamp(1, MAX_LANES);
     let blocks: Vec<&[FaultSpec]> = specs.chunks(MAX_LANES).collect();
     let results = lori_par::par_map(par, &blocks, |_, block| {
-        let out: Vec<Outcome> = if width == 1 {
-            block
-                .iter()
-                .map(|f| run_with_fault(program, config, protection, golden, f))
-                .collect()
-        } else {
-            block
-                .chunks(width)
-                .flat_map(|lanes| run_fault_block(program, config, protection, golden, lanes))
-                .collect()
-        };
+        let out = run_fault_block(program, config, protection, golden, block);
         if let Some(p) = progress {
             p.add(block.len() as u64);
         }
@@ -108,6 +85,8 @@ pub fn campaign_outcomes(
 /// # Panics
 ///
 /// Panics if `faults` is empty or holds more than [`MAX_LANES`] specs.
+///
+/// [`run_with_fault`]: crate::fault::run_with_fault
 #[must_use]
 pub fn run_fault_block(
     program: &Program,
@@ -704,6 +683,7 @@ impl<'a> Block<'a> {
 mod tests {
     use super::*;
     use crate::cpu::run_golden;
+    use crate::fault::run_with_fault;
     use crate::workload;
     use lori_core::rng::Rng;
 
@@ -764,56 +744,35 @@ mod tests {
     }
 
     #[test]
-    fn ragged_and_narrow_widths_match_scalar() {
+    fn ragged_and_narrow_blocks_match_scalar() {
         let config = CpuConfig::default();
         let program = &workload::all()[1]; // bubble_sort: branch-heavy
         let golden = run_golden(program, &config);
         let protection = Protection::for_instructions(program, 0..program.len() / 2).unwrap();
         let mut rng = Rng::from_seed(0xbeef);
         let specs = mixed_specs(&mut rng, &golden, config.memory_words, 100);
-        let scalar = campaign_outcomes(
-            program,
-            &config,
-            &protection,
-            &golden,
-            &specs,
-            1,
-            Parallelism::serial(),
-            None,
-        );
-        for width in [2, 7, 64] {
-            for threads in [1, 4] {
-                let lanes = campaign_outcomes(
-                    program,
-                    &config,
-                    &protection,
-                    &golden,
-                    &specs,
-                    width,
-                    Parallelism::new(threads),
-                    None,
-                );
-                assert_eq!(scalar, lanes, "width {width} threads {threads}");
-            }
+        let scalar: Vec<Outcome> = specs
+            .iter()
+            .map(|f| run_with_fault(program, &config, &protection, &golden, f))
+            .collect();
+        for n in [2, 7, 33] {
+            let blocks: Vec<Outcome> = specs
+                .chunks(n)
+                .flat_map(|block| run_fault_block(program, &config, &protection, &golden, block))
+                .collect();
+            assert_eq!(scalar, blocks, "block size {n}");
         }
-    }
-
-    #[test]
-    fn lanes_env_parsing() {
-        // Env mutation is process-global; exercise all cases in one test.
-        std::env::remove_var("LORI_LANES");
-        assert_eq!(lanes_from_env(), MAX_LANES);
-        for (raw, want) in [
-            ("1", 1),
-            ("64", 64),
-            ("7", 7),
-            ("0", 64),
-            ("65", 64),
-            ("x", 64),
-        ] {
-            std::env::set_var("LORI_LANES", raw);
-            assert_eq!(lanes_from_env(), want, "LORI_LANES={raw}");
+        for threads in [1, 4] {
+            let campaign = campaign_outcomes(
+                program,
+                &config,
+                &protection,
+                &golden,
+                &specs,
+                Parallelism::new(threads),
+                None,
+            );
+            assert_eq!(scalar, campaign, "threads {threads}");
         }
-        std::env::remove_var("LORI_LANES");
     }
 }

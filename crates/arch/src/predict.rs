@@ -44,12 +44,11 @@ pub fn ff_vulnerability_dataset(
         trials_per_ff,
         vuln_threshold,
         seed,
-        lane::lanes_from_env(),
         lori_par::global(),
     )
 }
 
-/// [`ff_vulnerability_dataset`] with explicit lane width and parallelism.
+/// [`ff_vulnerability_dataset`] with explicit parallelism.
 ///
 /// # Errors
 ///
@@ -61,7 +60,6 @@ pub fn ff_vulnerability_dataset_with(
     trials_per_ff: usize,
     vuln_threshold: f64,
     seed: u64,
-    lanes: usize,
     par: Parallelism,
 ) -> Result<Dataset, ArchError> {
     if trials_per_ff == 0 {
@@ -98,7 +96,6 @@ pub fn ff_vulnerability_dataset_with(
             &protection,
             &golden,
             &specs,
-            lanes,
             par,
             Some(&progress),
         );

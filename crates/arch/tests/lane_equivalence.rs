@@ -2,29 +2,44 @@
 //! indistinguishable from the scalar loop at every public API.
 //!
 //! The lane engine's contract (DESIGN.md §13) is *bit-identical trials,
-//! counts, and artifacts* for any seed, lane width, and worker count.
-//! These tests pin that across workloads, protections, ragged blocks, and
-//! the edge cycles (0 and `golden_cycles`, where the flip lands before the
-//! first step or never lands at all).
+//! counts, and artifacts* for any seed and worker count. The oracle is
+//! the scalar reference [`run_with_fault`], mapped over the same specs
+//! here in the test. These tests pin the contract across workloads,
+//! protections, ragged blocks, and the edge cycles (0 and
+//! `golden_cycles`, where the flip lands before the first step or never
+//! lands at all).
 
-use lori_arch::cpu::{run_golden, CpuConfig, Protection};
+use lori_arch::cpu::{run_golden, CpuConfig, ExecResult, Protection};
 use lori_arch::fault::{
     per_instruction_sdc_with, per_register_vulnerability_with, random_register_campaign_with,
-    FaultSpec, FaultTarget,
+    run_with_fault, FaultSpec, FaultTarget, Outcome,
 };
-use lori_arch::isa::{Reg, NUM_REGS};
+use lori_arch::isa::{Program, Reg, NUM_REGS};
 use lori_arch::lane::{campaign_outcomes, run_fault_block, MAX_LANES};
 use lori_arch::predict::ff_vulnerability_dataset_with;
 use lori_arch::workload;
 use lori_core::Rng;
 use lori_par::Parallelism;
 
-const WIDTHS: [usize; 4] = [2, 7, 33, 64];
+/// The reference oracle: one scalar simulation per spec.
+fn scalar_outcomes(
+    program: &Program,
+    config: &CpuConfig,
+    protection: &Protection,
+    golden: &ExecResult,
+    specs: &[FaultSpec],
+) -> Vec<Outcome> {
+    specs
+        .iter()
+        .map(|f| run_with_fault(program, config, protection, golden, f))
+        .collect()
+}
 
 #[test]
-fn random_campaign_trials_identical_across_widths_and_threads() {
+fn random_campaign_matches_scalar_oracle_at_any_thread_count() {
     let config = CpuConfig::default();
     for program in workload::all() {
+        let golden = run_golden(&program, &config);
         for (protection, tag) in [
             (Protection::none(), "none"),
             (Protection::full(&program), "full"),
@@ -35,113 +50,85 @@ fn random_campaign_trials_identical_across_widths_and_threads() {
         ] {
             for seed in [1u64, 99] {
                 // 100 trials: one full 64-lane block plus a ragged tail.
-                let scalar = random_register_campaign_with(
+                let serial = random_register_campaign_with(
                     &program,
                     &config,
                     &protection,
                     100,
                     seed,
-                    1,
                     Parallelism::serial(),
                 )
                 .unwrap();
-                for width in WIDTHS {
-                    for threads in [1, 4] {
-                        let lanes = random_register_campaign_with(
-                            &program,
-                            &config,
-                            &protection,
-                            100,
-                            seed,
-                            width,
-                            Parallelism::new(threads),
-                        )
-                        .unwrap();
-                        assert_eq!(
-                            scalar, lanes,
-                            "{} protection={tag} seed={seed} width={width} threads={threads}",
-                            program.name
-                        );
-                    }
-                }
+                let specs: Vec<FaultSpec> = serial.trials.iter().map(|t| t.fault).collect();
+                let outcomes: Vec<Outcome> = serial.trials.iter().map(|t| t.outcome).collect();
+                assert_eq!(
+                    scalar_outcomes(&program, &config, &protection, &golden, &specs),
+                    outcomes,
+                    "{} protection={tag} seed={seed}",
+                    program.name
+                );
+                let parallel = random_register_campaign_with(
+                    &program,
+                    &config,
+                    &protection,
+                    100,
+                    seed,
+                    Parallelism::new(4),
+                )
+                .unwrap();
+                assert_eq!(
+                    serial, parallel,
+                    "{} protection={tag} seed={seed} threads=4",
+                    program.name
+                );
             }
         }
     }
 }
 
 #[test]
-fn per_register_vulnerability_identical() {
+fn per_register_vulnerability_identical_across_threads() {
     let config = CpuConfig::default();
     for program in [workload::fibonacci(), workload::bubble_sort()] {
-        let scalar =
-            per_register_vulnerability_with(&program, &config, 40, 5, 1, Parallelism::serial())
+        let serial =
+            per_register_vulnerability_with(&program, &config, 40, 5, Parallelism::serial())
                 .unwrap();
-        for width in WIDTHS {
-            let lanes = per_register_vulnerability_with(
-                &program,
-                &config,
-                40,
-                5,
-                width,
-                Parallelism::new(4),
-            )
-            .unwrap();
-            assert_eq!(scalar, lanes, "{} width={width}", program.name);
-        }
+        let parallel =
+            per_register_vulnerability_with(&program, &config, 40, 5, Parallelism::new(4)).unwrap();
+        assert_eq!(serial, parallel, "{}", program.name);
     }
 }
 
 #[test]
-fn per_instruction_sdc_identical() {
+fn per_instruction_sdc_identical_across_threads() {
     let config = CpuConfig::default();
     for program in [workload::dot_product(), workload::checksum()] {
-        let scalar =
-            per_instruction_sdc_with(&program, &config, 16, 7, 1, Parallelism::serial()).unwrap();
-        for width in WIDTHS {
-            let lanes =
-                per_instruction_sdc_with(&program, &config, 16, 7, width, Parallelism::new(4))
-                    .unwrap();
-            assert_eq!(scalar, lanes, "{} width={width}", program.name);
-        }
+        let serial =
+            per_instruction_sdc_with(&program, &config, 16, 7, Parallelism::serial()).unwrap();
+        let parallel =
+            per_instruction_sdc_with(&program, &config, 16, 7, Parallelism::new(4)).unwrap();
+        assert_eq!(serial, parallel, "{}", program.name);
     }
 }
 
 #[test]
-fn ff_dataset_identical() {
+fn ff_dataset_identical_across_threads() {
     let config = CpuConfig::default();
     let programs = [workload::fibonacci(), workload::dot_product()];
-    let scalar =
-        ff_vulnerability_dataset_with(&programs, &config, 2, 0.0, 3, 1, Parallelism::serial())
+    let serial =
+        ff_vulnerability_dataset_with(&programs, &config, 2, 0.0, 3, Parallelism::serial())
             .unwrap();
-    for (width, threads) in [(64, 1), (64, 4), (7, 4)] {
-        let lanes = ff_vulnerability_dataset_with(
-            &programs,
-            &config,
-            2,
-            0.0,
-            3,
-            width,
-            Parallelism::new(threads),
-        )
-        .unwrap();
-        assert_eq!(
-            scalar.features(),
-            lanes.features(),
-            "width={width} threads={threads}"
-        );
-        assert_eq!(
-            scalar.class_targets(),
-            lanes.class_targets(),
-            "width={width} threads={threads}"
-        );
-    }
+    let parallel =
+        ff_vulnerability_dataset_with(&programs, &config, 2, 0.0, 3, Parallelism::new(4)).unwrap();
+    assert_eq!(serial.features(), parallel.features());
+    assert_eq!(serial.class_targets(), parallel.class_targets());
 }
 
 #[test]
 fn edge_cycles_and_mixed_targets_match() {
     // Faults at cycle 0 (flip before the first step), at golden_cycles
     // (never injected: the run halts first), and past it, mixed across all
-    // three target kinds — block vs scalar, every workload.
+    // three target kinds — engine vs scalar oracle, every workload.
     let config = CpuConfig::default();
     for program in workload::all() {
         let golden = run_golden(&program, &config);
@@ -178,16 +165,7 @@ fn edge_cycles_and_mixed_targets_match() {
             }
         }
         assert!(specs.len() > MAX_LANES, "forces a ragged final block");
-        let scalar = campaign_outcomes(
-            &program,
-            &config,
-            &protection,
-            &golden,
-            &specs,
-            1,
-            Parallelism::serial(),
-            None,
-        );
+        let scalar = scalar_outcomes(&program, &config, &protection, &golden, &specs);
         let lanes = run_fault_block(&program, &config, &protection, &golden, &specs[..MAX_LANES]);
         assert_eq!(&scalar[..MAX_LANES], &lanes[..], "{}", program.name);
         let all = campaign_outcomes(
@@ -196,7 +174,6 @@ fn edge_cycles_and_mixed_targets_match() {
             &protection,
             &golden,
             &specs,
-            MAX_LANES,
             Parallelism::new(4),
             None,
         );

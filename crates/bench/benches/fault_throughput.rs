@@ -20,7 +20,7 @@
 //! record write.
 
 use lori_arch::cpu::{run_golden, CpuConfig, ExecResult, Protection};
-use lori_arch::fault::{FaultSpec, FaultTarget};
+use lori_arch::fault::{run_with_fault, FaultSpec, FaultTarget, Outcome};
 use lori_arch::isa::{Program, Reg, NUM_REGS};
 use lori_arch::lane::{campaign_outcomes, MAX_LANES};
 use lori_arch::workload;
@@ -98,35 +98,43 @@ fn anomaly_set(config: &CpuConfig, trials: usize, seed: u64) -> CampaignSet {
     }
 }
 
-/// Evaluates every set at the given lane width, serially.
-fn run_all(sets: &[CampaignSet], config: &CpuConfig, protection: &Protection, width: usize) {
-    for set in sets {
-        let outcomes = campaign_outcomes(
-            &set.program,
-            config,
-            protection,
-            &set.golden,
-            &set.specs,
-            width,
-            Parallelism::serial(),
-            None,
-        );
-        std::hint::black_box(outcomes);
-    }
+/// The reference path: [`run_with_fault`] mapped over every spec.
+fn scalar_outcomes(set: &CampaignSet, config: &CpuConfig, protection: &Protection) -> Vec<Outcome> {
+    set.specs
+        .iter()
+        .map(|f| run_with_fault(&set.program, config, protection, &set.golden, f))
+        .collect()
 }
 
-/// Median wall seconds over `reps` passes at the given width.
-fn time_width(
+/// The lane engine, serially.
+fn lane_outcomes(set: &CampaignSet, config: &CpuConfig, protection: &Protection) -> Vec<Outcome> {
+    campaign_outcomes(
+        &set.program,
+        config,
+        protection,
+        &set.golden,
+        &set.specs,
+        Parallelism::serial(),
+        None,
+    )
+}
+
+type Evaluator = fn(&CampaignSet, &CpuConfig, &Protection) -> Vec<Outcome>;
+
+/// Median wall seconds over `reps` passes of `eval` over every set.
+fn time_path(
     sets: &[CampaignSet],
     config: &CpuConfig,
     protection: &Protection,
-    width: usize,
+    eval: Evaluator,
     reps: usize,
 ) -> f64 {
     let mut walls: Vec<f64> = (0..reps)
         .map(|_| {
             let t0 = Instant::now();
-            run_all(sets, config, protection, width);
+            for set in sets {
+                std::hint::black_box(eval(set, config, protection));
+            }
             t0.elapsed().as_secs_f64()
         })
         .collect();
@@ -143,35 +151,16 @@ fn measure_group(
 ) -> ArchGroup {
     // Bit-identity first: the speedup claim is void if the outcomes drift.
     for set in sets {
-        let scalar = campaign_outcomes(
-            &set.program,
-            config,
-            protection,
-            &set.golden,
-            &set.specs,
-            1,
-            Parallelism::serial(),
-            None,
-        );
-        let lanes = campaign_outcomes(
-            &set.program,
-            config,
-            protection,
-            &set.golden,
-            &set.specs,
-            MAX_LANES,
-            Parallelism::serial(),
-            None,
-        );
         assert_eq!(
-            scalar, lanes,
+            scalar_outcomes(set, config, protection),
+            lane_outcomes(set, config, protection),
             "{name}: lane outcomes diverged from scalar on {}",
             set.program.name
         );
     }
     let injections: usize = sets.iter().map(|s| s.specs.len()).sum();
-    let scalar_wall_s = time_width(sets, config, protection, 1, reps);
-    let lane_wall_s = time_width(sets, config, protection, MAX_LANES, reps);
+    let scalar_wall_s = time_path(sets, config, protection, scalar_outcomes, reps);
+    let lane_wall_s = time_path(sets, config, protection, lane_outcomes, reps);
     ArchGroup {
         injections,
         scalar_wall_s,

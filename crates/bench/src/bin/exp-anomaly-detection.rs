@@ -138,8 +138,8 @@ fn main() {
     println!("claim shape: high recall & precision from a tiny two-hidden-layer MLP.");
 
     // Deterministic artifact: the headline metrics as JSON, byte-identical
-    // for a given seed regardless of LORI_LANES / LORI_THREADS — CI diffs
-    // it across engine configurations.
+    // for a given seed regardless of LORI_THREADS — CI diffs it across
+    // thread counts.
     let metrics = Value::Obj(vec![
         (
             "experiment".to_owned(),

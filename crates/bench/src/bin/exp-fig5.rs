@@ -22,16 +22,17 @@ fn main() {
     h.config("runs_per_point", config.runs as u64);
     h.config("trace_segments", trace.len() as u64);
     h.config("probability_points", axis.len() as u64);
-    // The sweep fans probability points out over LORI_THREADS workers —
-    // and, with LORI_WORKERS=<n>, over supervised worker *processes*
-    // claiming lease-guarded WAL shards (crash-tolerant, kill -9 safe);
-    // results are bit-identical to the serial flow either way. The
-    // manifest's `phases[].wall_ms` records the parallel wall time.
+    // The sweep fans probability points out over LORI_THREADS workers;
+    // results are bit-identical to the serial flow. The manifest's
+    // `phases[].wall_ms` records the parallel wall time.
     h.config("threads", lori_par::global().threads() as u64);
 
     // Resumable: completed points are replayed from results/<name>.wal.jsonl
     // and a panic/NaN at one point is quarantined under LORI_RECOVERY.
-    let outcome = resumable_sweep(&mut h, &axis, &trace, &config).expect("sweep");
+    let outcome = resumable_sweep(&mut h, &axis, &trace, &config).unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        std::process::exit(2)
+    });
     if outcome.replayed > 0 {
         println!("resume: {} points replayed from WAL", outcome.replayed);
     }

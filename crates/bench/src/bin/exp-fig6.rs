@@ -23,11 +23,13 @@ fn main() {
     config.validate(&axis, &trace).expect("valid sweep config");
     h.seed(config.seed);
     h.config("runs_per_point", config.runs as u64);
-    // Parallel by default (LORI_THREADS workers; LORI_WORKERS=<n> for
-    // supervised multi-process mode), bit-identical to serial.
+    // Parallel by default (LORI_THREADS workers), bit-identical to serial.
     h.config("threads", lori_par::global().threads() as u64);
     // Resumable: a restart replays completed points from the WAL.
-    let outcome = resumable_sweep(&mut h, &axis, &trace, &config).expect("sweep");
+    let outcome = resumable_sweep(&mut h, &axis, &trace, &config).unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        std::process::exit(2)
+    });
     if outcome.replayed > 0 {
         println!("resume: {} points replayed from WAL", outcome.replayed);
     }

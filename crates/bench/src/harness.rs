@@ -52,10 +52,6 @@ pub struct Harness {
     checks: Vec<(String, bool)>,
     events_path: Option<PathBuf>,
     finished: bool,
-    /// Set when this process is a procpool shard worker: shared artifacts
-    /// (banner, event log, manifest, telemetry) belong to the supervisor;
-    /// the worker only dumps its flight ring to a worker-suffixed file.
-    worker: bool,
 }
 
 impl Harness {
@@ -71,25 +67,7 @@ impl Harness {
     /// [`Harness::finish`].
     #[must_use]
     pub fn new(name: &str, id: &str, title: &str) -> Self {
-        let worker_role = lori_par::procpool::worker_role();
-        let worker = worker_role.is_some();
-        // Cross-process trace context, before any span opens: the
-        // supervisor-issued epoch salts this process's span/thread ids
-        // into a range disjoint from every other process in the tree, and
-        // the dispatch sid parents this worker's root span under the
-        // supervisor's shard-dispatch span.
-        let trace_parent = if worker {
-            lori_par::procpool::trace_parent_from_env()
-        } else {
-            None
-        };
-        if let Some((epoch, parent_sid)) = trace_parent {
-            obs::set_process_epoch(epoch);
-            obs::set_process_parent(parent_sid);
-        }
-        if !worker {
-            crate::banner(id, title);
-        }
+        crate::banner(id, title);
         let dir = results_dir();
         let dir_ok = match std::fs::create_dir_all(&dir) {
             Ok(()) => true,
@@ -102,31 +80,18 @@ impl Harness {
                 false
             }
         };
-        // Workers stream into their own epoch-suffixed file — never the
-        // supervisor's event log, where two processes' writes would
-        // interleave. The supervisor's finish() concatenates completed
-        // worker streams deterministically (ascending epoch). A worker
-        // without a trace parent (not spawned by this supervisor's
-        // dispatch path) records nothing.
-        let stream_name = match (worker, trace_parent) {
-            (false, _) => Some(format!("{name}.events.jsonl")),
-            (true, Some((epoch, _))) => Some(format!("{name}.worker-{epoch}.events.jsonl")),
-            (true, None) => None,
-        };
         let events_path = if dir_ok && obs_enabled() {
-            stream_name.and_then(|fname| {
-                let path = dir.join(fname);
-                match obs::JsonlRecorder::create_atomic(&path) {
-                    Ok(rec) => {
-                        obs::install(Arc::new(rec));
-                        Some(path)
-                    }
-                    Err(err) => {
-                        eprintln!("warning: cannot record events to {}: {err}", path.display());
-                        None
-                    }
+            let path = dir.join(format!("{name}.events.jsonl"));
+            match obs::JsonlRecorder::create_atomic(&path) {
+                Ok(rec) => {
+                    obs::install(Arc::new(rec));
+                    Some(path)
                 }
-            })
+                Err(err) => {
+                    eprintln!("warning: cannot record events to {}: {err}", path.display());
+                    None
+                }
+            }
         } else {
             None
         };
@@ -141,23 +106,15 @@ impl Harness {
             obs::flight::init_from_env();
         }
         if obs::flight::enabled() && dir_ok {
-            // Each procpool worker gets its own black-box file; the
-            // supervisor's finish() merges them deterministically.
-            let flight_name = match worker_role {
-                Some(role) => format!("{name}.flight.worker-{}.json", role.worker),
-                None => format!("{name}.flight.json"),
-            };
-            obs::flight::set_dump_path(dir.join(flight_name));
+            obs::flight::set_dump_path(dir.join(format!("{name}.flight.json")));
             obs::flight::install_panic_hook();
         }
-        if !worker {
-            match obs::telemetry::init_from_env() {
-                Ok(Some(addr)) => eprintln!("telemetry: listening on {addr}"),
-                Ok(None) => {}
-                Err(err) => eprintln!("warning: cannot start LORI_TELEMETRY endpoint: {err}"),
-            }
-            obs::telemetry::set_run(name);
+        match obs::telemetry::init_from_env() {
+            Ok(Some(addr)) => eprintln!("telemetry: listening on {addr}"),
+            Ok(None) => {}
+            Err(err) => eprintln!("warning: cannot start LORI_TELEMETRY endpoint: {err}"),
         }
+        obs::telemetry::set_run(name);
         let mut manifest = obs::RunManifest::start(name);
         manifest.config("obs", events_path.is_some());
         // The golden-model cache mode changes wall time, never bytes; it is
@@ -181,7 +138,6 @@ impl Harness {
             checks: Vec::new(),
             events_path,
             finished: false,
-            worker,
         }
     }
 
@@ -246,11 +202,6 @@ impl Harness {
         }
         self.finished = true;
         obs::uninstall();
-        if self.worker {
-            // The manifest belongs to the supervisor; a worker writing it
-            // would clobber the real run record.
-            return Ok(());
-        }
         // Derived health ratios, computed after the recorder is gone so
         // they land in the manifest snapshot without touching the event
         // stream (artifacts stay identical with telemetry on or off).
@@ -285,8 +236,6 @@ impl Harness {
             );
             self.manifest.config.push(("checks".to_owned(), checks));
         }
-        self.merge_worker_events();
-        self.merge_worker_flights();
         self.manifest.finish(obs::registry().snapshot());
         obs::telemetry::set_phase("finished");
         obs::telemetry::set_manifest_json(self.manifest.to_json());
@@ -298,125 +247,6 @@ impl Harness {
         }
         println!();
         Ok(())
-    }
-
-    /// Concatenates completed worker event streams
-    /// (`<name>.worker-<epoch>.events.jsonl`) onto the supervisor's
-    /// stream in deterministic order — ascending spawn epoch, each stream
-    /// already in its own recording order — replacing
-    /// `<name>.events.jsonl` atomically and removing the per-worker
-    /// litter. Epoch-salted span/thread ids keep the concatenation a
-    /// valid single trace: per-tid streams stay disjoint and every sid is
-    /// unique across the process tree, so `lori-report profile` stitches
-    /// one causal tree spanning supervisor and all worker attempts.
-    /// Streams from crashed attempts never appear here: a worker's stream
-    /// is renamed into place only on clean exit.
-    fn merge_worker_events(&self) {
-        let dir = results_dir();
-        let prefix = format!("{}.worker-", self.name);
-        let mut parts: Vec<(u64, PathBuf)> = Vec::new();
-        let Ok(read) = std::fs::read_dir(&dir) else {
-            return;
-        };
-        for entry in read.flatten() {
-            let fname = entry.file_name();
-            let Some(fname) = fname.to_str() else {
-                continue;
-            };
-            let Some(id) = fname
-                .strip_prefix(&prefix)
-                .and_then(|rest| rest.strip_suffix(".events.jsonl"))
-                .and_then(|id| id.parse::<u64>().ok())
-            else {
-                continue;
-            };
-            parts.push((id, entry.path()));
-        }
-        if parts.is_empty() {
-            return;
-        }
-        parts.sort();
-        let final_path = dir.join(format!("{}.events.jsonl", self.name));
-        let mut merged = std::fs::read_to_string(&final_path).unwrap_or_default();
-        for (_, path) in &parts {
-            if let Ok(text) = std::fs::read_to_string(path) {
-                merged.push_str(&text);
-            }
-        }
-        match lori_fault::atomic_write(&final_path, merged.as_bytes()) {
-            Ok(()) => {
-                for (_, path) in parts {
-                    let _ = std::fs::remove_file(path);
-                }
-            }
-            Err(err) => eprintln!("warning: cannot merge worker event streams: {err}"),
-        }
-    }
-
-    /// Folds per-worker flight dumps (`<name>.flight.worker-<k>.json`,
-    /// left behind by procpool workers that panicked or quarantined) into
-    /// one deterministic `results/<name>.flight.json` sorted by worker id,
-    /// removing the per-worker litter. A supervisor-side dump, when
-    /// present, leads the merged document.
-    fn merge_worker_flights(&self) {
-        let dir = results_dir();
-        let prefix = format!("{}.flight.worker-", self.name);
-        let mut parts: Vec<(u64, PathBuf)> = Vec::new();
-        let Ok(read) = std::fs::read_dir(&dir) else {
-            return;
-        };
-        for entry in read.flatten() {
-            let fname = entry.file_name();
-            let Some(fname) = fname.to_str() else {
-                continue;
-            };
-            let Some(id) = fname
-                .strip_prefix(&prefix)
-                .and_then(|rest| rest.strip_suffix(".json"))
-                .and_then(|id| id.parse::<u64>().ok())
-            else {
-                continue;
-            };
-            parts.push((id, entry.path()));
-        }
-        if parts.is_empty() {
-            return;
-        }
-        parts.sort();
-        let final_path = dir.join(format!("{}.flight.json", self.name));
-        let mut dumps: Vec<Value> = Vec::new();
-        if let Ok(text) = std::fs::read_to_string(&final_path) {
-            if let Ok(doc) = Value::parse(&text) {
-                dumps.push(Value::Obj(vec![
-                    ("worker".to_owned(), Value::from("supervisor")),
-                    ("dump".to_owned(), doc),
-                ]));
-            }
-        }
-        for (id, path) in &parts {
-            let Ok(text) = std::fs::read_to_string(path) else {
-                continue;
-            };
-            let Ok(doc) = Value::parse(&text) else {
-                continue;
-            };
-            dumps.push(Value::Obj(vec![
-                ("worker".to_owned(), Value::from(*id)),
-                ("dump".to_owned(), doc),
-            ]));
-        }
-        let merged = Value::Obj(vec![
-            ("reason".to_owned(), Value::from("merged")),
-            ("dumps".to_owned(), Value::Arr(dumps)),
-        ]);
-        match lori_fault::atomic_write(&final_path, format!("{}\n", merged.to_json()).as_bytes()) {
-            Ok(()) => {
-                for (_, path) in parts {
-                    let _ = std::fs::remove_file(path);
-                }
-            }
-            Err(err) => eprintln!("warning: cannot merge worker flight dumps: {err}"),
-        }
     }
 }
 
@@ -443,6 +273,7 @@ mod tests {
     // exercises the full lifecycle in one body.
     #[test]
     fn harness_lifecycle_writes_events_and_manifest() {
+        let _env = crate::env_lock();
         let dir = std::env::temp_dir().join(format!("lori-harness-{}", std::process::id()));
         std::env::set_var("LORI_RESULTS_DIR", &dir);
         let mut h = Harness::new("exp-unit", "E0", "harness unit test");

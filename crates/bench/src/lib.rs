@@ -92,6 +92,17 @@ pub fn runs_from_env(default: usize) -> usize {
         .unwrap_or(default)
 }
 
+/// Serializes the unit tests that mutate process-global environment
+/// variables (`LORI_RESULTS_DIR`): the test harness runs tests on parallel
+/// threads, and one test's `remove_var` would pull the directory out from
+/// under another's run.
+#[cfg(test)]
+pub(crate) fn env_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Prints a standard experiment banner.
 pub fn banner(id: &str, title: &str) {
     println!("==============================================================");

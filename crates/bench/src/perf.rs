@@ -417,6 +417,7 @@ mod tests {
 
     #[test]
     fn bench_arch_record_round_trips() {
+        let _env = crate::env_lock();
         let dir = std::env::temp_dir().join(format!("lori-perf-arch-{}", std::process::id()));
         std::env::set_var("LORI_RESULTS_DIR", &dir);
         let ff = ArchGroup {
@@ -453,6 +454,7 @@ mod tests {
 
     #[test]
     fn bench_sta_record_round_trips() {
+        let _env = crate::env_lock();
         let dir = std::env::temp_dir().join(format!("lori-perf-sta-{}", std::process::id()));
         std::env::set_var("LORI_RESULTS_DIR", &dir);
         let design = StaDesign {
@@ -498,6 +500,7 @@ mod tests {
 
     #[test]
     fn bench_cache_record_round_trips() {
+        let _env = crate::env_lock();
         let dir = std::env::temp_dir().join(format!("lori-perf-cache-{}", std::process::id()));
         std::env::set_var("LORI_RESULTS_DIR", &dir);
         let path = write_bench_cache(
@@ -529,6 +532,7 @@ mod tests {
 
     #[test]
     fn bench_obs_record_round_trips() {
+        let _env = crate::env_lock();
         let dir = std::env::temp_dir().join(format!("lori-perf-obs-{}", std::process::id()));
         std::env::set_var("LORI_RESULTS_DIR", &dir);
         let path = write_bench_obs(9, 2.0, 2.02);
@@ -543,6 +547,7 @@ mod tests {
 
     #[test]
     fn bench_sweep_record_round_trips() {
+        let _env = crate::env_lock();
         let dir = std::env::temp_dir().join(format!("lori-perf-{}", std::process::id()));
         std::env::set_var("LORI_RESULTS_DIR", &dir);
         let path = write_bench_sweep(

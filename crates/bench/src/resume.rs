@@ -17,18 +17,13 @@
 //! 3. **Deterministic artifact** — the sweep's results are also written to
 //!    `results/<name>.points.json` (atomic, no timestamps), the file to
 //!    byte-compare across runs, worker counts, and resumes.
-//! 4. **Multi-process execution** — with `LORI_WORKERS=<n>` the sweep is
-//!    handed to [`lori_par::procpool`]: a supervisor re-execs this binary
-//!    in worker mode over lease-guarded WAL shards, surviving kill -9 of
-//!    workers and of the supervisor itself. Merged points flow back into
-//!    the top-level WAL, so the resulting `points.json` stays byte-equal
-//!    to the single-process run for any crash schedule.
 
 use crate::harness::{results_dir, Harness};
 use lori_ftsched::montecarlo::{point_tasks, run_point, SweepConfig, SweepPoint};
 use lori_ftsched::FtError;
 use lori_obs::Value;
-use lori_par::{par_map_recover, procpool, RecoveryPolicy, TaskFailure};
+use lori_par::{par_map_recover, RecoveryPolicy, RecoveryPolicyError, TaskFailure};
+use std::fmt;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -149,6 +144,39 @@ impl SweepOutcome {
     }
 }
 
+/// Why a resumable sweep could not produce its points.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SweepError {
+    /// `LORI_RECOVERY` is set to something that is not a policy.
+    Recovery(RecoveryPolicyError),
+    /// A config validation error, or a point's typed failure under the
+    /// fail-fast policy.
+    Sweep(FtError),
+}
+
+impl fmt::Display for SweepError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SweepError::Recovery(err) => err.fmt(f),
+            SweepError::Sweep(err) => err.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for SweepError {}
+
+impl From<RecoveryPolicyError> for SweepError {
+    fn from(err: RecoveryPolicyError) -> Self {
+        SweepError::Recovery(err)
+    }
+}
+
+impl From<FtError> for SweepError {
+    fn from(err: FtError) -> Self {
+        SweepError::Sweep(err)
+    }
+}
+
 /// Runs the Fig. 5/6 sweep with WAL resume and panic quarantine, fanning
 /// points out over the process-default worker pool. See the module docs.
 ///
@@ -158,42 +186,20 @@ impl SweepOutcome {
 ///
 /// # Errors
 ///
-/// Validation errors from [`SweepConfig::validate`], and — under the
-/// default fail-fast policy only — the first point's typed failure (e.g.
-/// [`FtError::NonFinite`]).
+/// A malformed `LORI_RECOVERY`, validation errors from
+/// [`SweepConfig::validate`], and — under the default fail-fast policy
+/// only — the first point's typed failure (e.g. [`FtError::NonFinite`]).
 pub fn resumable_sweep(
     h: &mut Harness,
     p_values: &[f64],
     trace: &[lori_core::units::Cycles],
     config: &SweepConfig,
-) -> Result<SweepOutcome, FtError> {
+) -> Result<SweepOutcome, SweepError> {
     let tasks = point_tasks(p_values, trace, config)?;
-    let policy = RecoveryPolicy::from_env();
+    let policy = RecoveryPolicy::from_env()?;
     h.config("recovery", format!("{policy:?}").as_str());
 
     let header = fingerprint(h.name(), p_values, trace, config);
-
-    // Worker mode: this process was re-exec'd by a procpool supervisor.
-    // Claim the assigned shard, compute its missing points into the shard
-    // WAL, and exit — the supervisor merges shard WALs into the top-level
-    // resume log, which workers must never touch (concurrent resume would
-    // race its compact-and-rename).
-    if let Some(role) = procpool::worker_role() {
-        let dir = results_dir();
-        let job = procpool::ShardJob {
-            name: h.name(),
-            dir: &dir,
-            header: &header,
-            total: p_values.len(),
-        };
-        procpool::run_worker(&job, role, |i| {
-            debug_assert_eq!(tasks[i].index, i);
-            run_point(&tasks[i], trace, config)
-                .map(|point| point_to_value(&point))
-                .map_err(|err| err.to_string())
-        });
-    }
-
     let path = wal_path(h.name());
     let mut points: Vec<Option<SweepPoint>> = vec![None; p_values.len()];
     let mut replayed = 0usize;
@@ -229,130 +235,52 @@ pub fn resumable_sweep(
     // Heartbeat under LORI_PROGRESS=stderr: one unit per probability point,
     // ticked from whichever worker finishes it.
     let progress = crate::Progress::start("sweep", missing.len() as u64);
-
-    // Multi-process mode (`LORI_WORKERS=<n>`): supervise re-exec'd worker
-    // processes over lease-guarded WAL shards. Merged units flow through
-    // `on_unit` straight into the top-level resume log, so even a killed
-    // *supervisor* leaves every completed point durable.
-    let mut pool_failures: Option<Vec<TaskFailure>> = None;
-    if let procpool::Mode::Workers(n) = procpool::mode() {
-        if !missing.is_empty() {
-            let cfg = procpool::PoolConfig::from_env(n);
-            h.config("workers", n as u64);
-            h.config("shards", cfg.shards as u64);
-            let name = h.name().to_owned();
-            let dir = results_dir();
-            let job = procpool::ShardJob {
-                name: &name,
-                dir: &dir,
-                header: &header,
-                total: p_values.len(),
-            };
-            let result = h.phase("sweep", || {
-                procpool::supervise(&job, &cfg, |i, data| {
-                    if i >= points.len() || points[i].is_some() {
-                        return;
-                    }
-                    let Some(point) = point_from_value(data) else {
-                        return;
-                    };
-                    progress.tick();
-                    if let Some(writer) = wal
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .as_mut()
-                    {
-                        if let Err(err) = writer.append(i as u64, data) {
-                            eprintln!("warning: WAL append failed: {err}");
-                        }
-                    }
-                    points[i] = Some(point);
-                })
-            });
-            match result {
-                Ok(outcome) => {
-                    pool_failures = Some(
-                        outcome
-                            .failures
-                            .into_iter()
-                            .map(|f| TaskFailure {
-                                index: f.index,
-                                attempts: f.attempts,
-                                message: f.message,
-                            })
-                            .collect(),
-                    );
+    let out = h.phase("sweep", || {
+        par_map_recover(lori_par::global(), policy, &missing, |_, task| {
+            let point = run_point(task, trace, config)?;
+            progress.tick();
+            // Write-ahead: the point is durable before the sweep moves on.
+            if let Some(writer) = wal
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .as_mut()
+            {
+                let index = task.index as u64;
+                if let Err(err) = writer.append(index, &point_to_value(&point)) {
+                    eprintln!("warning: WAL append failed: {err}");
                 }
-                Err(err) => eprintln!(
-                    "warning: procpool unavailable ({err}); falling back to in-process sweep"
-                ),
             }
-        } else {
-            pool_failures = Some(Vec::new());
+            Ok::<_, FtError>(point)
+        })
+    });
+
+    // Map slice-relative failure indices back onto the axis, and fold
+    // typed errors into quarantine under a quarantine policy.
+    let mut failures: Vec<TaskFailure> = out
+        .failures
+        .into_iter()
+        .map(|f| TaskFailure {
+            index: missing[f.index].index,
+            ..f
+        })
+        .collect();
+    for (slot, task) in out.results.into_iter().zip(&missing) {
+        match slot {
+            Some(Ok(point)) => points[task.index] = Some(point),
+            Some(Err(err)) => {
+                if policy == RecoveryPolicy::FailFast {
+                    return Err(err.into());
+                }
+                lori_obs::counter(lori_fault::METRIC_QUARANTINED).incr(1);
+                failures.push(TaskFailure {
+                    index: task.index,
+                    attempts: 1,
+                    message: err.to_string(),
+                });
+            }
+            None => {}
         }
     }
-
-    let mut failures: Vec<TaskFailure> = if let Some(pool) = pool_failures {
-        // Shard poisoning mirrors LORI_RECOVERY quarantine at process
-        // granularity; a typed per-point error cannot propagate across
-        // the process boundary, so fail-fast degrades to quarantine-style
-        // reporting here (documented in DESIGN.md §14).
-        if policy == RecoveryPolicy::FailFast && !pool.is_empty() {
-            eprintln!(
-                "warning: {} point(s) lost to poisoned shards under fail-fast; reporting as quarantined",
-                pool.len()
-            );
-        }
-        pool
-    } else {
-        let out = h.phase("sweep", || {
-            par_map_recover(lori_par::global(), policy, &missing, |_, task| {
-                let point = run_point(task, trace, config)?;
-                progress.tick();
-                // Write-ahead: the point is durable before the sweep moves on.
-                if let Some(writer) = wal
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .as_mut()
-                {
-                    let index = task.index as u64;
-                    if let Err(err) = writer.append(index, &point_to_value(&point)) {
-                        eprintln!("warning: WAL append failed: {err}");
-                    }
-                }
-                Ok::<_, FtError>(point)
-            })
-        });
-
-        // Map slice-relative failure indices back onto the axis, and fold
-        // typed errors into quarantine under a quarantine policy.
-        let mut failures: Vec<TaskFailure> = out
-            .failures
-            .into_iter()
-            .map(|f| TaskFailure {
-                index: missing[f.index].index,
-                ..f
-            })
-            .collect();
-        for (slot, task) in out.results.into_iter().zip(&missing) {
-            match slot {
-                Some(Ok(point)) => points[task.index] = Some(point),
-                Some(Err(err)) => {
-                    if policy == RecoveryPolicy::FailFast {
-                        return Err(err);
-                    }
-                    lori_obs::counter(lori_fault::METRIC_QUARANTINED).incr(1);
-                    failures.push(TaskFailure {
-                        index: task.index,
-                        attempts: 1,
-                        message: err.to_string(),
-                    });
-                }
-                None => {}
-            }
-        }
-        failures
-    };
     failures.sort_by_key(|f| f.index);
     if !failures.is_empty() {
         h.config(

@@ -6,7 +6,7 @@
 //! `LORI_RECOVERY`, the armed fault plan, the installed recorder), so each
 //! one holds the shared lock for its whole body.
 
-use lori_bench::resume::resumable_sweep;
+use lori_bench::resume::{resumable_sweep, SweepError};
 use lori_bench::{Harness, SweepOutcome};
 use lori_ftsched::montecarlo::SweepConfig;
 use lori_ftsched::workload::adpcm_reference_trace;
@@ -174,5 +174,28 @@ fn injected_panic_quarantines_one_point_and_spares_the_rest() {
     let recovery = cfg.get("recovery").and_then(Value::as_str).unwrap_or("");
     assert!(recovery.contains("Quarantine"), "{recovery}");
 
+    std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
+fn malformed_recovery_policy_is_a_typed_error() {
+    let _serial = lock();
+    let base = scratch("badpolicy");
+    std::env::set_var("LORI_RESULTS_DIR", &base);
+    std::env::set_var("LORI_RECOVERY", "quarantine:abc");
+    let trace = adpcm_reference_trace();
+    let mut h = Harness::new("exp-badpolicy", "T0", "resume integration test");
+    let err = resumable_sweep(&mut h, &AXIS, &trace, &quick_config())
+        .expect_err("malformed LORI_RECOVERY must not run the sweep");
+    drop(h);
+    std::env::remove_var("LORI_RECOVERY");
+    std::env::remove_var("LORI_RESULTS_DIR");
+
+    assert!(matches!(err, SweepError::Recovery(ref e) if e.value == "quarantine:abc"));
+    assert!(err.to_string().contains("quarantine:abc"), "{err}");
+    assert!(
+        !base.join("exp-badpolicy.points.json").exists(),
+        "no artifact from a rejected policy"
+    );
     std::fs::remove_dir_all(&base).ok();
 }

@@ -27,32 +27,8 @@ use crate::mlchar::{InstanceContext, MlCharacterizer};
 use crate::netlist::Netlist;
 use crate::she::SheModel;
 use crate::spicelike::GoldenSimulator;
-use crate::sta::{run_sta, run_sta_with_overrides, Guardband, StaConfig, StaEngine, StaReport};
+use crate::sta::{Guardband, StaConfig, StaEngine, StaReport};
 use lori_core::units::{Celsius, Seconds};
-
-/// Which STA substrate [`run_she_flow`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StaMode {
-    /// The incremental [`StaEngine`]: validation, topological order, and
-    /// net loads are computed once and the accurate/worst-case corners
-    /// re-time on top of the nominal state. The default.
-    Engine,
-    /// Four independent full STA passes — the pre-engine behaviour, kept
-    /// as the reference the CI equivalence job byte-compares against.
-    Legacy,
-}
-
-impl StaMode {
-    /// Reads `LORI_STA` (`legacy` selects [`StaMode::Legacy`]; anything
-    /// else, including unset, selects [`StaMode::Engine`]).
-    #[must_use]
-    pub fn from_env() -> StaMode {
-        match std::env::var("LORI_STA") {
-            Ok(v) if v.eq_ignore_ascii_case("legacy") => StaMode::Legacy,
-            _ => StaMode::Engine,
-        }
-    }
-}
 
 /// Configuration of the SHE flow.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,6 +101,14 @@ impl SheFlowReport {
 
 /// Runs the full Fig.-3 flow.
 ///
+/// One [`StaEngine`] over the timing library serves the nominal,
+/// accurate, and worst-case corners (validation, topological order, and
+/// net loads computed once; the corner changes re-time in-place), and the
+/// SHE extraction builds a second engine over the SHE-as-delay library
+/// that still shares the netlist's cached topological order. The result
+/// equals four independent full STA passes exactly; `flow::tests` keeps
+/// that four-pass oracle.
+///
 /// `timing_library` must be characterized at the flow's nominal corner;
 /// `ml` must be trained for every cell the netlist uses (e.g. via
 /// [`MlCharacterizer::train_for_netlist`]).
@@ -139,42 +123,43 @@ pub fn run_she_flow(
     ml: &MlCharacterizer,
     config: &SheFlowConfig,
 ) -> Result<SheFlowReport, CircuitError> {
-    run_she_flow_with_mode(
-        sim,
-        timing_library,
-        netlist,
-        ml,
-        config,
-        StaMode::from_env(),
-    )
-}
-
-/// [`run_she_flow`] with an explicit STA substrate. Both modes produce
-/// byte-identical reports — the CI equivalence job compares the exported
-/// artifacts directly, and `flow::tests` asserts report equality.
-///
-/// # Errors
-///
-/// Propagates characterization, validation, and STA errors.
-pub fn run_she_flow_with_mode(
-    sim: &GoldenSimulator,
-    timing_library: &Library,
-    netlist: &Netlist,
-    ml: &MlCharacterizer,
-    config: &SheFlowConfig,
-    mode: StaMode,
-) -> Result<SheFlowReport, CircuitError> {
     let _ = sim; // the golden engine already produced `timing_library`; kept for API symmetry
     config.she.validate()?;
-    match mode {
-        StaMode::Engine => run_she_flow_engine(timing_library, netlist, ml, config),
-        StaMode::Legacy => run_she_flow_legacy(timing_library, netlist, ml, config),
-    }
+
+    // Step 1-2: nominal STA and SHE extraction via the delay-slot trick.
+    let mut engine = StaEngine::new(netlist, timing_library, &config.sta)?;
+    let nominal = engine.report();
+    let she_lib = she_as_delay_library(timing_library, &config.she)?;
+    let she_run = StaEngine::new(netlist, &she_lib, &config.sta)?.into_report();
+    let instance_she_k = she_run.instance_delay_ps;
+
+    // Step 3: per-instance contexts.
+    let (contexts, instance_delta_vth_v) =
+        instance_contexts(netlist, &nominal, &instance_she_k, config)?;
+
+    // Step 4a: accurate per-instance STA — an override-set retime on the
+    // nominal engine state.
+    let overrides = ml.generate_instance_library(netlist, &contexts)?;
+    engine.set_all_timings(netlist, timing_library, &overrides)?;
+    let accurate = engine.report();
+
+    // Step 4b: worst-case corner — a second retime on the same engine.
+    let wc_contexts = worst_case_contexts(&contexts, &instance_she_k, &instance_delta_vth_v);
+    let wc_overrides = ml.generate_instance_library(netlist, &wc_contexts)?;
+    engine.set_all_timings(netlist, timing_library, &wc_overrides)?;
+    let worst_case = engine.into_report();
+
+    Ok(SheFlowReport {
+        instance_she_k,
+        instance_delta_vth_v,
+        nominal,
+        accurate,
+        worst_case,
+    })
 }
 
-/// Step 3 of the flow, shared by both substrates: per-instance contexts
-/// (slew, load, SHE ΔT, aging ΔVth) from the nominal timing and the SHE
-/// extraction.
+/// Step 3 of the flow: per-instance contexts (slew, load, SHE ΔT, aging
+/// ΔVth) from the nominal timing and the SHE extraction.
 fn instance_contexts(
     netlist: &Netlist,
     nominal: &StaReport,
@@ -221,91 +206,13 @@ fn worst_case_contexts(
         .collect()
 }
 
-/// The engine substrate: one [`StaEngine`] over the timing library serves
-/// the nominal, accurate, and worst-case corners (validation, topological
-/// order, and net loads computed once; the corner changes re-time
-/// in-place), and the SHE extraction builds a second engine over the
-/// SHE-as-delay library that still shares the netlist's cached
-/// topological order.
-fn run_she_flow_engine(
-    timing_library: &Library,
-    netlist: &Netlist,
-    ml: &MlCharacterizer,
-    config: &SheFlowConfig,
-) -> Result<SheFlowReport, CircuitError> {
-    // Step 1-2: nominal STA and SHE extraction via the delay-slot trick.
-    let mut engine = StaEngine::new(netlist, timing_library, &config.sta)?;
-    let nominal = engine.report();
-    let she_lib = she_as_delay_library(timing_library, &config.she)?;
-    let she_run = StaEngine::new(netlist, &she_lib, &config.sta)?.into_report();
-    let instance_she_k = she_run.instance_delay_ps;
-
-    // Step 3: per-instance contexts.
-    let (contexts, instance_delta_vth_v) =
-        instance_contexts(netlist, &nominal, &instance_she_k, config)?;
-
-    // Step 4a: accurate per-instance STA — an override-set retime on the
-    // nominal engine state.
-    let overrides = ml.generate_instance_library(netlist, &contexts)?;
-    engine.set_all_timings(netlist, timing_library, &overrides)?;
-    let accurate = engine.report();
-
-    // Step 4b: worst-case corner — a second retime on the same engine.
-    let wc_contexts = worst_case_contexts(&contexts, &instance_she_k, &instance_delta_vth_v);
-    let wc_overrides = ml.generate_instance_library(netlist, &wc_contexts)?;
-    engine.set_all_timings(netlist, timing_library, &wc_overrides)?;
-    let worst_case = engine.into_report();
-
-    Ok(SheFlowReport {
-        instance_she_k,
-        instance_delta_vth_v,
-        nominal,
-        accurate,
-        worst_case,
-    })
-}
-
-/// The legacy substrate: four independent full STA passes.
-fn run_she_flow_legacy(
-    timing_library: &Library,
-    netlist: &Netlist,
-    ml: &MlCharacterizer,
-    config: &SheFlowConfig,
-) -> Result<SheFlowReport, CircuitError> {
-    // Step 1-2: nominal STA and SHE extraction via the delay-slot trick.
-    let nominal = run_sta(netlist, timing_library, &config.sta)?;
-    let she_lib = she_as_delay_library(timing_library, &config.she)?;
-    let she_run = run_sta(netlist, &she_lib, &config.sta)?;
-    let instance_she_k = she_run.instance_delay_ps.clone();
-
-    // Step 3: per-instance contexts.
-    let (contexts, instance_delta_vth_v) =
-        instance_contexts(netlist, &nominal, &instance_she_k, config)?;
-
-    // Step 4a: accurate per-instance STA.
-    let overrides = ml.generate_instance_library(netlist, &contexts)?;
-    let accurate = run_sta_with_overrides(netlist, timing_library, &config.sta, &overrides)?;
-
-    // Step 4b: worst-case corner.
-    let wc_contexts = worst_case_contexts(&contexts, &instance_she_k, &instance_delta_vth_v);
-    let wc_overrides = ml.generate_instance_library(netlist, &wc_contexts)?;
-    let worst_case = run_sta_with_overrides(netlist, timing_library, &config.sta, &wc_overrides)?;
-
-    Ok(SheFlowReport {
-        instance_she_k,
-        instance_delta_vth_v,
-        nominal,
-        accurate,
-        worst_case,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::characterize::{characterize_library, Corner};
     use crate::mlchar::MlCharConfig;
     use crate::netlist::processor_datapath;
+    use crate::sta::{run_sta, run_sta_with_overrides};
     use crate::tech::TechParams;
     use std::sync::OnceLock;
 
@@ -387,21 +294,43 @@ mod tests {
         );
     }
 
+    /// The reference oracle: the flow as four independent full STA passes.
+    fn four_pass_flow(s: &Setup, config: &SheFlowConfig) -> SheFlowReport {
+        let Setup {
+            lib, netlist, ml, ..
+        } = s;
+        let nominal = run_sta(netlist, lib, &config.sta).unwrap();
+        let she_lib = she_as_delay_library(lib, &config.she).unwrap();
+        let instance_she_k = run_sta(netlist, &she_lib, &config.sta)
+            .unwrap()
+            .instance_delay_ps;
+        let (contexts, instance_delta_vth_v) =
+            instance_contexts(netlist, &nominal, &instance_she_k, config).unwrap();
+        let overrides = ml.generate_instance_library(netlist, &contexts).unwrap();
+        let accurate = run_sta_with_overrides(netlist, lib, &config.sta, &overrides).unwrap();
+        let wc_contexts = worst_case_contexts(&contexts, &instance_she_k, &instance_delta_vth_v);
+        let wc_overrides = ml.generate_instance_library(netlist, &wc_contexts).unwrap();
+        let worst_case = run_sta_with_overrides(netlist, lib, &config.sta, &wc_overrides).unwrap();
+        SheFlowReport {
+            instance_she_k,
+            instance_delta_vth_v,
+            nominal,
+            accurate,
+            worst_case,
+        }
+    }
+
     #[test]
-    fn engine_and_legacy_substrates_agree_exactly() {
+    fn engine_flow_matches_four_pass_oracle_exactly() {
         let s = setup();
         let config = SheFlowConfig::default();
-        let engine =
-            run_she_flow_with_mode(&s.sim, &s.lib, &s.netlist, &s.ml, &config, StaMode::Engine)
-                .unwrap();
-        let legacy =
-            run_she_flow_with_mode(&s.sim, &s.lib, &s.netlist, &s.ml, &config, StaMode::Legacy)
-                .unwrap();
-        assert_eq!(engine.instance_she_k, legacy.instance_she_k);
-        assert_eq!(engine.instance_delta_vth_v, legacy.instance_delta_vth_v);
-        assert_eq!(engine.nominal, legacy.nominal);
-        assert_eq!(engine.accurate, legacy.accurate);
-        assert_eq!(engine.worst_case, legacy.worst_case);
+        let engine = run_she_flow(&s.sim, &s.lib, &s.netlist, &s.ml, &config).unwrap();
+        let oracle = four_pass_flow(s, &config);
+        assert_eq!(engine.instance_she_k, oracle.instance_she_k);
+        assert_eq!(engine.instance_delta_vth_v, oracle.instance_delta_vth_v);
+        assert_eq!(engine.nominal, oracle.nominal);
+        assert_eq!(engine.accurate, oracle.accurate);
+        assert_eq!(engine.worst_case, oracle.worst_case);
     }
 
     #[test]

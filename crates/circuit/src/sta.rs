@@ -16,8 +16,8 @@
 //!   re-times only the affected fanout cone via a topo-ordered worklist
 //!   with exact-equality early termination. Every report it produces is
 //!   bit-identical to a from-scratch pass — determinism is the contract,
-//!   checked by the randomized edit-schedule suite and the CI
-//!   `LORI_STA=legacy` byte-compare job.
+//!   checked by the randomized edit-schedule suite and by the SHE flow's
+//!   four-full-pass oracle test.
 
 use crate::cell::{CellId, Library};
 use crate::error::CircuitError;

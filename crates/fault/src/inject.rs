@@ -21,15 +21,12 @@ use std::sync::{Mutex, MutexGuard, RwLock};
 /// still parse, but [`FaultPlan::unknown_sites`] flags them so harnesses
 /// can warn about typos.
 pub const SITES: &[&str] = &[
-    "sweep.point",            // ftsched::montecarlo — one unit per probability point
-    "checkpoint.state",       // ftsched::checkpoint — serialized checkpoint bytes
-    "circuit.lut",            // circuit::lut — every Lut2d::lookup result
-    "circuit.characterize",   // circuit::characterize — one unit per cell
-    "circuit.mlchar",         // circuit::mlchar — golden training samples
-    "hdc.encoder",            // hdc::encoder — encoded hypervectors
-    "procpool.worker-kill",   // lori-par::procpool — abort the worker running shard N
-    "procpool.worker-stall",  // lori-par::procpool — freeze the worker running shard N
-    "procpool.lease-corrupt", // lori-par::procpool — lease bytes on write
+    "sweep.point",          // ftsched::montecarlo — one unit per probability point
+    "checkpoint.state",     // ftsched::checkpoint — serialized checkpoint bytes
+    "circuit.lut",          // circuit::lut — every Lut2d::lookup result
+    "circuit.characterize", // circuit::characterize — one unit per cell
+    "circuit.mlchar",       // circuit::mlchar — golden training samples
+    "hdc.encoder",          // hdc::encoder — encoded hypervectors
 ];
 
 /// Fast-path switch: `true` only while a non-empty plan is armed.
@@ -181,38 +178,6 @@ pub fn check_panic(site: &'static str, index: u64) {
     }
 }
 
-fn check_process(kind: FaultKind, site: &'static str, index: u64, attempt: u32) -> bool {
-    if !active() {
-        return false;
-    }
-    let armed = with_site(site, kind, |a| {
-        (a.directive.index == Some(index) && attempt < a.directive.attempts).then_some(())
-    });
-    if armed.is_some() {
-        injected();
-        return true;
-    }
-    false
-}
-
-/// `true` iff a `kill@site:index` directive is armed for this unit and
-/// the unit's `attempt` counter is still below the directive's
-/// `attempts` bound. The caller (a procpool worker) is expected to abort
-/// the whole process — the decision lives here so it is deterministic
-/// and counted, the action lives with the caller.
-#[must_use]
-pub fn check_kill(site: &'static str, index: u64, attempt: u32) -> bool {
-    check_process(FaultKind::Kill, site, index, attempt)
-}
-
-/// `true` iff a `stall@site:index` directive is armed for this unit and
-/// attempt (see [`check_kill`]). The caller is expected to stop its
-/// heartbeat and hang until killed by the supervisor.
-#[must_use]
-pub fn check_stall(site: &'static str, index: u64, attempt: u32) -> bool {
-    check_process(FaultKind::Stall, site, index, attempt)
-}
-
 /// Passes `value` through the site, replacing it with NaN when an armed
 /// `nan@site` directive fires for this hit.
 #[inline]
@@ -338,31 +303,6 @@ mod tests {
         let ones: u32 = bytes.iter().map(|b| b.count_ones()).sum();
         assert_eq!(ones, 1);
         assert!(bytes[bit / 8] & (1 << (bit % 8)) != 0);
-    }
-
-    #[test]
-    fn kill_and_stall_are_index_and_attempt_gated() {
-        let plan = FaultPlan::parse(
-            "kill@procpool.worker-kill:2;stall@procpool.worker-stall:1,attempts=2",
-        )
-        .unwrap();
-        let _guard = activate(&plan);
-        // kill: shard 2 only, first attempt only (default attempts=1).
-        assert!(check_kill("procpool.worker-kill", 2, 0));
-        assert!(!check_kill("procpool.worker-kill", 2, 1), "retry survives");
-        assert!(!check_kill("procpool.worker-kill", 3, 0), "other shard");
-        assert!(!check_stall("procpool.worker-stall", 2, 0), "kind mismatch");
-        // stall: shard 1, first two attempts.
-        assert!(check_stall("procpool.worker-stall", 1, 0));
-        assert!(check_stall("procpool.worker-stall", 1, 1));
-        assert!(!check_stall("procpool.worker-stall", 1, 2));
-    }
-
-    #[test]
-    fn kill_inactive_is_false() {
-        clear();
-        assert!(!check_kill("procpool.worker-kill", 0, 0));
-        assert!(!check_stall("procpool.worker-stall", 0, 0));
     }
 
     #[test]

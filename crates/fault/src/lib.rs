@@ -32,8 +32,8 @@ pub mod plan;
 pub mod wal;
 
 pub use inject::{
-    activate, active, check_kill, check_panic, check_stall, clear, corrupt_bytes, detected,
-    flip_bit, init_from_env, poison_f64, PlanGuard, SITES,
+    activate, active, check_panic, clear, corrupt_bytes, detected, flip_bit, init_from_env,
+    poison_f64, PlanGuard, SITES,
 };
 pub use plan::{Directive, FaultKind, FaultPlan, PlanError};
 pub use wal::{atomic_write, fnv64, replay, WalReplay, WalWriter};

@@ -14,21 +14,6 @@
 //! (sweep point, cell index, …) at which to panic. `nan` and `bitflip`
 //! take `rate=<f64 in [0,1]>` (default 1.0) and `seed=<u64>` (default 0);
 //! the decision for hit *n* is a pure function of `(seed, site, n)`.
-//!
-//! Process-level kinds target the multi-process executor
-//! (`lori-par::procpool`):
-//!
-//! ```text
-//! kill@procpool.worker-kill:2            SIGKILL-equivalent abort while shard 2 runs
-//! stall@procpool.worker-stall:1,attempts=2   freeze shard 1's worker on its first two attempts
-//! bitflip@procpool.lease-corrupt:rate=0.5    corrupt lease bytes on write
-//! ```
-//!
-//! `kill` and `stall`, like `panic`, take a bare unit index (the shard
-//! index) and additionally accept `attempts=<n>` (default 1): the fault
-//! fires only while the shard's attempt counter is below `n`, so a
-//! default directive kills the first attempt and lets the supervisor's
-//! retry succeed, while `attempts=99` forces poison-shard quarantine.
 
 use std::fmt;
 
@@ -41,10 +26,6 @@ pub enum FaultKind {
     Nan,
     /// Flip one deterministic bit of data flowing through the site.
     BitFlip,
-    /// Abort the whole worker process (SIGKILL-equivalent) at one unit.
-    Kill,
-    /// Freeze a worker (stop heartbeats, hang) at one unit.
-    Stall,
 }
 
 impl FaultKind {
@@ -53,8 +34,6 @@ impl FaultKind {
             "panic" => Some(FaultKind::Panic),
             "nan" => Some(FaultKind::Nan),
             "bitflip" => Some(FaultKind::BitFlip),
-            "kill" => Some(FaultKind::Kill),
-            "stall" => Some(FaultKind::Stall),
             _ => None,
         }
     }
@@ -66,16 +45,7 @@ impl FaultKind {
             FaultKind::Panic => "panic",
             FaultKind::Nan => "nan",
             FaultKind::BitFlip => "bitflip",
-            FaultKind::Kill => "kill",
-            FaultKind::Stall => "stall",
         }
-    }
-
-    /// `true` for kinds addressed by a deterministic unit index
-    /// (`panic`, `kill`, `stall`), which therefore require one.
-    #[must_use]
-    pub fn needs_index(&self) -> bool {
-        matches!(self, FaultKind::Panic | FaultKind::Kill | FaultKind::Stall)
     }
 }
 
@@ -86,16 +56,12 @@ pub struct Directive {
     pub kind: FaultKind,
     /// The injection-site name it arms (see [`crate::SITES`]).
     pub site: String,
-    /// For index-addressed kinds (`panic`, `kill`, `stall`): the unit
-    /// index to fire at.
+    /// For [`FaultKind::Panic`]: the unit index to panic at.
     pub index: Option<u64>,
     /// Injection probability per hit for rate-based kinds (default 1.0).
     pub rate: f64,
     /// Seed feeding the per-hit injection decision (default 0).
     pub seed: u64,
-    /// For `kill`/`stall`: fire only while the unit's attempt counter is
-    /// below this bound (default 1 — first attempt only).
-    pub attempts: u32,
 }
 
 /// A parse failure, with the offending fragment.
@@ -199,9 +165,6 @@ impl FaultPlan {
             if d.seed != 0 {
                 args.push(format!("seed={}", d.seed));
             }
-            if d.attempts != 1 {
-                args.push(format!("attempts={}", d.attempts));
-            }
             if !args.is_empty() {
                 out.push(':');
                 out.push_str(&args.join(","));
@@ -223,7 +186,7 @@ fn parse_directive(fragment: &str) -> Result<Directive, PlanError> {
         .split_once('@')
         .ok_or_else(|| err(fragment, "expected <kind>@<site>"))?;
     let kind = FaultKind::parse(kind_str.trim())
-        .ok_or_else(|| err(fragment, "kind must be panic, nan, bitflip, kill, or stall"))?;
+        .ok_or_else(|| err(fragment, "kind must be panic, nan, or bitflip"))?;
     let (site, args) = match rest.split_once(':') {
         Some((site, args)) => (site.trim(), Some(args)),
         None => (rest.trim(), None),
@@ -237,7 +200,6 @@ fn parse_directive(fragment: &str) -> Result<Directive, PlanError> {
         index: None,
         rate: 1.0,
         seed: 0,
-        attempts: 1,
     };
     if let Some(args) = args {
         for arg in args.split(',') {
@@ -245,15 +207,7 @@ fn parse_directive(fragment: &str) -> Result<Directive, PlanError> {
             if arg.is_empty() {
                 continue;
             }
-            if let Some(v) = arg.strip_prefix("attempts=") {
-                let attempts: u32 = v
-                    .parse()
-                    .map_err(|_| err(fragment, format!("bad attempts {v:?}")))?;
-                if attempts == 0 {
-                    return Err(err(fragment, "attempts must be >= 1"));
-                }
-                directive.attempts = attempts;
-            } else if let Some(v) = arg.strip_prefix("rate=") {
+            if let Some(v) = arg.strip_prefix("rate=") {
                 let rate: f64 = v
                     .parse()
                     .map_err(|_| err(fragment, format!("bad rate {v:?}")))?;
@@ -273,15 +227,8 @@ fn parse_directive(fragment: &str) -> Result<Directive, PlanError> {
             }
         }
     }
-    if kind.needs_index() && directive.index.is_none() {
-        return Err(err(
-            fragment,
-            format!(
-                "{} needs a unit index ({}@site:N)",
-                kind.keyword(),
-                kind.keyword()
-            ),
-        ));
+    if kind == FaultKind::Panic && directive.index.is_none() {
+        return Err(err(fragment, "panic needs a unit index (panic@site:N)"));
     }
     Ok(directive)
 }
@@ -348,47 +295,6 @@ mod tests {
             "panic@sweep.point:17;nan@circuit.lut:rate=0.001;bitflip@checkpoint.state:seed=9";
         let plan = FaultPlan::parse(text).unwrap();
         let rendered = plan.to_string_lossless();
-        assert_eq!(FaultPlan::parse(&rendered).unwrap(), plan);
-    }
-
-    #[test]
-    fn process_level_kinds_parse() {
-        let plan = FaultPlan::parse(
-            "kill@procpool.worker-kill:2;stall@procpool.worker-stall:1,attempts=2",
-        )
-        .unwrap();
-        assert_eq!(plan.directives[0].kind, FaultKind::Kill);
-        assert_eq!(plan.directives[0].index, Some(2));
-        assert_eq!(plan.directives[0].attempts, 1, "default: first attempt");
-        assert_eq!(plan.directives[1].kind, FaultKind::Stall);
-        assert_eq!(plan.directives[1].index, Some(1));
-        assert_eq!(plan.directives[1].attempts, 2);
-        assert!(plan.unknown_sites().is_empty());
-    }
-
-    #[test]
-    fn process_level_rejections() {
-        assert!(
-            FaultPlan::parse("kill@procpool.worker-kill").is_err(),
-            "kill needs a shard index"
-        );
-        assert!(
-            FaultPlan::parse("stall@procpool.worker-stall").is_err(),
-            "stall needs a shard index"
-        );
-        assert!(
-            FaultPlan::parse("kill@procpool.worker-kill:1,attempts=0").is_err(),
-            "attempts must be >= 1"
-        );
-        assert!(FaultPlan::parse("kill@procpool.worker-kill:1,attempts=x").is_err());
-    }
-
-    #[test]
-    fn attempts_roundtrip_losslessly() {
-        let text = "kill@procpool.worker-kill:0,attempts=99;stall@procpool.worker-stall:3";
-        let plan = FaultPlan::parse(text).unwrap();
-        let rendered = plan.to_string_lossless();
-        assert!(rendered.contains("attempts=99"), "rendered: {rendered}");
         assert_eq!(FaultPlan::parse(&rendered).unwrap(), plan);
     }
 }

@@ -6,9 +6,8 @@
 //! per-point RNG stream is derived from the seed and the point's index,
 //! never from timing or worker identity. That purity is what the layers
 //! above stack execution modes on: `lori_par::par_map` fans points out
-//! over threads, `lori-bench`'s resumable sweep replays them from a WAL,
-//! and `lori_par::procpool` (`LORI_WORKERS=<n>`) distributes them across
-//! supervised worker processes — all producing bit-identical results.
+//! over threads and `lori-bench`'s resumable sweep replays them from a
+//! WAL — both producing bit-identical results.
 
 use crate::checkpoint::CheckpointSystem;
 use crate::error::FtError;

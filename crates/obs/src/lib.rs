@@ -58,7 +58,7 @@ pub use progress::{progress_enabled, Progress, ProgressSnapshot};
 pub use recorder::{Event, JsonlRecorder, MemoryRecorder, NullRecorder, Recorder};
 pub use span::{in_span, span, span_with, Span};
 pub use telemetry::TelemetryServer;
-pub use trace::{process_epoch, set_process_epoch, set_process_parent, ContextGuard, TraceContext};
+pub use trace::{ContextGuard, TraceContext};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};

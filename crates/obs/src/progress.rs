@@ -49,24 +49,6 @@ fn interval_ms() -> u64 {
         .unwrap_or(DEFAULT_INTERVAL_MS)
 }
 
-/// The heartbeat-line prefix attributing output to a procpool worker slot:
-/// `"[w3] "` for worker slot 3, empty for supervisors and single-process
-/// runs. Pure so the formatting is testable without env mutation.
-fn worker_prefix_from(role: Option<&str>, worker: Option<&str>) -> String {
-    match (role, worker) {
-        (Some("worker"), Some(slot)) if !slot.is_empty() => format!("[w{slot}] "),
-        _ => String::new(),
-    }
-}
-
-/// Reads the worker-slot prefix from the procpool exec environment.
-fn worker_prefix() -> String {
-    worker_prefix_from(
-        std::env::var("LORI_PROCPOOL_ROLE").ok().as_deref(),
-        std::env::var("LORI_PROCPOOL_WORKER").ok().as_deref(),
-    )
-}
-
 #[derive(Debug)]
 struct Inner {
     phase: &'static str,
@@ -77,9 +59,6 @@ struct Inner {
     interval_ms: u64,
     t0: Instant,
     enabled: bool,
-    /// `"[w<k>] "` under procpool workers so interleaved stderr heartbeats
-    /// are attributable; empty otherwise.
-    prefix: String,
 }
 
 /// A point-in-time reading of one live progress tracker.
@@ -137,7 +116,6 @@ impl Progress {
             interval_ms,
             t0: Instant::now(),
             enabled: progress_enabled(),
-            prefix: worker_prefix(),
         });
         let mut registry = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
         registry.retain(|w| w.strong_count() > 0);
@@ -208,16 +186,15 @@ impl Inner {
                 0.0
             };
             format!(
-                "{}progress: {} {done}/{} ({:.1}%) elapsed {elapsed_s:.1}s eta {eta_s:.1}s",
-                self.prefix,
+                "progress: {} {done}/{} ({:.1}%) elapsed {elapsed_s:.1}s eta {eta_s:.1}s",
                 self.phase,
                 self.total,
                 frac * 100.0
             )
         } else {
             format!(
-                "{}progress: {} {done} units elapsed {elapsed_s:.1}s",
-                self.prefix, self.phase
+                "progress: {} {done} units elapsed {elapsed_s:.1}s",
+                self.phase
             )
         }
     }
@@ -267,30 +244,6 @@ mod tests {
         assert!(p.enabled());
         p.tick();
         std::env::remove_var("LORI_PROGRESS");
-    }
-
-    #[test]
-    fn worker_prefix_attributes_heartbeats() {
-        assert_eq!(worker_prefix_from(Some("worker"), Some("3")), "[w3] ");
-        assert_eq!(worker_prefix_from(Some("worker"), Some("")), "");
-        assert_eq!(worker_prefix_from(Some("worker"), None), "");
-        assert_eq!(worker_prefix_from(None, Some("3")), "", "supervisor");
-        assert_eq!(worker_prefix_from(Some("other"), Some("3")), "");
-
-        let inner = Inner {
-            phase: "sweep",
-            total: 10,
-            done: AtomicU64::new(0),
-            next_print_ms: AtomicU64::new(0),
-            interval_ms: 1000,
-            t0: Instant::now(),
-            enabled: false,
-            prefix: worker_prefix_from(Some("worker"), Some("2")),
-        };
-        assert_eq!(
-            inner.line(5, 1_000),
-            "[w2] progress: sweep 5/10 (50.0%) elapsed 1.0s eta 1.0s"
-        );
     }
 
     #[test]

@@ -21,13 +21,9 @@ thread_local! {
     static DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
-/// The calling thread's id: a small per-process index OR-ed with the
-/// process-epoch salt at read time (not cached at thread start, so a salt
-/// installed during startup applies to the main thread too). Salted tids
-/// keep per-thread event streams disjoint when a supervisor concatenates
-/// worker streams into one merged trace.
+/// The small per-process index of the calling thread.
 pub(crate) fn current_tid() -> u64 {
-    TID.with(|t| *t) | trace::salt()
+    TID.with(|t| *t)
 }
 
 /// An open span; closes (and records its duration) on drop.

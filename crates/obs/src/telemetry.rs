@@ -13,9 +13,6 @@
 //! |             | fault/quarantine counters, live progress               |
 //! | `/progress` | JSON array of live [`crate::progress`] trackers        |
 //! | `/flight`   | JSON flight-recorder snapshot ([`crate::flight`])      |
-//! | `/workers`  | JSON fleet view of a multi-process sweep: per-worker   |
-//! |             | lease state, attempt, heartbeat age, progress, plus    |
-//! |             | counters aggregated from per-shard metrics files       |
 //!
 //! The server is deliberately minimal: HTTP/1.1, `GET` only, one short
 //! request per connection (`Connection: close`), thread per connection
@@ -43,37 +40,6 @@ const MAX_REQUEST_BYTES: usize = 8 * 1024;
 /// Total scrapes served (module-local, intentionally not a registry
 /// metric — see module docs).
 static SCRAPES: AtomicU64 = AtomicU64::new(0);
-
-/// Live server count; [`is_serving`] gates fleet-document refreshes so a
-/// supervisor with no endpoint pays no per-poll aggregation cost.
-static SERVERS: AtomicU64 = AtomicU64::new(0);
-
-/// The fleet document pushed by a procpool supervisor ([`set_fleet_json`]).
-/// A pre-serialized JSON string: the producer (lori-par) aggregates, this
-/// module only serves — keeping lori-obs free of any procpool dependency.
-static FLEET: Mutex<Option<String>> = Mutex::new(None);
-
-/// Publishes the fleet document served at `/workers` (and folded into
-/// `/metrics` + `/status`). The string must be a JSON object; it is parsed
-/// on scrape, never stored in the metric registry, so artifacts stay
-/// bit-identical with the endpoint on or off.
-pub fn set_fleet_json(json: String) {
-    *FLEET.lock().unwrap_or_else(PoisonError::into_inner) = Some(json);
-}
-
-/// `true` while at least one telemetry server is accepting scrapes.
-/// Producers use this to skip fleet aggregation work nobody would see.
-#[must_use]
-pub fn is_serving() -> bool {
-    SERVERS.load(Ordering::Relaxed) > 0
-}
-
-fn fleet_value() -> Value {
-    let json = FLEET.lock().unwrap_or_else(PoisonError::into_inner).clone();
-    json.as_deref()
-        .and_then(|j| Value::parse(j).ok())
-        .unwrap_or(Value::Null)
-}
 
 /// Status document state, set by the harness as the run advances.
 static STATUS: Mutex<RunStatus> = Mutex::new(RunStatus {
@@ -158,7 +124,6 @@ impl TelemetryServer {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        SERVERS.fetch_sub(1, Ordering::Relaxed);
         // The accept loop blocks in accept(); poke it awake.
         let _ = TcpStream::connect_timeout(&self.addr, IO_TIMEOUT);
         if let Some(handle) = self.accept_thread.take() {
@@ -186,7 +151,6 @@ pub fn serve(addr: &str) -> std::io::Result<TelemetryServer> {
     let accept_thread = std::thread::Builder::new()
         .name("lori-telemetry".to_owned())
         .spawn(move || accept_loop(&listener, &accept_stop))?;
-    SERVERS.fetch_add(1, Ordering::Relaxed);
     Ok(TelemetryServer {
         addr: bound,
         stop,
@@ -265,13 +229,12 @@ fn respond(request_line: &str) -> String {
         "/" => text_response(
             200,
             "text/plain; charset=utf-8",
-            "lori telemetry\nroutes: /metrics /status /progress /flight /workers\n",
+            "lori telemetry\nroutes: /metrics /status /progress /flight\n",
         ),
         "/metrics" => text_response(200, "text/plain; version=0.0.4", &prometheus_text()),
         "/status" => json_response(&status_value()),
         "/progress" => json_response(&progress_value()),
         "/flight" => json_response(&crate::flight::snapshot_value("scrape")),
-        "/workers" => json_response(&fleet_value()),
         _ => error_response(404),
     }
 }
@@ -391,31 +354,7 @@ fn prometheus_text() -> String {
         "# TYPE lori_telemetry_scrapes counter\nlori_telemetry_scrapes {}\n",
         SCRAPES.load(Ordering::Relaxed)
     ));
-    fleet_prometheus_text(&fleet_value(), &mut out);
     out
-}
-
-/// Appends `lori_fleet_*` series from the pushed fleet document: one
-/// counter per aggregated worker counter, plus a running-shard gauge.
-fn fleet_prometheus_text(fleet: &Value, out: &mut String) {
-    let Value::Obj(_) = fleet else { return };
-    if let Some(Value::Obj(counters)) = fleet.get("counters") {
-        for (name, v) in counters {
-            let name = prom_name(&format!("fleet.{name}"));
-            out.push_str(&format!("# TYPE {name} counter\n{name} "));
-            prom_num(v.as_f64().unwrap_or(0.0), out);
-            out.push('\n');
-        }
-    }
-    if let Some(Value::Arr(workers)) = fleet.get("workers") {
-        let running = workers
-            .iter()
-            .filter(|w| w.get("state").and_then(Value::as_str) == Some("running"))
-            .count();
-        out.push_str(&format!(
-            "# TYPE lori_fleet_shards_running gauge\nlori_fleet_shards_running {running}\n"
-        ));
-    }
 }
 
 /// Reads a counter's value from a registry snapshot without registering
@@ -492,7 +431,6 @@ fn status_value() -> Value {
             ]),
         ),
         ("progress".to_owned(), progress_value()),
-        ("fleet".to_owned(), fleet_value()),
         ("manifest".to_owned(), manifest),
     ])
 }
@@ -529,7 +467,6 @@ mod tests {
         assert!(respond("GET /status HTTP/1.1").starts_with("HTTP/1.1 200"));
         assert!(respond("GET /progress HTTP/1.1").starts_with("HTTP/1.1 200"));
         assert!(respond("GET /flight HTTP/1.1").starts_with("HTTP/1.1 200"));
-        assert!(respond("GET /workers HTTP/1.1").starts_with("HTTP/1.1 200"));
         assert!(respond("GET /metrics?x=1 HTTP/1.1").starts_with("HTTP/1.1 200"));
         assert!(respond("GET /nope HTTP/1.1").starts_with("HTTP/1.1 404"));
         assert!(respond("POST /metrics HTTP/1.1").starts_with("HTTP/1.1 405"));
@@ -551,34 +488,6 @@ mod tests {
             .and_then(|f| f.get("quarantine_rate"))
             .is_some());
         assert!(v.get("progress").is_some());
-    }
-
-    #[test]
-    fn fleet_document_round_trips_and_feeds_metrics() {
-        set_fleet_json(
-            r#"{"workers":[{"shard":0,"state":"running","worker":1,"attempt":1},
-                {"shard":1,"state":"done","worker":0,"attempt":2}],
-                "counters":{"procpool.units_computed":12}}"#
-                .to_owned(),
-        );
-        let v = fleet_value();
-        let workers = v.get("workers").and_then(Value::as_arr).expect("workers");
-        assert_eq!(workers.len(), 2);
-        let status = status_value();
-        assert!(status.get("fleet").and_then(|f| f.get("workers")).is_some());
-
-        let mut prom = String::new();
-        fleet_prometheus_text(&v, &mut prom);
-        assert!(prom.contains("lori_fleet_procpool_units_computed 12\n"));
-        assert!(prom.contains("lori_fleet_shards_running 1\n"));
-
-        // A non-supervisor process (nothing pushed) serves null and emits
-        // no fleet series.
-        *FLEET.lock().unwrap() = None;
-        assert_eq!(fleet_value(), Value::Null);
-        let mut prom = String::new();
-        fleet_prometheus_text(&Value::Null, &mut prom);
-        assert!(prom.is_empty());
     }
 
     #[test]

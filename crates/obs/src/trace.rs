@@ -20,20 +20,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Span-id allocator. 0 is reserved for "no span".
 static NEXT_SID: AtomicU64 = AtomicU64::new(1);
 
-/// Bit position of the process epoch inside every sid and tid. Low bits
-/// hold the per-process counter; a counter overflowing 2^32 spans would
-/// collide with the epoch, which no realistic run approaches.
-pub(crate) const EPOCH_SHIFT: u32 = 32;
-
-/// Process-epoch salt, pre-shifted by [`EPOCH_SHIFT`]. OR-ed into every
-/// allocated sid and tid so ids stay unique across a supervised process
-/// tree (each worker attempt gets a distinct supervisor-issued epoch).
-static SALT: AtomicU64 = AtomicU64::new(0);
-
-/// Cross-process parent: the supervisor span this whole process hangs
-/// under. Fallback parent for spans with no in-process parent.
-static PROCESS_PARENT: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     /// The innermost span currently open on this thread (0 = none).
     static CURRENT_SID: Cell<u64> = const { Cell::new(0) };
@@ -42,59 +28,20 @@ thread_local! {
     static ADOPTED_SID: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Allocates a fresh span id, unique across the process tree once
-/// [`set_process_epoch`] has run.
+/// Allocates a fresh, process-unique span id.
 pub(crate) fn next_sid() -> u64 {
-    SALT.load(Ordering::Relaxed) | NEXT_SID.fetch_add(1, Ordering::Relaxed)
-}
-
-/// The current pre-shifted epoch salt (0 in an unsalted process).
-pub(crate) fn salt() -> u64 {
-    SALT.load(Ordering::Relaxed)
-}
-
-/// Salts all subsequently allocated span and thread ids with a process
-/// epoch, making them unique across a supervised process tree. The
-/// supervisor keeps epoch 0; every worker attempt is issued a distinct
-/// epoch at spawn. Ids are serialized through f64 (exact to 2^53), so
-/// the epoch must stay below 2^21 — supervisors issue them from a small
-/// spawn counter. Call before any span opens in the process.
-pub fn set_process_epoch(epoch: u64) {
-    debug_assert!(
-        epoch < (1 << (53 - EPOCH_SHIFT)),
-        "epoch exceeds f64-exact range"
-    );
-    SALT.store(epoch << EPOCH_SHIFT, Ordering::Relaxed);
-}
-
-/// The process epoch installed by [`set_process_epoch`] (0 = unsalted
-/// supervisor / single-process run).
-#[must_use]
-pub fn process_epoch() -> u64 {
-    SALT.load(Ordering::Relaxed) >> EPOCH_SHIFT
-}
-
-/// Installs the cross-process parent: spans with no in-process parent
-/// (no enclosing span, no adoption) parent under this sid instead of
-/// becoming roots. The supervisor passes its dispatch span's sid through
-/// the exec boundary so each worker's root span hangs under it.
-pub fn set_process_parent(sid: u64) {
-    PROCESS_PARENT.store(sid, Ordering::Relaxed);
+    NEXT_SID.fetch_add(1, Ordering::Relaxed)
 }
 
 /// The parent a span opened right now would get: the innermost open span
-/// on this thread, else the adopted cross-thread parent, else the
-/// cross-process parent, else 0.
+/// on this thread, else the adopted cross-thread parent, else 0.
 pub(crate) fn current_parent() -> u64 {
     let cur = CURRENT_SID.with(Cell::get);
     if cur != 0 {
-        return cur;
+        cur
+    } else {
+        ADOPTED_SID.with(Cell::get)
     }
-    let adopted = ADOPTED_SID.with(Cell::get);
-    if adopted != 0 {
-        return adopted;
-    }
-    PROCESS_PARENT.load(Ordering::Relaxed)
 }
 
 /// Swaps this thread's innermost-open-span id, returning the previous one.
@@ -181,15 +128,9 @@ impl Drop for ContextGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Serializes tests in this module: the epoch/process-parent tests
-    /// mutate process globals that the adoption tests assert are zero.
-    static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn sids_are_unique_and_nonzero() {
-        let _g = LOCK.lock().unwrap();
         let a = next_sid();
         let b = next_sid();
         assert_ne!(a, 0);
@@ -197,39 +138,7 @@ mod tests {
     }
 
     #[test]
-    fn epoch_salts_sids_above_the_counter_bits() {
-        let _g = LOCK.lock().unwrap();
-        set_process_epoch(7);
-        assert_eq!(process_epoch(), 7);
-        let sid = next_sid();
-        assert_eq!(sid >> EPOCH_SHIFT, 7, "epoch must ride the high bits");
-        assert_ne!(sid & ((1 << EPOCH_SHIFT) - 1), 0, "counter must survive");
-        set_process_epoch(0);
-        assert_eq!(process_epoch(), 0);
-        assert_eq!(next_sid() >> EPOCH_SHIFT, 0);
-    }
-
-    #[test]
-    fn process_parent_is_the_last_fallback() {
-        let _g = LOCK.lock().unwrap();
-        set_process_parent(42);
-        assert_eq!(current_parent(), 42, "exec-boundary parent applies");
-        let ctx = TraceContext { parent: 5 };
-        {
-            let _a = ctx.adopt();
-            assert_eq!(current_parent(), 5, "adoption shadows process parent");
-            let prev = swap_current(11);
-            assert_eq!(current_parent(), 11, "open span shadows both");
-            swap_current(prev);
-        }
-        assert_eq!(current_parent(), 42);
-        set_process_parent(0);
-        assert_eq!(current_parent(), 0);
-    }
-
-    #[test]
     fn adoption_nests_and_restores() {
-        let _g = LOCK.lock().unwrap();
         assert_eq!(TraceContext::current().parent_sid(), 0);
         let outer = TraceContext { parent: 7 };
         let inner = TraceContext { parent: 9 };
@@ -247,7 +156,6 @@ mod tests {
 
     #[test]
     fn open_span_shadows_adoption() {
-        let _g = LOCK.lock().unwrap();
         let ctx = TraceContext { parent: 5 };
         let _g = ctx.adopt();
         let prev = swap_current(11);

@@ -22,8 +22,7 @@
 
 #![warn(missing_docs)]
 
-pub mod procpool;
-
+use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -226,32 +225,61 @@ pub enum RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
-    /// Resolves the policy from `LORI_RECOVERY`: unset/`fail-fast` →
+    /// Resolves the policy from `LORI_RECOVERY`: unset/blank/`fail-fast` →
     /// [`RecoveryPolicy::FailFast`]; `quarantine` or `quarantine:<n>` →
     /// [`RecoveryPolicy::Quarantine`] with `n` retries (default 1).
-    /// Unrecognized values fall back to fail-fast.
-    #[must_use]
-    pub fn from_env() -> Self {
-        std::env::var("LORI_RECOVERY")
-            .map(|s| Self::parse(&s))
-            .unwrap_or_default()
+    ///
+    /// # Errors
+    ///
+    /// Any other value is a [`RecoveryPolicyError`] naming it.
+    pub fn from_env() -> Result<Self, RecoveryPolicyError> {
+        match std::env::var("LORI_RECOVERY") {
+            Ok(s) if !s.trim().is_empty() => Self::parse(&s),
+            _ => Ok(Self::default()),
+        }
     }
 
     /// Parses a `LORI_RECOVERY`-style policy string (see [`Self::from_env`]).
-    #[must_use]
-    pub fn parse(s: &str) -> Self {
-        let s = s.trim().to_ascii_lowercase();
-        if let Some(rest) = s.strip_prefix("quarantine") {
-            let retries = rest
-                .strip_prefix(':')
-                .and_then(|n| n.parse().ok())
-                .unwrap_or(1);
-            RecoveryPolicy::Quarantine { retries }
-        } else {
-            RecoveryPolicy::FailFast
-        }
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`RecoveryPolicyError`] for anything but `fail-fast`,
+    /// `quarantine`, or `quarantine:<n>` (case-insensitive).
+    pub fn parse(s: &str) -> Result<Self, RecoveryPolicyError> {
+        let norm = s.trim().to_ascii_lowercase();
+        let retries = match norm.as_str() {
+            "fail-fast" => return Ok(RecoveryPolicy::FailFast),
+            "quarantine" => Some(1),
+            _ => norm
+                .strip_prefix("quarantine:")
+                .and_then(|n| n.parse().ok()),
+        };
+        retries
+            .map(|retries| RecoveryPolicy::Quarantine { retries })
+            .ok_or_else(|| RecoveryPolicyError {
+                value: s.to_owned(),
+            })
     }
 }
+
+/// A `LORI_RECOVERY` value that is not a recovery policy.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecoveryPolicyError {
+    /// The rejected value, as given.
+    pub value: String,
+}
+
+impl fmt::Display for RecoveryPolicyError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "invalid LORI_RECOVERY value {:?}: expected fail-fast, quarantine, or quarantine:<n>",
+            self.value
+        )
+    }
+}
+
+impl std::error::Error for RecoveryPolicyError {}
 
 /// One task that exhausted its retries under quarantine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -315,8 +343,8 @@ where
             failures: Vec::new(),
         };
     };
-    let retried = lori_obs::counter("fault.retried");
-    let quarantined = lori_obs::counter("fault.quarantined");
+    let retried = lori_obs::counter(lori_fault::METRIC_RETRIED);
+    let quarantined = lori_obs::counter(lori_fault::METRIC_QUARANTINED);
     lori_obs::counter("fault.tasks").incr(items.len() as u64);
     let failures: Mutex<Vec<TaskFailure>> = Mutex::new(Vec::new());
     let results = par_map(par, items, |i, item| {
@@ -569,16 +597,29 @@ mod tests {
 
     #[test]
     fn recovery_policy_parsing() {
-        assert_eq!(RecoveryPolicy::parse("fail-fast"), RecoveryPolicy::FailFast);
+        assert_eq!(
+            RecoveryPolicy::parse("fail-fast"),
+            Ok(RecoveryPolicy::FailFast)
+        );
         assert_eq!(
             RecoveryPolicy::parse("quarantine"),
-            RecoveryPolicy::Quarantine { retries: 1 }
+            Ok(RecoveryPolicy::Quarantine { retries: 1 })
         );
         assert_eq!(
-            RecoveryPolicy::parse("Quarantine:3"),
-            RecoveryPolicy::Quarantine { retries: 3 }
+            RecoveryPolicy::parse(" Quarantine:3 "),
+            Ok(RecoveryPolicy::Quarantine { retries: 3 })
         );
-        assert_eq!(RecoveryPolicy::parse("nonsense"), RecoveryPolicy::FailFast);
+        for bad in [
+            "nonsense",
+            "quarantine:abc",
+            "quarantinefoo",
+            "quarantine:",
+            "",
+        ] {
+            let err = RecoveryPolicy::parse(bad).expect_err(bad);
+            assert_eq!(err.value, bad);
+            assert!(err.to_string().contains("LORI_RECOVERY"), "{err}");
+        }
         assert_eq!(RecoveryPolicy::default(), RecoveryPolicy::FailFast);
     }
 }

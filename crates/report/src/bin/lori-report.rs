@@ -4,7 +4,6 @@
 //! lori-report profile <name> [--results-dir DIR]
 //! lori-report diff <baseline.json> <current.json> [--gate PCT]
 //! lori-report check <name> [--results-dir DIR]
-//! lori-report timeline <name> [--results-dir DIR]
 //! ```
 //!
 //! `profile` reads `results/<name>.events.jsonl` and writes
@@ -12,15 +11,12 @@
 //! path) plus `results/<name>.folded` (flamegraph folded stacks, loadable
 //! by inferno or speedscope). `diff` compares two JSON records and, with
 //! `--gate`, exits non-zero on perf regressions past the threshold.
-//! `check` sanity-scans a run's manifest and event stream. `timeline`
-//! reconstructs the per-shard attempt history of a multi-process sweep
-//! from the supervisor's lifecycle markers and writes
-//! `results/<name>.timeline.json`.
+//! `check` sanity-scans a run's manifest and event stream.
 //!
 //! Exit codes: 0 success, 1 gate/check failure, 2 usage or artifact error.
 
 use lori_obs::Value;
-use lori_report::{check, diff, profile, timeline, ReportError};
+use lori_report::{check, diff, profile, ReportError};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -28,7 +24,6 @@ const USAGE: &str = "usage:
   lori-report profile <name> [--results-dir DIR]
   lori-report diff <baseline.json> <current.json> [--gate PCT]
   lori-report check <name> [--results-dir DIR]
-  lori-report timeline <name> [--results-dir DIR]
 
 The results directory defaults to $LORI_RESULTS_DIR, then 'results'.";
 
@@ -38,7 +33,6 @@ fn main() -> ExitCode {
         Some("profile") => cmd_profile(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
         Some("check") => cmd_check(&args[1..]),
-        Some("timeline") => cmd_timeline(&args[1..]),
         Some("--help" | "-h" | "help") => {
             println!("{USAGE}");
             Ok(ExitCode::SUCCESS)
@@ -191,23 +185,6 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         println!("check: FAILED — {} finding(s)", report.failures.len());
         Ok(ExitCode::FAILURE)
     }
-}
-
-fn cmd_timeline(args: &[String]) -> Result<ExitCode, String> {
-    let cli = parse_cli(args)?;
-    let [name] = cli.positional.as_slice() else {
-        return Err(format!("timeline takes exactly one run name\n{USAGE}"));
-    };
-    let dir = resolve_dir(&cli);
-    let events_path = dir.join(format!("{name}.events.jsonl"));
-    let text = read(&events_path)?;
-    let doc = timeline::build_timeline(name, &text)
-        .map_err(|e| format!("{}: {e}", events_path.display()))?;
-    let out_path = dir.join(format!("{name}.timeline.json"));
-    write(&out_path, (doc.to_json() + "\n").as_bytes())?;
-    println!("{name}: {}", timeline::summarize(&doc));
-    println!("wrote {}", out_path.display());
-    Ok(ExitCode::SUCCESS)
 }
 
 fn read(path: &Path) -> Result<String, String> {

@@ -92,8 +92,6 @@ pub fn check_run(results_dir: &Path, name: &str) -> Result<CheckReport, ReportEr
 
     let mut report = CheckReport::default();
     check_manifest(&manifest, name, &mut report);
-    check_shards(results_dir, name, &mut report);
-    check_worker_streams(results_dir, name, &mut report);
 
     let wall_ms = manifest.get("wall_ms").and_then(Value::as_f64);
     let events_path = results_dir.join(format!("{name}.events.jsonl"));
@@ -231,139 +229,10 @@ fn check_metrics(manifest: &Value, wall_ms: Option<f64>, report: &mut CheckRepor
     }
 }
 
-/// Flags procpool shard litter a healthy run must not leave behind:
-/// leases held by dead pids (a crashed worker nobody reclaimed) and shard
-/// WALs whose unit range is complete but was never merged into the run's
-/// artifacts (a supervisor died after the work was done). Incomplete
-/// leftovers are warnings — they are what a resumable crash looks like
-/// and the next run will consume them.
-pub fn check_shards(results_dir: &Path, name: &str, report: &mut CheckReport) {
-    use lori_par::procpool;
-
-    let Ok(entries) = std::fs::read_dir(results_dir) else {
-        return;
-    };
-    let prefix = format!("{name}.shard-");
-    let mut found = 0usize;
-    for entry in entries.flatten() {
-        let fname = entry.file_name();
-        let Some(fname) = fname.to_str() else {
-            continue;
-        };
-        let Some(rest) = fname.strip_prefix(&prefix) else {
-            continue;
-        };
-        found += 1;
-        if rest.ends_with(".lease.json") {
-            match procpool::read_lease(&entry.path()) {
-                procpool::LeaseRead::Valid(lease) if lease.state == "running" => {
-                    match procpool::pid_alive(lease.pid) {
-                        Some(false) => report.fail(format!(
-                            "orphaned lease {fname}: held as 'running' by dead pid {} — \
-                             the worker died and no supervisor reclaimed its shard",
-                            lease.pid
-                        )),
-                        Some(true) => report.warn(format!(
-                            "lease {fname} held by live pid {} (run still in progress?)",
-                            lease.pid
-                        )),
-                        None => report.warn(format!(
-                            "lease {fname} in state 'running' (pid liveness unknown here)"
-                        )),
-                    }
-                }
-                procpool::LeaseRead::Valid(_) => report.warn(format!(
-                    "leftover lease {fname}: shard finished but was never cleaned up"
-                )),
-                procpool::LeaseRead::Corrupt(_) => {
-                    report.fail(format!(
-                        "lease {fname} does not parse (torn or corrupt write)"
-                    ));
-                }
-                procpool::LeaseRead::Missing => {}
-            }
-        } else if rest.ends_with(".wal.jsonl") {
-            let replayed = lori_fault::replay(entry.path());
-            let range = replayed
-                .header
-                .as_ref()
-                .and_then(|h| Some((h.get("lo")?.as_f64()?, h.get("hi")?.as_f64()?)));
-            match range {
-                Some((lo, hi)) if hi > lo => {
-                    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                    let want = (hi - lo) as u64;
-                    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                    let lo = lo as u64;
-                    let have = replayed
-                        .entries
-                        .iter()
-                        .map(|(i, _)| *i)
-                        .filter(|i| (lo..lo + want).contains(i))
-                        .collect::<std::collections::BTreeSet<_>>()
-                        .len() as u64;
-                    if have >= want {
-                        report.fail(format!(
-                            "shard WAL {fname} is complete ({have}/{want} units) but unmerged — \
-                             a supervisor died after the work was done; rerun to merge"
-                        ));
-                    } else {
-                        report.warn(format!(
-                            "shard WAL {fname} leftover with partial progress ({have}/{want} \
-                             units); the next run will resume it"
-                        ));
-                    }
-                }
-                _ => report.warn(format!("shard WAL {fname} has no parsable shard header")),
-            }
-        }
-    }
-    if found == 0 {
-        report.pass("no shard litter (leases or shard WALs)");
-    }
-}
-
-/// Flags orphaned per-worker event streams: the procpool supervisor merges
-/// every completed `<name>.worker-<epoch>.events.jsonl` into the run's
-/// unified stream and deletes the parts, so any that remain were recorded
-/// but never merged — the causal trace the profiler reads is incomplete.
-pub fn check_worker_streams(results_dir: &Path, name: &str, report: &mut CheckReport) {
-    let Ok(entries) = std::fs::read_dir(results_dir) else {
-        return;
-    };
-    let prefix = format!("{name}.worker-");
-    let mut orphaned = Vec::new();
-    for entry in entries.flatten() {
-        let fname = entry.file_name();
-        let Some(fname) = fname.to_str() else {
-            continue;
-        };
-        let is_stream = fname
-            .strip_prefix(&prefix)
-            .and_then(|rest| rest.strip_suffix(".events.jsonl"))
-            .is_some_and(|epoch| epoch.parse::<u64>().is_ok());
-        if is_stream {
-            orphaned.push(fname.to_owned());
-        }
-    }
-    orphaned.sort();
-    if orphaned.is_empty() {
-        report.pass("no orphaned worker event streams");
-    } else {
-        for fname in orphaned {
-            report.fail(format!(
-                "orphaned worker stream {fname}: recorded but never merged into \
-                 {name}.events.jsonl — the unified trace is missing this worker's spans"
-            ));
-        }
-    }
-}
-
-/// Flags span ids claimed by more than one `enter` event. Within one
-/// process ids are handed out by an atomic counter and cannot collide;
-/// across the merged streams of a multi-process sweep they stay unique
-/// only because each worker salts its counter with a supervisor-issued
-/// epoch — a collision here means that salting broke and the profiler may
-/// stitch spans under the wrong parent.
+/// Flags span ids claimed by more than one `enter` event. A recorder hands
+/// ids out from one atomic counter, so they cannot collide in a stream it
+/// wrote; a collision means the file was spliced together or edited, and
+/// the profiler may stitch spans under the wrong parent.
 fn check_sid_collisions(events_text: &str, report: &mut CheckReport) {
     let mut seen: std::collections::HashMap<u64, (String, usize)> =
         std::collections::HashMap::new();
@@ -389,7 +258,7 @@ fn check_sid_collisions(events_text: &str, report: &mut CheckReport) {
             collisions += 1;
             report.fail(format!(
                 "span id collision: sid {sid} claimed by '{first_name}' (line {first_line}) \
-                 and '{name}' (line {}) — cross-process id salting broke",
+                 and '{name}' (line {}) — the stream was not written by one recorder",
                 idx + 1
             ));
         } else {
@@ -653,117 +522,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    fn shard_dir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("lori-report-shard-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    fn shard_header(lo: u64, hi: u64) -> Value {
-        Value::Obj(vec![
-            ("fp".to_owned(), Value::from("test")),
-            ("shard".to_owned(), Value::from(0u64)),
-            ("lo".to_owned(), Value::from(lo)),
-            ("hi".to_owned(), Value::from(hi)),
-        ])
-    }
-
     #[test]
-    fn flags_lease_held_by_dead_pid() {
-        // Regression fixture: a worker crashed without a supervisor left
-        // to reclaim its lease. Pid 999_999_999 exceeds any Linux pid_max.
-        let dir = shard_dir("deadpid");
-        std::fs::write(
-            dir.join("exp-unit.shard-0.lease.json"),
-            r#"{"pid": 999999999, "worker": 0, "attempt": 0, "beat_ms": 5, "state": "running"}"#,
-        )
-        .unwrap();
-        let mut report = CheckReport::default();
-        check_shards(&dir, "exp-unit", &mut report);
-        if lori_par::procpool::pid_alive(999_999_999).is_some() {
-            assert!(
-                report.failures.iter().any(|f| f.contains("dead pid")),
-                "failures: {:?}",
-                report.failures
-            );
-        } else {
-            assert!(!report.warnings.is_empty());
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn flags_complete_but_unmerged_shard_wal() {
-        let dir = shard_dir("unmerged");
-        let path = dir.join("exp-unit.shard-0.wal.jsonl");
-        let mut wal = lori_fault::WalWriter::create(&path, &shard_header(0, 2)).unwrap();
-        wal.append(0, &Value::from(1.5)).unwrap();
-        wal.append(1, &Value::from(2.5)).unwrap();
-        drop(wal);
-        let mut report = CheckReport::default();
-        check_shards(&dir, "exp-unit", &mut report);
-        assert!(
-            report
-                .failures
-                .iter()
-                .any(|f| f.contains("complete") && f.contains("unmerged")),
-            "failures: {:?}",
-            report.failures
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn partial_shard_wal_and_done_lease_only_warn() {
-        let dir = shard_dir("partial");
-        let path = dir.join("exp-unit.shard-0.wal.jsonl");
-        let mut wal = lori_fault::WalWriter::create(&path, &shard_header(0, 3)).unwrap();
-        wal.append(0, &Value::from(1.5)).unwrap();
-        drop(wal);
-        std::fs::write(
-            dir.join("exp-unit.shard-1.lease.json"),
-            r#"{"pid": 1, "worker": 1, "attempt": 0, "beat_ms": 5, "state": "done"}"#,
-        )
-        .unwrap();
-        let mut report = CheckReport::default();
-        check_shards(&dir, "exp-unit", &mut report);
-        assert!(report.ok(), "failures: {:?}", report.failures);
-        assert!(
-            report
-                .warnings
-                .iter()
-                .any(|w| w.contains("partial progress")),
-            "warnings: {:?}",
-            report.warnings
-        );
-        assert!(
-            report
-                .warnings
-                .iter()
-                .any(|w| w.contains("never cleaned up")),
-            "warnings: {:?}",
-            report.warnings
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn clean_dir_passes_shard_check() {
-        let dir = shard_dir("clean");
-        let mut report = CheckReport::default();
-        check_shards(&dir, "exp-unit", &mut report);
-        assert!(report.ok());
-        assert!(report.passed.iter().any(|p| p.contains("no shard litter")));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn flags_cross_process_sid_collision() {
-        // Regression fixture for broken epoch salting: two processes both
-        // started their span counter at 1 and the merged stream carries
-        // the same sid twice (distinct tids, so per-thread nesting checks
-        // alone cannot catch it).
+    fn flags_sid_collision() {
+        // Two streams that both started their span counter at 1, spliced
+        // into one file: the same sid appears twice on distinct tids, so
+        // per-thread nesting checks alone cannot catch it.
         let dir = std::env::temp_dir().join(format!("lori-report-sidcol-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(
@@ -776,8 +539,8 @@ mod tests {
             concat!(
                 "{\"ev\":\"enter\",\"name\":\"sweep\",\"t_ns\":0,\"tid\":0,\"depth\":0,\"sid\":1}\n",
                 "{\"ev\":\"exit\",\"name\":\"sweep\",\"t_ns\":1000,\"tid\":0,\"depth\":0,\"dur_ns\":1000,\"sid\":1}\n",
-                "{\"ev\":\"enter\",\"name\":\"worker.root\",\"t_ns\":10,\"tid\":4294967296,\"depth\":0,\"sid\":1,\"parent\":1}\n",
-                "{\"ev\":\"exit\",\"name\":\"worker.root\",\"t_ns\":500,\"tid\":4294967296,\"depth\":0,\"dur_ns\":490,\"sid\":1}\n",
+                "{\"ev\":\"enter\",\"name\":\"spliced.root\",\"t_ns\":10,\"tid\":1,\"depth\":0,\"sid\":1,\"parent\":1}\n",
+                "{\"ev\":\"exit\",\"name\":\"spliced.root\",\"t_ns\":500,\"tid\":1,\"depth\":0,\"dur_ns\":490,\"sid\":1}\n",
             ),
         )
         .unwrap();
@@ -789,7 +552,7 @@ mod tests {
                 .iter()
                 .any(|f| f.contains("span id collision")
                     && f.contains("sid 1")
-                    && f.contains("worker.root")),
+                    && f.contains("spliced.root")),
             "failures: {:?}",
             report.failures
         );
@@ -802,43 +565,12 @@ mod tests {
         check_sid_collisions(
             concat!(
                 "{\"ev\":\"enter\",\"name\":\"sweep\",\"t_ns\":0,\"tid\":0,\"depth\":0,\"sid\":1}\n",
-                "{\"ev\":\"enter\",\"name\":\"worker.root\",\"t_ns\":10,\"tid\":4294967296,\"depth\":0,\"sid\":4294967297,\"parent\":1}\n",
+                "{\"ev\":\"enter\",\"name\":\"spliced.root\",\"t_ns\":10,\"tid\":1,\"depth\":0,\"sid\":2,\"parent\":1}\n",
             ),
             &mut report,
         );
         assert!(report.ok(), "failures: {:?}", report.failures);
         assert!(report.passed.iter().any(|p| p.contains("span ids unique")));
-    }
-
-    #[test]
-    fn flags_orphaned_worker_stream() {
-        let dir = shard_dir("wstream");
-        std::fs::write(dir.join("exp-unit.worker-3.events.jsonl"), "{}\n").unwrap();
-        // Not worker streams: another run's stream, a non-numeric epoch.
-        std::fs::write(dir.join("other-run.worker-1.events.jsonl"), "{}\n").unwrap();
-        std::fs::write(dir.join("exp-unit.worker-x.events.jsonl"), "{}\n").unwrap();
-        let mut report = CheckReport::default();
-        check_worker_streams(&dir, "exp-unit", &mut report);
-        assert!(!report.ok());
-        assert_eq!(report.failures.len(), 1, "failures: {:?}", report.failures);
-        assert!(report.failures[0].contains("exp-unit.worker-3.events.jsonl"));
-        assert!(report.failures[0].contains("never merged"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn clean_dir_passes_worker_stream_check() {
-        let dir = shard_dir("wclean");
-        // The merged unified stream is not an orphan.
-        std::fs::write(dir.join("exp-unit.events.jsonl"), "{}\n").unwrap();
-        let mut report = CheckReport::default();
-        check_worker_streams(&dir, "exp-unit", &mut report);
-        assert!(report.ok());
-        assert!(report
-            .passed
-            .iter()
-            .any(|p| p.contains("no orphaned worker event streams")));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -21,17 +21,10 @@
 //!    for values that cannot be true — non-finite metrics, phase times
 //!    exceeding the run's wall time, unbalanced event streams, orphan
 //!    spans whose recorded parent never appears (broken trace-context
-//!    propagation), duplicate span ids across merged process streams, and
-//!    counters implying physically impossible rates.
-//! 4. **Timelines** ([`timeline`]): folds the procpool supervisor's
-//!    shard-lifecycle markers and the workers' attempt roots back into a
-//!    per-shard attempt history (dispatched, killed, crashed, stolen,
-//!    done, poisoned, replayed) — the multi-process story of a sweep,
-//!    timestamp-free and deterministic.
+//!    propagation), and counters implying physically impossible rates.
 //!
-//! The `lori-report` binary exposes all four as subcommands
-//! (`profile <name>`, `diff <base> <cur> [--gate <pct>]`, `check <name>`,
-//! `timeline <name>`).
+//! The `lori-report` binary exposes all three as subcommands
+//! (`profile <name>`, `diff <base> <cur> [--gate <pct>]`, `check <name>`).
 
 #![warn(missing_docs)]
 
@@ -39,13 +32,11 @@ pub mod check;
 pub mod diff;
 pub mod error;
 pub mod profile;
-pub mod timeline;
 
 pub use check::{check_run, CheckReport};
 pub use diff::{diff, flatten, DiffReport};
 pub use error::ReportError;
 pub use profile::{build_profile, parse_events, OrphanSpan, ParsedEvents, Profile, SpanNode};
-pub use timeline::build_timeline;
 
 use std::path::{Path, PathBuf};
 
