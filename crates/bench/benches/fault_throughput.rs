@@ -1,7 +1,7 @@
 //! Bit-parallel fault-injection throughput: the lane engine vs the scalar
 //! path on the two campaign shapes the paper's architecture studies run at
 //! survey scale. Emits `results/BENCH_arch.json`, the machine-readable
-//! perf-trajectory record in the same shape as `BENCH_sweep.json`.
+//! perf-trajectory record.
 //!
 //! Two fixed spec sets, both timed at `Parallelism::serial()` so the
 //! measured speedup is the lane engine's alone (thread scaling is
@@ -24,6 +24,7 @@ use lori_arch::fault::{run_with_fault, FaultSpec, FaultTarget, Outcome};
 use lori_arch::isa::{Program, Reg, NUM_REGS};
 use lori_arch::lane::{campaign_outcomes, MAX_LANES};
 use lori_arch::workload;
+use lori_bench::harness::results_dir;
 use lori_bench::{write_bench_arch, ArchGroup};
 use lori_core::Rng;
 use lori_par::Parallelism;
@@ -191,7 +192,7 @@ fn main() {
         reps,
     );
 
-    let path = write_bench_arch(MAX_LANES, ff, anomaly);
+    let path = write_bench_arch(&results_dir(), MAX_LANES, ff, anomaly);
     #[allow(clippy::cast_precision_loss)]
     let per_s = |g: &ArchGroup| g.injections as f64 / g.lane_wall_s.max(1e-12);
     println!(

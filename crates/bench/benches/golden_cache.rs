@@ -1,8 +1,8 @@
 //! Golden-model memoization payoff: the fixed workload is a full 60-cell
 //! `characterize_library` plus an `mlchar::train` over every cell, timed
 //! against an empty cache (cold) and a fully populated one (warm). Emits
-//! `results/BENCH_cache.json`, the machine-readable perf-trajectory record
-//! in the same shape as `BENCH_sweep.json`.
+//! `results/BENCH_cache.json`, the machine-readable perf-trajectory
+//! record.
 //!
 //! Bit-identity is asserted, not assumed: before timing, the workload runs
 //! with the cache off, cold, and warm, and the libraries and trained models
@@ -13,6 +13,7 @@
 //! and the record write.
 
 use criterion::{black_box, BenchmarkId, Criterion};
+use lori_bench::harness::results_dir;
 use lori_bench::{write_bench_cache, CacheTiming};
 use lori_cache::{Cache, CacheMode};
 use lori_circuit::cell::CellId;
@@ -137,7 +138,7 @@ fn main() {
         wall_s: warm_wall,
         hit_rate: warm_hit_rate,
     };
-    let path = write_bench_cache(golden_calls, &mode.label(), cold, warm);
+    let path = write_bench_cache(&results_dir(), golden_calls, &mode.label(), cold, warm);
     println!(
         "BENCH_cache: {} golden calls, cold {:.3}s, warm {:.3}s ({:.1}x, hit rate {:.3}) -> {}",
         golden_calls,

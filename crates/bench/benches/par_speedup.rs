@@ -1,13 +1,11 @@
 //! Parallel-executor speedup: the Fig. 5/6 Monte Carlo sweep and the
 //! 60-cell library characterization at 1 worker vs `LORI_THREADS` (or all
-//! cores). Also emits `results/BENCH_sweep.json`, the machine-readable
-//! perf-trajectory record future PRs compare against.
+//! cores).
 //!
 //! Determinism is asserted, not assumed: before timing, both kernels are
 //! run serially and in parallel and the results compared `==`.
 
 use criterion::{black_box, BenchmarkId, Criterion};
-use lori_bench::{write_bench_sweep, SweepTiming};
 use lori_cache::{Cache, CacheMode};
 use lori_circuit::characterize::{characterize_library_par, Corner};
 use lori_circuit::spicelike::GoldenSimulator;
@@ -16,7 +14,7 @@ use lori_ftsched::montecarlo::{paper_probability_axis, sweep_with, SweepConfig};
 use lori_ftsched::workload::adpcm_reference_trace;
 use lori_par::Parallelism;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The parallel side of every comparison: `LORI_THREADS` if set, all
 /// cores otherwise, but at least 2 so the comparison is meaningful even
@@ -69,41 +67,6 @@ fn bench_characterize(c: &mut Criterion) {
     group.finish();
 }
 
-/// One timed pass each way over the fixed Fig. 5/6 sweep, persisted to
-/// `results/BENCH_sweep.json`.
-fn emit_bench_sweep_record() {
-    let trace = adpcm_reference_trace();
-    let config = SweepConfig::paper();
-    let axis = paper_probability_axis();
-    let par = parallel_workers();
-
-    let time_one = |p: Parallelism| -> f64 {
-        let t0 = Instant::now();
-        black_box(sweep_with(&axis, &trace, &config, p).expect("sweep"));
-        t0.elapsed().as_secs_f64()
-    };
-    // Warm both paths once (thread-pool spawn, page faults), then measure.
-    time_one(Parallelism::serial());
-    time_one(par);
-    let serial = SweepTiming {
-        threads: 1,
-        wall_s: time_one(Parallelism::serial()),
-    };
-    let parallel = SweepTiming {
-        threads: par.threads(),
-        wall_s: time_one(par),
-    };
-    let path = write_bench_sweep(axis.len(), config.runs, serial, parallel);
-    println!(
-        "BENCH_sweep: serial {:.3}s, {} threads {:.3}s ({:.2}x) -> {}",
-        serial.wall_s,
-        parallel.threads,
-        parallel.wall_s,
-        serial.wall_s / parallel.wall_s.max(1e-12),
-        path.display()
-    );
-}
-
 fn main() {
     let mut c = Criterion::default()
         .measurement_time(Duration::from_millis(1500))
@@ -111,5 +74,4 @@ fn main() {
         .sample_size(10);
     bench_sweep(&mut c);
     bench_characterize(&mut c);
-    emit_bench_sweep_record();
 }

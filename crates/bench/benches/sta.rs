@@ -13,6 +13,7 @@
 //! comparable between smoke and full runs.
 
 use criterion::{black_box, BenchmarkId, Criterion};
+use lori_bench::harness::results_dir;
 use lori_bench::{write_bench_sta, StaDesign};
 use lori_circuit::characterize::{characterize_library, Corner};
 use lori_circuit::netlist::{processor_datapath, random_logic, InstId, Netlist};
@@ -180,7 +181,7 @@ fn main() {
         group.finish();
     }
 
-    let path = write_bench_sta(&designs);
+    let path = write_bench_sta(&results_dir(), &designs);
     for d in &designs {
         println!(
             "BENCH_sta: {} ({} instances) full {:.2} passes/s, incremental {:.0} edits/s ({:.0}x per edit)",

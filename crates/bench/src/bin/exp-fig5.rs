@@ -3,7 +3,7 @@
 //! Paper claims: negligible below 1e-6; rapid growth beyond; more than 10
 //! rollbacks per segment past 1e-5 ("formidable to deal with").
 
-use lori_bench::{fmt, fmt_prob, render_table, resumable_sweep, runs_from_env, Harness};
+use lori_bench::{fmt, fmt_prob, render_table, resumable_sweep, Harness};
 use lori_ftsched::montecarlo::{paper_probability_axis, SweepConfig};
 use lori_ftsched::workload::adpcm_reference_trace;
 
@@ -14,8 +14,7 @@ fn main() {
         "Average rollbacks per segment vs error probability",
     );
     let trace = adpcm_reference_trace();
-    let mut config = SweepConfig::paper(); // 100 Monte Carlo runs per point
-    config.runs = runs_from_env(config.runs);
+    let config = SweepConfig::paper(); // 100 Monte Carlo runs per point
     let axis = paper_probability_axis();
     config.validate(&axis, &trace).expect("valid sweep config");
     h.seed(config.seed);

@@ -5,7 +5,7 @@
 //! 1e-6..1e-5; within the window conservative algorithms hold higher hit
 //! rates; beyond the wall every algorithm converges to zero.
 
-use lori_bench::{fmt, fmt_prob, render_table, resumable_sweep, runs_from_env, Harness};
+use lori_bench::{fmt, fmt_prob, render_table, resumable_sweep, Harness};
 use lori_ftsched::mitigation::BudgetAlgorithm;
 use lori_ftsched::montecarlo::{paper_probability_axis, SweepConfig};
 use lori_ftsched::workload::adpcm_reference_trace;
@@ -17,8 +17,7 @@ fn main() {
         "Deadline hit rate vs error probability, per algorithm",
     );
     let trace = adpcm_reference_trace();
-    let mut config = SweepConfig::paper();
-    config.runs = runs_from_env(config.runs);
+    let config = SweepConfig::paper();
     let axis = paper_probability_axis();
     config.validate(&axis, &trace).expect("valid sweep config");
     h.seed(config.seed);

@@ -16,13 +16,13 @@
 //! written atomically (temp file + rename), so a killed run never leaves a
 //! truncated manifest or event log under its final name.
 //!
-//! The harness also arms the live telemetry plane: the flight recorder
-//! (on by default, `LORI_FLIGHT=off` disables; dumps the recent-event ring
-//! to `results/<name>.flight.json` on panic or quarantine) and, when
-//! `LORI_TELEMETRY=<addr>` is set, the in-process HTTP endpoint serving
-//! `/metrics`, `/status`, `/progress`, and `/flight` while the run
-//! executes. Telemetry is read-only bookkeeping outside the metrics
-//! registry, so enabling it never changes a run's artifacts.
+//! A run that panics still leaves its record: dropping the harness during
+//! unwinding writes the manifest and renames the event stream into place,
+//! so `results/<name>.events.jsonl` holds every span up to the crash.
+//!
+//! A malformed `LORI_FAULT_PLAN` stops the run before anything is written:
+//! the binary exits with status 2 and names the variable and the parse
+//! error.
 
 use lori_obs as obs;
 use obs::Value;
@@ -64,10 +64,15 @@ impl Harness {
     /// Never panics over results plumbing: if the results directory cannot
     /// be created, the run continues with a [`obs::NullRecorder`] and a
     /// stderr warning, and the write failure surfaces again from
-    /// [`Harness::finish`].
+    /// [`Harness::finish`]. Exits the process with status 2 when
+    /// `LORI_FAULT_PLAN` does not parse.
     #[must_use]
     pub fn new(name: &str, id: &str, title: &str) -> Self {
         crate::banner(id, title);
+        let plan = lori_fault::init_from_env().unwrap_or_else(|err| {
+            eprintln!("error: invalid LORI_FAULT_PLAN: {err}");
+            std::process::exit(2)
+        });
         let dir = results_dir();
         let dir_ok = match std::fs::create_dir_all(&dir) {
             Ok(()) => true,
@@ -98,39 +103,18 @@ impl Harness {
         if events_path.is_none() {
             obs::install(Arc::new(obs::NullRecorder));
         }
-        // Black box: keep a ring of recent events unless explicitly off,
-        // and dump it next to the other artifacts on panic/quarantine.
-        if std::env::var_os("LORI_FLIGHT").is_none() {
-            obs::flight::enable(obs::flight::DEFAULT_CAPACITY);
-        } else {
-            obs::flight::init_from_env();
-        }
-        if obs::flight::enabled() && dir_ok {
-            obs::flight::set_dump_path(dir.join(format!("{name}.flight.json")));
-            obs::flight::install_panic_hook();
-        }
-        match obs::telemetry::init_from_env() {
-            Ok(Some(addr)) => eprintln!("telemetry: listening on {addr}"),
-            Ok(None) => {}
-            Err(err) => eprintln!("warning: cannot start LORI_TELEMETRY endpoint: {err}"),
-        }
-        obs::telemetry::set_run(name);
         let mut manifest = obs::RunManifest::start(name);
         manifest.config("obs", events_path.is_some());
         // The golden-model cache mode changes wall time, never bytes; it is
         // recorded (with the cache.* metric snapshot finish() takes) so a
         // perf-trajectory diff can tell a warm-cache run from a cold one.
         manifest.config("cache", lori_cache::mode_string());
-        match lori_fault::init_from_env() {
-            Ok(Some(plan)) => {
-                let unknown = plan.unknown_sites();
-                if !unknown.is_empty() {
-                    eprintln!("warning: fault plan names unknown sites: {unknown:?}");
-                }
-                manifest.config("fault_plan", plan.to_string_lossless());
+        if let Some(plan) = plan {
+            let unknown = plan.unknown_sites();
+            if !unknown.is_empty() {
+                eprintln!("warning: fault plan names unknown sites: {unknown:?}");
             }
-            Ok(None) => {}
-            Err(err) => eprintln!("warning: ignoring invalid LORI_FAULT_PLAN: {err}"),
+            manifest.config("fault_plan", plan.to_string_lossless());
         }
         Harness {
             name: name.to_owned(),
@@ -160,8 +144,6 @@ impl Harness {
     /// Runs `f` as a named, timed phase: it gets a top-level span in the
     /// event stream and a `phases[]` entry in the manifest.
     pub fn phase<T>(&mut self, label: &'static str, f: impl FnOnce() -> T) -> T {
-        obs::telemetry::set_phase(label);
-        obs::telemetry::set_manifest_json(self.manifest.to_json());
         let _span = obs::span(label);
         let t0 = Instant::now();
         let out = f();
@@ -204,7 +186,7 @@ impl Harness {
         obs::uninstall();
         // Derived health ratios, computed after the recorder is gone so
         // they land in the manifest snapshot without touching the event
-        // stream (artifacts stay identical with telemetry on or off).
+        // stream.
         // Read through a snapshot rather than `obs::counter`, which would
         // register absent counters at zero in every manifest.
         let counters = obs::registry().snapshot();
@@ -237,8 +219,6 @@ impl Harness {
             self.manifest.config.push(("checks".to_owned(), checks));
         }
         self.manifest.finish(obs::registry().snapshot());
-        obs::telemetry::set_phase("finished");
-        obs::telemetry::set_manifest_json(self.manifest.to_json());
         let path = results_dir().join(format!("{}.manifest.json", self.name));
         self.manifest.write(&path)?;
         print!("manifest: {}", path.display());
@@ -273,7 +253,6 @@ mod tests {
     // exercises the full lifecycle in one body.
     #[test]
     fn harness_lifecycle_writes_events_and_manifest() {
-        let _env = crate::env_lock();
         let dir = std::env::temp_dir().join(format!("lori-harness-{}", std::process::id()));
         std::env::set_var("LORI_RESULTS_DIR", &dir);
         let mut h = Harness::new("exp-unit", "E0", "harness unit test");
@@ -326,5 +305,31 @@ mod tests {
         assert!(!err.to_string().is_empty());
         std::env::remove_var("LORI_RESULTS_DIR");
         std::fs::remove_file(&blocker).ok();
+
+        // Crash mode: a phase panics and the harness drops while the panic
+        // unwinds. The event stream is the crash record, so it must land
+        // under its final name with the failing phase's enter event, next
+        // to a manifest.
+        let dir = std::env::temp_dir().join(format!("lori-harness-crash-{}", std::process::id()));
+        std::env::set_var("LORI_RESULTS_DIR", &dir);
+        let h = Harness::new("exp-crash", "E0", "crashing harness");
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let mut h = h;
+            h.phase("doomed", || panic!("injected phase failure"));
+        }));
+        std::env::remove_var("LORI_RESULTS_DIR");
+        assert!(crashed.is_err(), "the phase panic propagates");
+        let events = std::fs::read_to_string(dir.join("exp-crash.events.jsonl"))
+            .expect("events renamed into place");
+        assert!(
+            events.lines().any(|line| {
+                let v = Value::parse(line).expect("event line parses");
+                v.get("ev").and_then(Value::as_str) == Some("enter")
+                    && v.get("name").and_then(Value::as_str) == Some("doomed")
+            }),
+            "crashed phase's enter event recorded: {events}"
+        );
+        assert!(dir.join("exp-crash.manifest.json").is_file());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -12,8 +12,7 @@ pub mod resume;
 
 pub use harness::Harness;
 pub use perf::{
-    write_bench_arch, write_bench_cache, write_bench_obs, write_bench_sta, write_bench_sweep,
-    ArchGroup, CacheTiming, StaDesign, SweepTiming,
+    write_bench_arch, write_bench_cache, write_bench_sta, ArchGroup, CacheTiming, StaDesign,
 };
 pub use progress::Progress;
 pub use resume::{resumable_sweep, SweepOutcome};
@@ -77,30 +76,6 @@ pub fn fmt(v: f64) -> String {
 #[must_use]
 pub fn fmt_prob(p: f64) -> String {
     format!("{p:.1e}")
-}
-
-/// Monte Carlo runs per point: `LORI_RUNS` when set to a positive integer,
-/// else `default`. Lets CI smoke jobs stretch a sub-10 ms sweep long
-/// enough to scrape mid-run (the WAL fingerprint includes the run count,
-/// so an overridden run never resumes from mismatched checkpoints).
-#[must_use]
-pub fn runs_from_env(default: usize) -> usize {
-    std::env::var("LORI_RUNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-/// Serializes the unit tests that mutate process-global environment
-/// variables (`LORI_RESULTS_DIR`): the test harness runs tests on parallel
-/// threads, and one test's `remove_var` would pull the directory out from
-/// under another's run.
-#[cfg(test)]
-pub(crate) fn env_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Prints a standard experiment banner.

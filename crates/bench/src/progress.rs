@@ -1,9 +1,8 @@
 //! The `LORI_PROGRESS` heartbeat, re-exported from `lori-obs`.
 //!
-//! Progress tracking moved into `lori-obs` so instrumented library code
+//! Progress tracking lives in `lori-obs` so instrumented library code
 //! (circuit characterization, ML training, HDC encoding) can emit
-//! heartbeats without depending on the bench harness, and so the
-//! `LORI_TELEMETRY` endpoint can snapshot live sweep progress. This module
-//! stays as a re-export to keep `lori_bench::Progress` call sites working.
+//! heartbeats without depending on the bench harness. This module stays
+//! as a re-export to keep `lori_bench::Progress` call sites working.
 
-pub use lori_obs::progress::{progress_enabled, snapshot, Progress, ProgressSnapshot};
+pub use lori_obs::progress::{progress_enabled, Progress};

@@ -236,12 +236,13 @@ pub fn flip_bit(site: &'static str, nbits: usize) -> Option<usize> {
 mod tests {
     use super::*;
 
-    // The armed plan is process-global; every test that arms one holds a
-    // PlanGuard, which serializes them through the activation lock.
+    // The armed plan is process-global; every test that reads or arms it
+    // holds a PlanGuard (or the activation lock itself), which serializes
+    // them.
 
     #[test]
     fn inactive_sites_are_passthrough() {
-        clear();
+        let _guard = activate(&FaultPlan::default());
         assert!(!active());
         check_panic("sweep.point", 17);
         assert_eq!(poison_f64("circuit.lut", 2.5), 2.5);
@@ -311,6 +312,11 @@ mod tests {
             let _guard = activate(&FaultPlan::parse("nan@circuit.lut").unwrap());
             assert!(active());
         }
+        // Once the lock is ours no guard is alive, and every guard disarms
+        // on drop.
+        let _lock = ACTIVATION
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         assert!(!active(), "guard drop disarms");
         assert_eq!(poison_f64("circuit.lut", 3.0), 3.0);
     }

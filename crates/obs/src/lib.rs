@@ -5,7 +5,7 @@
 //! 1. **Span tracing** ([`span`], [`span_with`], [`in_span`]): nested,
 //!    monotonic-timed scopes recorded through a global [`Recorder`]. With
 //!    no recorder installed (or the [`NullRecorder`]), opening a span costs
-//!    two relaxed atomic loads — safe to leave in Monte Carlo inner loops.
+//!    one relaxed atomic load — safe to leave in Monte Carlo inner loops.
 //!    Spans carry process-unique ids and [`TraceContext`] propagates them
 //!    across worker threads, so recorded trees stay causally connected.
 //! 2. **Metrics** ([`counter`], [`gauge`], [`histogram`]): process-wide
@@ -14,11 +14,8 @@
 //! 3. **Run manifests** ([`RunManifest`]): a JSON document per experiment
 //!    run with seed, config, code version, wall time, per-phase breakdown,
 //!    and a metrics snapshot.
-//! 4. **The live tier**: a [`flight`] recorder (per-thread ring buffers of
-//!    recent events, dumped on panic/quarantine), [`progress`] heartbeats
-//!    (`LORI_PROGRESS`), and a [`telemetry`] HTTP endpoint
-//!    (`LORI_TELEMETRY`) serving Prometheus metrics, JSON status, live
-//!    progress, and flight snapshots while a run executes.
+//! 4. **Progress heartbeats** ([`Progress`]): rate-limited stderr lines
+//!    for long phases when `LORI_PROGRESS` asks for them.
 //!
 //! Install a [`JsonlRecorder`] to stream every event to an append-only
 //! `.events.jsonl` file:
@@ -37,7 +34,6 @@
 
 #![warn(missing_docs)]
 
-pub mod flight;
 pub(crate) mod fsio;
 pub mod json;
 pub mod manifest;
@@ -45,7 +41,6 @@ pub mod metrics;
 pub mod progress;
 pub mod recorder;
 pub mod span;
-pub mod telemetry;
 pub mod trace;
 
 pub use json::Value;
@@ -54,10 +49,9 @@ pub use metrics::{
     counter, gauge, histogram, registry, Counter, Gauge, Histogram, MetricSnapshot, MetricValue,
     Registry,
 };
-pub use progress::{progress_enabled, Progress, ProgressSnapshot};
+pub use progress::{progress_enabled, Progress};
 pub use recorder::{Event, JsonlRecorder, MemoryRecorder, NullRecorder, Recorder};
 pub use span::{in_span, span, span_with, Span};
-pub use telemetry::TelemetryServer;
 pub use trace::{ContextGuard, TraceContext};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -80,15 +74,6 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 #[must_use]
 pub fn recording() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// `true` while any event consumer is live: the installed recorder or the
-/// armed flight recorder. Two relaxed atomic loads — the combined fast
-/// path for span instrumentation.
-#[inline]
-#[must_use]
-pub(crate) fn active() -> bool {
-    ENABLED.load(Ordering::Relaxed) || flight::enabled()
 }
 
 /// Monotonic nanoseconds since the observability epoch (first use in this

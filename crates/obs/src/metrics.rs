@@ -42,21 +42,15 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// Sets the gauge; emits a gauge event when recording is enabled and a
-    /// flight-recorder entry when the flight recorder is armed.
+    /// Sets the gauge; emits a gauge event when recording is enabled.
     pub fn set(&self, value: f64) {
         self.bits.store(value.to_bits(), Ordering::Relaxed);
-        if crate::active() {
+        if recording() {
             if let Some(name) = self.name.get() {
                 let t_ns = epoch_ns();
-                if recording() {
-                    with_recorder(|rec| {
-                        rec.record(&Event::Gauge { name, t_ns, value });
-                    });
-                }
-                if crate::flight::enabled() {
-                    crate::flight::record_gauge(name, t_ns, crate::span::current_tid(), value);
-                }
+                with_recorder(|rec| {
+                    rec.record(&Event::Gauge { name, t_ns, value });
+                });
             }
         }
     }

@@ -16,21 +16,12 @@
 //!
 //! Disabled (the default), [`Progress::tick`] is one relaxed atomic add
 //! and a branch — safe to leave in per-sample inner loops.
-//!
-//! Every live [`Progress`] also registers itself (weakly) with a global
-//! registry, so the telemetry endpoint can report sweep progress over HTTP
-//! via [`snapshot`] regardless of whether stderr heartbeats are on.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::time::Instant;
 
 /// Default milliseconds between heartbeat lines.
 const DEFAULT_INTERVAL_MS: u64 = 1000;
-
-/// Live progress trackers, held weakly: a tracker leaves the registry when
-/// its phase completes (the `Progress` drops).
-static REGISTRY: Mutex<Vec<Weak<Inner>>> = Mutex::new(Vec::new());
 
 /// `true` when `LORI_PROGRESS` asks for stderr heartbeats.
 #[must_use]
@@ -49,8 +40,12 @@ fn interval_ms() -> u64 {
         .unwrap_or(DEFAULT_INTERVAL_MS)
 }
 
+/// A heartbeat for one phase: share by reference across worker threads,
+/// call [`Progress::tick`] per completed unit. Emits nothing unless
+/// `LORI_PROGRESS=stderr` is set; always emits a final summary line (when
+/// enabled) on drop.
 #[derive(Debug)]
-struct Inner {
+pub struct Progress {
     phase: &'static str,
     total: u64,
     done: AtomicU64,
@@ -61,54 +56,13 @@ struct Inner {
     enabled: bool,
 }
 
-/// A point-in-time reading of one live progress tracker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProgressSnapshot {
-    /// Phase label passed to [`Progress::start`].
-    pub phase: &'static str,
-    /// Units completed so far.
-    pub done: u64,
-    /// Total units (0 = unknown).
-    pub total: u64,
-    /// Milliseconds since the phase started.
-    pub elapsed_ms: u64,
-}
-
-/// Reads every live tracker, in start order. Completed phases (dropped
-/// trackers) are pruned as a side effect.
-#[must_use]
-pub fn snapshot() -> Vec<ProgressSnapshot> {
-    let mut registry = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
-    registry.retain(|w| w.strong_count() > 0);
-    registry
-        .iter()
-        .filter_map(Weak::upgrade)
-        .map(|inner| ProgressSnapshot {
-            phase: inner.phase,
-            done: inner.done.load(Ordering::Relaxed),
-            total: inner.total,
-            elapsed_ms: u64::try_from(inner.t0.elapsed().as_millis()).unwrap_or(u64::MAX),
-        })
-        .collect()
-}
-
-/// A heartbeat for one phase: share by reference across worker threads,
-/// call [`Progress::tick`] per completed unit. Emits nothing unless
-/// `LORI_PROGRESS=stderr` is set; always emits a final summary line (when
-/// enabled) on drop. Visible to the telemetry endpoint through
-/// [`snapshot`] for its whole lifetime either way.
-#[derive(Debug)]
-pub struct Progress {
-    inner: Arc<Inner>,
-}
-
 impl Progress {
     /// Starts a heartbeat for `phase` with a known unit count (0 when the
     /// total is unknown; the line then omits percentage and ETA).
     #[must_use]
     pub fn start(phase: &'static str, total: u64) -> Self {
         let interval_ms = interval_ms();
-        let inner = Arc::new(Inner {
+        Progress {
             phase,
             total,
             done: AtomicU64::new(0),
@@ -116,12 +70,7 @@ impl Progress {
             interval_ms,
             t0: Instant::now(),
             enabled: progress_enabled(),
-        });
-        let mut registry = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
-        registry.retain(|w| w.strong_count() > 0);
-        registry.push(Arc::downgrade(&inner));
-        drop(registry);
-        Progress { inner }
+        }
     }
 
     /// Records one completed unit; prints a heartbeat when the interval
@@ -132,49 +81,40 @@ impl Progress {
 
     /// Records `n` completed units.
     pub fn add(&self, n: u64) {
-        let inner = &self.inner;
-        let done = inner.done.fetch_add(n, Ordering::Relaxed) + n;
-        if !inner.enabled {
+        let done = self.done.fetch_add(n, Ordering::Relaxed) + n;
+        if !self.enabled {
             return;
         }
-        let elapsed_ms = u64::try_from(inner.t0.elapsed().as_millis()).unwrap_or(u64::MAX);
-        let due = inner.next_print_ms.load(Ordering::Relaxed);
+        let elapsed_ms = self.elapsed_ms();
+        let due = self.next_print_ms.load(Ordering::Relaxed);
         if elapsed_ms < due {
             return;
         }
         // One thread wins the right to print this interval; the rest skip.
-        if inner
+        if self
             .next_print_ms
             .compare_exchange(
                 due,
-                elapsed_ms + inner.interval_ms,
+                elapsed_ms + self.interval_ms,
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             )
             .is_ok()
         {
-            eprintln!("{}", inner.line(done, elapsed_ms));
+            eprintln!("{}", self.line(done, elapsed_ms));
         }
     }
 
     /// Units completed so far.
     #[must_use]
     pub fn done(&self) -> u64 {
-        self.inner.done.load(Ordering::Relaxed)
+        self.done.load(Ordering::Relaxed)
     }
 
-    #[cfg(test)]
-    fn enabled(&self) -> bool {
-        self.inner.enabled
+    fn elapsed_ms(&self) -> u64 {
+        u64::try_from(self.t0.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
 
-    #[cfg(test)]
-    fn line(&self, done: u64, elapsed_ms: u64) -> String {
-        self.inner.line(done, elapsed_ms)
-    }
-}
-
-impl Inner {
     #[allow(clippy::cast_precision_loss)]
     fn line(&self, done: u64, elapsed_ms: u64) -> String {
         let elapsed_s = elapsed_ms as f64 / 1e3;
@@ -202,9 +142,8 @@ impl Inner {
 
 impl Drop for Progress {
     fn drop(&mut self) {
-        if self.inner.enabled {
-            let elapsed_ms = u64::try_from(self.inner.t0.elapsed().as_millis()).unwrap_or(u64::MAX);
-            eprintln!("{} done", self.inner.line(self.done(), elapsed_ms));
+        if self.enabled {
+            eprintln!("{} done", self.line(self.done(), self.elapsed_ms()));
         }
     }
 }
@@ -218,7 +157,7 @@ mod tests {
     fn progress_counts_and_formats() {
         std::env::remove_var("LORI_PROGRESS");
         let p = Progress::start("sweep", 1300);
-        assert!(!p.enabled(), "disabled without LORI_PROGRESS");
+        assert!(!p.enabled, "disabled without LORI_PROGRESS");
         for _ in 0..412 {
             p.tick();
         }
@@ -241,7 +180,7 @@ mod tests {
 
         std::env::set_var("LORI_PROGRESS", "stderr");
         let p = Progress::start("sweep", 4);
-        assert!(p.enabled());
+        assert!(p.enabled);
         p.tick();
         std::env::remove_var("LORI_PROGRESS");
     }
@@ -256,23 +195,5 @@ mod tests {
         assert_eq!(interval_ms(), DEFAULT_INTERVAL_MS);
         std::env::remove_var("LORI_PROGRESS_MS");
         assert_eq!(interval_ms(), DEFAULT_INTERVAL_MS);
-    }
-
-    #[test]
-    fn registry_tracks_live_trackers_only() {
-        let p = Progress::start("unit.registry", 100);
-        p.add(40);
-        let snap = snapshot();
-        let mine = snap
-            .iter()
-            .find(|s| s.phase == "unit.registry")
-            .expect("live tracker visible");
-        assert_eq!(mine.done, 40);
-        assert_eq!(mine.total, 100);
-        drop(p);
-        assert!(
-            !snapshot().iter().any(|s| s.phase == "unit.registry"),
-            "dropped tracker pruned"
-        );
     }
 }

@@ -206,9 +206,6 @@ pub struct JsonlRecorder {
     rename_on_drop: Option<(std::path::PathBuf, std::path::PathBuf)>,
     /// Keys [`THREAD_BUF`] entries to this instance.
     id: usize,
-    /// `false` forces every event through the shared writer lock (the
-    /// pre-buffering behaviour, kept measurable for `obs_overhead`).
-    buffered: bool,
     /// Every thread buffer ever registered with this recorder, so flush
     /// and drop can drain buffers owned by parked or finished threads.
     thread_bufs: Mutex<Vec<Arc<Mutex<String>>>>,
@@ -220,7 +217,6 @@ impl JsonlRecorder {
             writer: Mutex::new(BufWriter::new(file)),
             rename_on_drop: rename,
             id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
-            buffered: true,
             thread_bufs: Mutex::new(Vec::new()),
         }
     }
@@ -249,16 +245,6 @@ impl JsonlRecorder {
         let tmp = crate::fsio::tmp_sibling(&path);
         let file = File::create(&tmp)?;
         Ok(Self::from_file(file, Some((tmp, path))))
-    }
-
-    /// Disables the per-thread buffers: every event locks the shared
-    /// writer, as before PR 5. Exists so `obs_overhead` can measure the
-    /// two paths against each other; production callers should keep the
-    /// default.
-    #[must_use]
-    pub fn unbuffered(mut self) -> Self {
-        self.buffered = false;
-        self
     }
 
     /// Drains every registered thread buffer into the shared writer.
@@ -293,13 +279,6 @@ impl Drop for JsonlRecorder {
 
 impl Recorder for JsonlRecorder {
     fn record(&self, event: &Event<'_>) {
-        if !self.buffered {
-            let line = event.to_json_line();
-            let mut writer = self.writer.lock().expect("jsonl writer poisoned");
-            let _ = writer.write_all(line.as_bytes());
-            let _ = writer.write_all(b"\n");
-            return;
-        }
         THREAD_BUF.with(|slot| {
             let mut slot = slot.borrow_mut();
             let registered = matches!(slot.as_ref(), Some((id, _)) if *id == self.id);
@@ -606,19 +585,6 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 1);
         assert!(text.contains("g.drop"));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn unbuffered_jsonl_writes_through() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("lori-obs-unbuf-{}.jsonl", std::process::id()));
-        let rec = JsonlRecorder::create(&path).unwrap().unbuffered();
-        rec.record(&gauge_event("g.unbuf", 1));
-        rec.flush();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("g.unbuf"));
-        drop(rec);
         std::fs::remove_file(&path).ok();
     }
 

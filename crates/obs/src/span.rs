@@ -5,12 +5,11 @@
 //! span id (`sid`) plus its parent's id (see [`crate::trace`]), so
 //! recorders can reconstruct one causally-connected tree across worker
 //! threads — `(tid, depth, t_ns)` still orders events within a thread.
-//! When both recording and the flight recorder are disabled the guard is a
-//! no-op created after two relaxed atomic loads — no clock read, no
-//! allocation.
+//! When recording is disabled the guard is a no-op created after one
+//! relaxed atomic load — no clock read, no allocation.
 
 use crate::recorder::Event;
-use crate::{active, epoch_ns, flight, recording, trace, with_recorder};
+use crate::{epoch_ns, recording, trace, with_recorder};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -22,7 +21,7 @@ thread_local! {
 }
 
 /// The small per-process index of the calling thread.
-pub(crate) fn current_tid() -> u64 {
+fn current_tid() -> u64 {
     TID.with(|t| *t)
 }
 
@@ -67,7 +66,7 @@ pub fn span_with(name: &'static str, attr: f64) -> Span {
 }
 
 fn span_inner(name: &'static str, attr: Option<f64>) -> Span {
-    if !active() {
+    if !recording() {
         return Span { live: None };
     }
     let t0_ns = epoch_ns();
@@ -80,22 +79,17 @@ fn span_inner(name: &'static str, attr: Option<f64>) -> Span {
     let sid = trace::next_sid();
     let parent = trace::current_parent();
     let prev_sid = trace::swap_current(sid);
-    if recording() {
-        with_recorder(|rec| {
-            rec.record(&Event::SpanEnter {
-                name,
-                t_ns: t0_ns,
-                tid,
-                depth,
-                attr,
-                sid,
-                parent,
-            });
+    with_recorder(|rec| {
+        rec.record(&Event::SpanEnter {
+            name,
+            t_ns: t0_ns,
+            tid,
+            depth,
+            attr,
+            sid,
+            parent,
         });
-    }
-    if flight::enabled() {
-        flight::record_enter(name, t0_ns, tid, sid, parent, attr);
-    }
+    });
     Span {
         live: Some(LiveSpan {
             name,
@@ -128,9 +122,6 @@ impl Drop for Span {
                     sid: live.sid,
                 });
             });
-        }
-        if flight::enabled() {
-            flight::record_exit(live.name, t_ns, live.tid, live.sid, dur_ns);
         }
     }
 }

@@ -338,57 +338,3 @@ fn trace_context_attributes_cross_thread_children() {
         assert!(worker_sids.contains(&field_num(e, "sid")));
     }
 }
-
-#[test]
-fn flight_recorder_captures_without_recorder_and_dumps() {
-    let _guard = lock();
-    obs::uninstall();
-    obs::flight::clear();
-    obs::flight::enable(64);
-    {
-        let _a = obs::span("fl.outer");
-        let _b = obs::span("fl.inner");
-        obs::gauge("fl.gauge").set(2.5);
-    }
-    let (events, _dropped) = obs::flight::snapshot();
-    let names: Vec<&str> = events.iter().map(|e| e.name).collect();
-    assert!(names.contains(&"fl.outer"));
-    assert!(names.contains(&"fl.inner"));
-    assert!(names.contains(&"fl.gauge"));
-    let inner = events
-        .iter()
-        .find(|e| e.name == "fl.inner" && e.kind == obs::flight::FlightKind::Enter)
-        .unwrap();
-    let outer = events
-        .iter()
-        .find(|e| e.name == "fl.outer" && e.kind == obs::flight::FlightKind::Enter)
-        .unwrap();
-    assert_eq!(inner.parent, outer.sid, "flight entries keep trace context");
-
-    // Ring capacity bounds retention; the snapshot reports the overwrites.
-    for _ in 0..200 {
-        let _s = obs::span("fl.wrap");
-    }
-    let (events, dropped) = obs::flight::snapshot();
-    assert!(events.len() <= 64, "per-thread ring stays bounded");
-    assert!(dropped > 0, "overwrites are reported");
-
-    // The dump is a parseable black box written atomically.
-    let dir = std::env::temp_dir().join("lori-obs-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("flight-{}.json", std::process::id()));
-    obs::flight::set_dump_path(&path);
-    let written = obs::flight::dump("unit").expect("dump path configured");
-    assert_eq!(written, path);
-    let doc = Value::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    assert_eq!(doc.get("reason").and_then(Value::as_str), Some("unit"));
-    assert!(doc.get("events").and_then(Value::as_arr).is_some());
-
-    obs::flight::disable();
-    assert!(
-        obs::flight::dump("late").is_none(),
-        "disarmed dump is a no-op"
-    );
-    obs::flight::clear();
-    std::fs::remove_file(&path).ok();
-}

@@ -319,9 +319,8 @@ impl<R> RecoveredMap<R> {
 /// retried then quarantined; every retry increments `fault.retried` and
 /// every quarantined task increments `fault.quarantined`, so run
 /// manifests record the blast radius (and the derived
-/// `fault.quarantine_rate` = quarantined / tasks). A quarantine also
-/// dumps the [`lori_obs::flight`] recorder (when armed), leaving a black
-/// box of the events leading up to the failure.
+/// `fault.quarantine_rate` = quarantined / tasks). The spans leading up
+/// to a failure stay in the installed recorder's event stream.
 ///
 /// # Panics
 ///
@@ -359,9 +358,6 @@ where
                         continue;
                     }
                     quarantined.incr(1);
-                    // Black-box the events that led here (no-op unless the
-                    // flight recorder is armed with a dump path).
-                    let _ = lori_obs::flight::dump("quarantine");
                     failures
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner)
