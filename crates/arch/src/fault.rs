@@ -14,7 +14,6 @@ use crate::error::ArchError;
 use crate::isa::{Program, Reg, NUM_REGS};
 use crate::lane;
 use lori_core::Rng;
-use lori_obs::progress::Progress;
 use lori_par::Parallelism;
 
 /// Where a fault lands.
@@ -268,16 +267,7 @@ pub fn random_register_campaign_with(
             }
         })
         .collect();
-    let progress = Progress::start("fault.campaign", n as u64);
-    let outcomes = lane::campaign_outcomes(
-        program,
-        config,
-        protection,
-        &golden,
-        &specs,
-        par,
-        Some(&progress),
-    );
+    let outcomes = lane::campaign_outcomes(program, config, protection, &golden, &specs, par);
     let mut counts = OutcomeCounts::default();
     let trials: Vec<Trial> = specs
         .into_iter()
@@ -343,16 +333,7 @@ pub fn per_register_vulnerability_with(
             });
         }
     }
-    let progress = Progress::start("fault.vulnerability", specs.len() as u64);
-    let outcomes = lane::campaign_outcomes(
-        program,
-        config,
-        &protection,
-        &golden,
-        &specs,
-        par,
-        Some(&progress),
-    );
+    let outcomes = lane::campaign_outcomes(program, config, &protection, &golden, &specs, par);
     let result = outcomes
         .chunks(n_per_reg)
         .map(|chunk| {
@@ -444,16 +425,7 @@ pub fn per_instruction_sdc_with(
             });
         }
     }
-    let progress = Progress::start("fault.instr_sdc", specs.len() as u64);
-    let outcomes = lane::campaign_outcomes(
-        program,
-        config,
-        &protection,
-        &golden,
-        &specs,
-        par,
-        Some(&progress),
-    );
+    let outcomes = lane::campaign_outcomes(program, config, &protection, &golden, &specs, par);
 
     let mut chunks = outcomes.chunks(n_per_instr);
     let result = sampled

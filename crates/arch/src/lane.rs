@@ -40,7 +40,6 @@
 use crate::cpu::{Cpu, CpuConfig, ExecResult, Protection, StopReason};
 use crate::fault::{classify, FaultSpec, FaultTarget, Outcome};
 use crate::isa::{Instr, Program, Reg, NUM_REGS};
-use lori_obs::progress::Progress;
 use lori_par::Parallelism;
 use std::collections::HashMap;
 
@@ -54,7 +53,8 @@ pub const MAX_LANES: usize = 64;
 /// Specs are split into [`MAX_LANES`]-sized blocks, each run in one
 /// simulation pass, and the blocks are distributed over `par` workers
 /// (block boundaries depend only on the input, so results are identical
-/// at any worker count). `progress` ticks once per completed trial.
+/// at any worker count). The whole campaign runs under one `arch.campaign`
+/// span.
 ///
 /// [`run_with_fault`]: crate::fault::run_with_fault
 #[must_use]
@@ -65,15 +65,11 @@ pub fn campaign_outcomes(
     golden: &ExecResult,
     specs: &[FaultSpec],
     par: Parallelism,
-    progress: Option<&Progress>,
 ) -> Vec<Outcome> {
+    let _span = lori_obs::span("arch.campaign");
     let blocks: Vec<&[FaultSpec]> = specs.chunks(MAX_LANES).collect();
     let results = lori_par::par_map(par, &blocks, |_, block| {
-        let out = run_fault_block(program, config, protection, golden, block);
-        if let Some(p) = progress {
-            p.add(block.len() as u64);
-        }
-        out
+        run_fault_block(program, config, protection, golden, block)
     });
     results.into_iter().flatten().collect()
 }
@@ -770,7 +766,6 @@ mod tests {
                 &golden,
                 &specs,
                 Parallelism::new(threads),
-                None,
             );
             assert_eq!(scalar, campaign, "threads {threads}");
         }

@@ -17,7 +17,6 @@ use crate::lane;
 use lori_core::Rng;
 use lori_ml::data::Dataset;
 use lori_ml::MlError;
-use lori_obs::progress::Progress;
 use lori_par::Parallelism;
 
 /// Builds the per-flip-flop vulnerability dataset for one or more programs.
@@ -68,8 +67,6 @@ pub fn ff_vulnerability_dataset_with(
     let mut rng = Rng::from_seed(seed);
     let mut rows = Vec::new();
     let mut labels = Vec::new();
-    let total = (programs.len() * NUM_REGS * 32 * trials_per_ff) as u64;
-    let progress = Progress::start("fault.ff_dataset", total);
     for program in programs {
         let golden = crate::cpu::run_golden(program, config);
         let feats = register_features(program, config);
@@ -90,15 +87,7 @@ pub fn ff_vulnerability_dataset_with(
                 }
             }
         }
-        let outcomes = lane::campaign_outcomes(
-            program,
-            config,
-            &protection,
-            &golden,
-            &specs,
-            par,
-            Some(&progress),
-        );
+        let outcomes = lane::campaign_outcomes(program, config, &protection, &golden, &specs, par);
         let mut chunks = outcomes.chunks(trials_per_ff);
         for feat in feats.iter().take(NUM_REGS) {
             for bit in 0..32u8 {

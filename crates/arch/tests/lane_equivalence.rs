@@ -1,7 +1,7 @@
 //! Scalar-vs-lane equivalence: the bit-parallel engine must be
 //! indistinguishable from the scalar loop at every public API.
 //!
-//! The lane engine's contract (DESIGN.md §13) is *bit-identical trials,
+//! The lane engine's contract (DESIGN.md §12) is *bit-identical trials,
 //! counts, and artifacts* for any seed and worker count. The oracle is
 //! the scalar reference [`run_with_fault`], mapped over the same specs
 //! here in the test. These tests pin the contract across workloads,
@@ -175,7 +175,6 @@ fn edge_cycles_and_mixed_targets_match() {
             &golden,
             &specs,
             Parallelism::new(4),
-            None,
         );
         assert_eq!(scalar, all, "{}", program.name);
     }

@@ -116,7 +116,6 @@ fn lane_outcomes(set: &CampaignSet, config: &CpuConfig, protection: &Protection)
         &set.golden,
         &set.specs,
         Parallelism::serial(),
-        None,
     )
 }
 

@@ -2,7 +2,6 @@
 //! characterization of one cell arc, and per-instance library generation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lori_cache::{Cache, CacheMode};
 use lori_circuit::cell::CellKind;
 use lori_circuit::characterize::{characterize_library, Corner};
 use lori_circuit::mlchar::{InstanceContext, MlCharConfig, MlCharacterizer};
@@ -11,14 +10,9 @@ use lori_circuit::spicelike::{GoldenSimulator, OperatingPoint};
 use lori_circuit::tech::TechParams;
 use lori_core::units::{Celsius, Volts};
 use std::hint::black_box;
-use std::sync::Arc;
 
 fn bench_mlchar(c: &mut Criterion) {
-    // Cache off: golden_single_arc measures the real transient-engine cost
-    // that E2's speedup claim is relative to; memoization would zero it out.
-    let sim =
-        GoldenSimulator::with_cache(TechParams::default(), Arc::new(Cache::new(CacheMode::Off)))
-            .expect("tech");
+    let sim = GoldenSimulator::new(TechParams::default()).expect("tech");
     let lib = characterize_library(&sim, &Corner::default()).expect("library");
     let netlist = processor_datapath(&lib, 8, 3).expect("netlist");
     let ml = MlCharacterizer::train_for_netlist(

@@ -6,14 +6,12 @@
 //! run serially and in parallel and the results compared `==`.
 
 use criterion::{black_box, BenchmarkId, Criterion};
-use lori_cache::{Cache, CacheMode};
 use lori_circuit::characterize::{characterize_library_par, Corner};
 use lori_circuit::spicelike::GoldenSimulator;
 use lori_circuit::tech::TechParams;
 use lori_ftsched::montecarlo::{paper_probability_axis, sweep_with, SweepConfig};
 use lori_ftsched::workload::adpcm_reference_trace;
 use lori_par::Parallelism;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// The parallel side of every comparison: `LORI_THREADS` if set, all
@@ -43,11 +41,7 @@ fn bench_sweep(c: &mut Criterion) {
 }
 
 fn bench_characterize(c: &mut Criterion) {
-    // Cache off: this bench measures the parallel executor over real
-    // golden-model work; memoization payoff is golden_cache's job.
-    let sim =
-        GoldenSimulator::with_cache(TechParams::default(), Arc::new(Cache::new(CacheMode::Off)))
-            .expect("simulator");
+    let sim = GoldenSimulator::new(TechParams::default()).expect("simulator");
     let corner = Corner::default();
     let par = parallel_workers();
 

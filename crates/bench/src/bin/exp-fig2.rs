@@ -127,8 +127,8 @@ fn main() {
     );
 
     // Deterministic data artifact (no timestamps, atomic write): the full
-    // per-instance SHE vector. Runs with different cache modes or thread
-    // counts must produce byte-identical files — CI compares them directly.
+    // per-instance SHE vector. Runs at different thread counts must produce
+    // byte-identical files — CI compares them directly.
     let doc = Value::Arr(she.iter().map(|&v| Value::from(v)).collect());
     let path = results_dir().join("exp-fig2.she.json");
     match lori_fault::atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes()) {

@@ -4,7 +4,7 @@
 //! inference accuracy with HDC drops only by 0.5 %" — because hypervector
 //! components are i.i.d. by design.
 
-use lori_bench::{fmt, render_table, Harness, Progress};
+use lori_bench::{fmt, render_table, Harness};
 use lori_core::Rng;
 use lori_hdc::classifier::{HdcClassifier, HdcClassifierConfig};
 use lori_hdc::noise::flip_components;
@@ -56,9 +56,6 @@ fn main() {
     let mut clean_acc = 0.0;
     let mut acc_at_40 = 0.0;
     let error_rates = [0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.48];
-    // This is the longest-running experiment; the LORI_PROGRESS heartbeat
-    // ticks once per classified test sample.
-    let progress = Progress::start("noise_sweep", (error_rates.len() * test_x.len()) as u64);
     h.phase("noise_sweep", || {
         for &error_rate in &error_rates {
             let mut correct = 0usize;
@@ -68,7 +65,6 @@ fn main() {
                 if clf.classify_encoded(&noisy) == y {
                     correct += 1;
                 }
-                progress.tick();
             }
             let acc = correct as f64 / test_x.len() as f64;
             if error_rate == 0.0 {
@@ -84,7 +80,6 @@ fn main() {
             ]);
         }
     });
-    drop(progress); // emit the final heartbeat line before the table
     println!(
         "{}",
         render_table(

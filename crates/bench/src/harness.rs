@@ -22,7 +22,9 @@
 //!
 //! A malformed `LORI_FAULT_PLAN` stops the run before anything is written:
 //! the binary exits with status 2 and names the variable and the parse
-//! error.
+//! error. So does an environment the run would otherwise misread: a
+//! `LORI_*` name the workspace does not read (a typo or a retired switch),
+//! or a `LORI_THREADS` that is not a non-negative integer.
 
 use lori_obs as obs;
 use obs::Value;
@@ -34,6 +36,40 @@ use std::time::Instant;
 #[must_use]
 pub fn results_dir() -> PathBuf {
     std::env::var_os("LORI_RESULTS_DIR").map_or_else(|| PathBuf::from("results"), PathBuf::from)
+}
+
+/// Every `LORI_*` environment variable the workspace reads.
+const KNOWN_VARS: [&str; 6] = [
+    "LORI_BENCH_SMOKE",
+    "LORI_FAULT_PLAN",
+    "LORI_OBS",
+    "LORI_RECOVERY",
+    "LORI_RESULTS_DIR",
+    "LORI_THREADS",
+];
+
+/// Rejects `LORI_*` names outside [`KNOWN_VARS`] and a `LORI_THREADS` that
+/// [`lori_par::Parallelism::parse`] refuses.
+fn check_env() -> Result<(), String> {
+    let mut unknown: Vec<String> = std::env::vars_os()
+        .map(|(key, _)| key.to_string_lossy().into_owned())
+        .filter(|key| key.starts_with("LORI_") && !KNOWN_VARS.contains(&key.as_str()))
+        .collect();
+    if !unknown.is_empty() {
+        unknown.sort();
+        return Err(format!(
+            "unknown environment variable {}; the LORI_* names read are {}",
+            unknown.join(", "),
+            KNOWN_VARS.join(", ")
+        ));
+    }
+    match std::env::var("LORI_THREADS") {
+        Ok(value) => lori_par::Parallelism::parse(&value)
+            .map(drop)
+            .map_err(|err| err.to_string()),
+        Err(std::env::VarError::NotPresent) => Ok(()),
+        Err(err) => Err(format!("invalid LORI_THREADS: {err}")),
+    }
 }
 
 /// `true` unless `LORI_OBS=off|0|false` disables event recording.
@@ -64,11 +100,16 @@ impl Harness {
     /// Never panics over results plumbing: if the results directory cannot
     /// be created, the run continues with a [`obs::NullRecorder`] and a
     /// stderr warning, and the write failure surfaces again from
-    /// [`Harness::finish`]. Exits the process with status 2 when
-    /// `LORI_FAULT_PLAN` does not parse.
+    /// [`Harness::finish`]. Exits the process with status 2 when the
+    /// environment holds an unknown `LORI_*` name, a malformed
+    /// `LORI_THREADS`, or a `LORI_FAULT_PLAN` that does not parse.
     #[must_use]
     pub fn new(name: &str, id: &str, title: &str) -> Self {
         crate::banner(id, title);
+        if let Err(err) = check_env() {
+            eprintln!("error: {err}");
+            std::process::exit(2)
+        }
         let plan = lori_fault::init_from_env().unwrap_or_else(|err| {
             eprintln!("error: invalid LORI_FAULT_PLAN: {err}");
             std::process::exit(2)
@@ -105,10 +146,6 @@ impl Harness {
         }
         let mut manifest = obs::RunManifest::start(name);
         manifest.config("obs", events_path.is_some());
-        // The golden-model cache mode changes wall time, never bytes; it is
-        // recorded (with the cache.* metric snapshot finish() takes) so a
-        // perf-trajectory diff can tell a warm-cache run from a cold one.
-        manifest.config("cache", lori_cache::mode_string());
         if let Some(plan) = plan {
             let unknown = plan.unknown_sites();
             if !unknown.is_empty() {
@@ -184,9 +221,8 @@ impl Harness {
         }
         self.finished = true;
         obs::uninstall();
-        // Derived health ratios, computed after the recorder is gone so
-        // they land in the manifest snapshot without touching the event
-        // stream.
+        // Derived health ratio, computed after the recorder is gone so it
+        // lands in the manifest snapshot without touching the event stream.
         // Read through a snapshot rather than `obs::counter`, which would
         // register absent counters at zero in every manifest.
         let counters = obs::registry().snapshot();
@@ -200,11 +236,6 @@ impl Harness {
                 })
                 .unwrap_or(0)
         };
-        let hits = get("cache.hits");
-        let misses = get("cache.misses");
-        if hits + misses > 0 {
-            obs::gauge("cache.hit_rate").set(ratio(hits, hits + misses));
-        }
         let tasks = get("fault.tasks");
         if tasks > 0 {
             obs::gauge("fault.quarantine_rate").set(ratio(get("fault.quarantined"), tasks));

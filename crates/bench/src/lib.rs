@@ -7,14 +7,10 @@
 
 pub mod harness;
 pub mod perf;
-pub mod progress;
 pub mod resume;
 
 pub use harness::Harness;
-pub use perf::{
-    write_bench_arch, write_bench_cache, write_bench_sta, ArchGroup, CacheTiming, StaDesign,
-};
-pub use progress::Progress;
+pub use perf::{write_bench_arch, write_bench_sta, ArchGroup, StaDesign};
 pub use resume::{resumable_sweep, SweepOutcome};
 
 use std::fmt::Write as _;

@@ -1,9 +1,8 @@
 //! Machine-readable performance trajectory records.
 //!
-//! [`write_bench_cache`], [`write_bench_arch`] and [`write_bench_sta`] emit
-//! `BENCH_cache.json`, `BENCH_arch.json` and `BENCH_sta.json`: the
-//! golden-model memoization payoff, the lane-engine fault-injection
-//! throughput, and full-pass vs incremental STA. Every record carries the
+//! [`write_bench_arch`] and [`write_bench_sta`] emit `BENCH_arch.json` and
+//! `BENCH_sta.json`: the lane-engine fault-injection throughput and
+//! full-pass vs incremental STA. Every record carries the
 //! machine's core count and the code version, and `lori-report diff`
 //! compares a fresh record against the committed one.
 
@@ -46,65 +45,6 @@ fn write_record(
     )
     .unwrap_or_else(|err| panic!("write {file}: {err}"));
     path
-}
-
-/// One timed pass of the fixed golden-model workload for the cache bench.
-#[derive(Debug, Clone, Copy)]
-pub struct CacheTiming {
-    /// Wall-clock seconds for the whole workload.
-    pub wall_s: f64,
-    /// Cache hit fraction observed during the pass (0 for a cold pass).
-    pub hit_rate: f64,
-}
-
-impl CacheTiming {
-    fn to_value(self, calls: usize) -> Value {
-        #[allow(clippy::cast_precision_loss)]
-        let cps = if self.wall_s > 0.0 {
-            calls as f64 / self.wall_s
-        } else {
-            0.0
-        };
-        Value::Obj(vec![
-            ("wall_s".to_owned(), Value::from(self.wall_s)),
-            ("calls_per_s".to_owned(), Value::from(cps)),
-            ("hit_rate".to_owned(), Value::from(self.hit_rate)),
-        ])
-    }
-}
-
-/// Writes `<dir>/BENCH_cache.json` — the golden-model memoization record:
-/// one fixed workload (`characterize_library` + `mlchar::train` over the
-/// default 60-cell library, `golden_calls` golden queries), timed cold
-/// (empty cache) and warm (fully populated). Returns the path written.
-///
-/// # Panics
-///
-/// Panics if `dir` cannot be created or the record cannot be written.
-pub fn write_bench_cache(
-    dir: &Path,
-    golden_calls: usize,
-    cache_mode: &str,
-    cold: CacheTiming,
-    warm: CacheTiming,
-) -> PathBuf {
-    let speedup = if warm.wall_s > 0.0 {
-        cold.wall_s / warm.wall_s
-    } else {
-        0.0
-    };
-    write_record(
-        dir,
-        "BENCH_cache.json",
-        "golden_cache",
-        vec![("golden_calls".to_owned(), Value::from(golden_calls as u64))],
-        vec![
-            ("cache_mode".to_owned(), Value::from(cache_mode)),
-            ("cold".to_owned(), cold.to_value(golden_calls)),
-            ("warm".to_owned(), warm.to_value(golden_calls)),
-            ("speedup".to_owned(), Value::from(speedup)),
-        ],
-    )
 }
 
 /// One measured injection workload for the lane-engine record: the same
@@ -357,36 +297,6 @@ mod tests {
         assert_eq!(
             d.get("single_edit_speedup").and_then(Value::as_f64),
             Some(200.0)
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bench_cache_record_round_trips() {
-        let dir = std::env::temp_dir().join(format!("lori-perf-cache-{}", std::process::id()));
-        let path = write_bench_cache(
-            &dir,
-            2160,
-            "mem",
-            CacheTiming {
-                wall_s: 8.0,
-                hit_rate: 0.0,
-            },
-            CacheTiming {
-                wall_s: 0.5,
-                hit_rate: 1.0,
-            },
-        );
-        let text = std::fs::read_to_string(&path).expect("record written");
-        let v = Value::parse(&text).expect("valid json");
-        assert_eq!(v.get("bench").and_then(Value::as_str), Some("golden_cache"));
-        assert_eq!(v.get("speedup").and_then(Value::as_f64), Some(16.0));
-        assert_eq!(v.get("cache_mode").and_then(Value::as_str), Some("mem"));
-        let warm = v.get("warm").expect("warm block");
-        assert_eq!(warm.get("hit_rate").and_then(Value::as_f64), Some(1.0));
-        assert_eq!(
-            warm.get("calls_per_s").and_then(Value::as_f64),
-            Some(4320.0)
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -232,13 +232,9 @@ pub fn resumable_sweep(
         .filter(|t| points[t.index].is_none())
         .collect();
     let wal = Mutex::new(wal);
-    // Heartbeat under LORI_PROGRESS=stderr: one unit per probability point,
-    // ticked from whichever worker finishes it.
-    let progress = crate::Progress::start("sweep", missing.len() as u64);
     let out = h.phase("sweep", || {
         par_map_recover(lori_par::global(), policy, &missing, |_, task| {
             let point = run_point(task, trace, config)?;
-            progress.tick();
             // Write-ahead: the point is durable before the sweep moves on.
             if let Some(writer) = wal
                 .lock()

@@ -1,23 +1,51 @@
-//! A malformed `LORI_FAULT_PLAN` must stop an experiment binary before it
-//! writes anything, instead of running fault-free under a warning.
+//! An environment an experiment binary would misread must stop it before it
+//! writes anything, instead of running under a warning or a silent default:
+//! a malformed `LORI_FAULT_PLAN`, a `LORI_*` name the workspace does not
+//! read, or a `LORI_THREADS` that is not a non-negative integer.
 
 use std::process::Command;
 
-#[test]
-fn malformed_fault_plan_exits_2_without_artifacts() {
-    let dir = std::env::temp_dir().join(format!("lori-bad-plan-{}", std::process::id()));
+/// Runs `exp-fig5` with `var=value` and asserts it exits 2, names `var` on
+/// stderr, and leaves no result or manifest behind.
+fn assert_rejected(tag: &str, var: &str, value: &str) {
+    let dir = std::env::temp_dir().join(format!("lori-bad-env-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let out = Command::new(env!("CARGO_BIN_EXE_exp-fig5"))
-        .env("LORI_FAULT_PLAN", "pnic@sweep.point:3")
+        .env(var, value)
         .env("LORI_RESULTS_DIR", &dir)
         .output()
         .expect("spawn exp-fig5");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("LORI_FAULT_PLAN"), "stderr: {stderr}");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{var}={value}, stderr: {stderr}"
+    );
+    assert!(stderr.contains(var), "{var}={value}, stderr: {stderr}");
     assert!(
         !dir.join("exp-fig5.points.json").exists(),
-        "no sweep result from a rejected plan"
+        "no sweep result from a rejected {var}"
+    );
+    assert!(
+        !dir.join("exp-fig5.manifest.json").exists(),
+        "no manifest from a rejected {var}"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn malformed_fault_plan_exits_2_without_artifacts() {
+    assert_rejected("plan", "LORI_FAULT_PLAN", "pnic@sweep.point:3");
+}
+
+#[test]
+fn unknown_lori_variable_exits_2_without_artifacts() {
+    // The deleted golden-model cache's switch: a leftover setting must not
+    // be silently ignored.
+    assert_rejected("unknown", "LORI_CACHE", "disk");
+}
+
+#[test]
+fn malformed_thread_count_exits_2_without_artifacts() {
+    assert_rejected("threads", "LORI_THREADS", "abc");
 }

@@ -167,23 +167,30 @@ fn build_library(
         .flat_map(|kind| DRIVE_STRENGTHS.into_iter().map(move |drive| (kind, drive)))
         .collect();
     let _span = lori_obs::span("circuit.characterize_library");
-    let progress = lori_obs::Progress::start("characterize", catalog.len() as u64);
     // `panic@circuit.characterize:<N>` faults the N-th catalog cell; the
     // index is the deterministic catalog position, so the same cell faults
     // under any worker count.
     let cells = lori_par::par_map(par, &catalog, |ci, &(kind, drive)| {
         #[allow(clippy::cast_possible_truncation)]
         lori_fault::check_panic("circuit.characterize", ci as u64);
-        let cell = characterize_cell(sim, kind, drive, corner, she);
-        progress.tick();
-        cell
+        characterize_cell(sim, kind, drive, corner, she)
     });
-    drop(progress);
     let mut lib = Library::new();
     for cell in cells {
         lib.add(cell?)?;
     }
     Ok(lib)
+}
+
+/// The default-corner library, characterized once per test binary and shared
+/// by every unit test in this crate that only reads it.
+#[cfg(test)]
+pub(crate) fn default_library() -> &'static Library {
+    static LIB: std::sync::OnceLock<Library> = std::sync::OnceLock::new();
+    LIB.get_or_init(|| {
+        let sim = GoldenSimulator::new(crate::tech::TechParams::default()).unwrap();
+        characterize_library(&sim, &Corner::default()).unwrap()
+    })
 }
 
 /// Builds the Fig.-3 "temperatures in the delay slots" library: cells whose
@@ -234,7 +241,7 @@ mod tests {
 
     #[test]
     fn catalog_has_sixty_cells() {
-        let lib = characterize_library(&sim(), &Corner::default()).unwrap();
+        let lib = default_library();
         assert_eq!(lib.len(), 60);
         assert!(lib.find("INV_X1").is_some());
         assert!(lib.find("MAJ3_X8").is_some());
@@ -242,7 +249,7 @@ mod tests {
 
     #[test]
     fn tables_are_monotone_in_load() {
-        let lib = characterize_library(&sim(), &Corner::default()).unwrap();
+        let lib = default_library();
         let inv = lib.cell(lib.find("INV_X1").unwrap());
         let (d_small, _) = inv.timing(20.0, 1.0);
         let (d_big, _) = inv.timing(20.0, 8.0);
@@ -251,10 +258,9 @@ mod tests {
 
     #[test]
     fn she_library_is_slower_than_plain() {
-        let s = sim();
-        let plain = characterize_library(&s, &Corner::default()).unwrap();
-        let she =
-            characterize_library_with_she(&s, &Corner::default(), &SheModel::default()).unwrap();
+        let plain = default_library();
+        let she = characterize_library_with_she(&sim(), &Corner::default(), &SheModel::default())
+            .unwrap();
         // SHE heats devices, so delays must be >= everywhere we sample.
         let a = plain.cell(plain.find("NAND2_X1").unwrap());
         let b = she.cell(she.find("NAND2_X1").unwrap());
@@ -265,13 +271,12 @@ mod tests {
 
     #[test]
     fn aged_corner_is_slower() {
-        let s = sim();
-        let fresh = characterize_library(&s, &Corner::default()).unwrap();
+        let fresh = default_library();
         let aged_corner = Corner {
             delta_vth: Volts(0.05),
             ..Corner::default()
         };
-        let aged = characterize_library(&s, &aged_corner).unwrap();
+        let aged = characterize_library(&sim(), &aged_corner).unwrap();
         let f = fresh.cell(fresh.find("XOR2_X2").unwrap());
         let a = aged.cell(aged.find("XOR2_X2").unwrap());
         assert!(a.timing(20.0, 4.0).0 > f.timing(20.0, 4.0).0);
@@ -279,9 +284,8 @@ mod tests {
 
     #[test]
     fn she_as_delay_holds_temperatures() {
-        let s = sim();
-        let timing = characterize_library(&s, &Corner::default()).unwrap();
-        let she_lib = she_as_delay_library(&timing, &SheModel::default()).unwrap();
+        let timing = default_library();
+        let she_lib = she_as_delay_library(timing, &SheModel::default()).unwrap();
         assert_eq!(she_lib.len(), timing.len());
         let cell = she_lib.cell(she_lib.find("INV_X1").unwrap());
         // "Delays" are now kelvin in the Fig.-2 regime, not ps.

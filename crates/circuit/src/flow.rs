@@ -209,7 +209,7 @@ fn worst_case_contexts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::characterize::{characterize_library, Corner};
+    use crate::characterize::default_library;
     use crate::mlchar::MlCharConfig;
     use crate::netlist::processor_datapath;
     use crate::sta::{run_sta, run_sta_with_overrides};
@@ -218,7 +218,7 @@ mod tests {
 
     struct Setup {
         sim: GoldenSimulator,
-        lib: Library,
+        lib: &'static Library,
         netlist: Netlist,
         ml: MlCharacterizer,
     }
@@ -227,11 +227,11 @@ mod tests {
         static S: OnceLock<Setup> = OnceLock::new();
         S.get_or_init(|| {
             let sim = GoldenSimulator::new(TechParams::default()).unwrap();
-            let lib = characterize_library(&sim, &Corner::default()).unwrap();
-            let netlist = processor_datapath(&lib, 4, 11).unwrap();
+            let lib = default_library();
+            let netlist = processor_datapath(lib, 4, 11).unwrap();
             let ml = MlCharacterizer::train_for_netlist(
                 &sim,
-                &lib,
+                lib,
                 &netlist,
                 &MlCharConfig {
                     samples_per_cell: 90,
@@ -253,7 +253,7 @@ mod tests {
     fn flow_produces_ordered_guardbands() {
         let s = setup();
         let report =
-            run_she_flow(&s.sim, &s.lib, &s.netlist, &s.ml, &SheFlowConfig::default()).unwrap();
+            run_she_flow(&s.sim, s.lib, &s.netlist, &s.ml, &SheFlowConfig::default()).unwrap();
         // nominal <= accurate <= worst-case (allowing small ML noise).
         assert!(
             report.accurate.max_arrival_ps > report.nominal.max_arrival_ps * 0.98,
@@ -273,7 +273,7 @@ mod tests {
     fn per_instance_she_spreads_like_fig2() {
         let s = setup();
         let report =
-            run_she_flow(&s.sim, &s.lib, &s.netlist, &s.ml, &SheFlowConfig::default()).unwrap();
+            run_she_flow(&s.sim, s.lib, &s.netlist, &s.ml, &SheFlowConfig::default()).unwrap();
         let she = &report.instance_she_k;
         let min = she.iter().copied().fold(f64::INFINITY, f64::min);
         let max = she.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -286,7 +286,7 @@ mod tests {
     fn pessimism_reduction_is_positive() {
         let s = setup();
         let report =
-            run_she_flow(&s.sim, &s.lib, &s.netlist, &s.ml, &SheFlowConfig::default()).unwrap();
+            run_she_flow(&s.sim, s.lib, &s.netlist, &s.ml, &SheFlowConfig::default()).unwrap();
         let saving = report.pessimism_reduction();
         assert!(
             saving > 0.0 && saving <= 1.0,
@@ -324,7 +324,7 @@ mod tests {
     fn engine_flow_matches_four_pass_oracle_exactly() {
         let s = setup();
         let config = SheFlowConfig::default();
-        let engine = run_she_flow(&s.sim, &s.lib, &s.netlist, &s.ml, &config).unwrap();
+        let engine = run_she_flow(&s.sim, s.lib, &s.netlist, &s.ml, &config).unwrap();
         let oracle = four_pass_flow(s, &config);
         assert_eq!(engine.instance_she_k, oracle.instance_she_k);
         assert_eq!(engine.instance_delta_vth_v, oracle.instance_delta_vth_v);
@@ -337,7 +337,7 @@ mod tests {
     fn aging_shifts_are_plausible() {
         let s = setup();
         let report =
-            run_she_flow(&s.sim, &s.lib, &s.netlist, &s.ml, &SheFlowConfig::default()).unwrap();
+            run_she_flow(&s.sim, s.lib, &s.netlist, &s.ml, &SheFlowConfig::default()).unwrap();
         for &dv in &report.instance_delta_vth_v {
             assert!(dv > 0.0 && dv < 0.15, "ΔVth {dv} V");
         }

@@ -151,19 +151,8 @@ pub fn parse_netlist(text: &str, lib: &Library) -> Result<Netlist, CircuitError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::characterize::{characterize_library, Corner};
+    use crate::characterize::default_library as lib;
     use crate::netlist::{random_logic, ripple_carry_adder};
-    use crate::spicelike::GoldenSimulator;
-    use crate::tech::TechParams;
-    use std::sync::OnceLock;
-
-    fn lib() -> &'static Library {
-        static LIB: OnceLock<Library> = OnceLock::new();
-        LIB.get_or_init(|| {
-            let sim = GoldenSimulator::new(TechParams::default()).unwrap();
-            characterize_library(&sim, &Corner::default()).unwrap()
-        })
-    }
 
     #[test]
     fn roundtrip_preserves_structure_and_function() {

@@ -150,7 +150,6 @@ impl MlCharacterizer {
             })
             .collect();
         let _span = lori_obs::span("circuit.mlchar.train");
-        let progress = lori_obs::Progress::start("mlchar.train", tasks.len() as u64);
         let fitted = lori_par::par_map(par, &tasks, |_, (cell_id, cell_rng)| {
             let cell = lib.cell(*cell_id);
             let mut rng = cell_rng.clone();
@@ -208,10 +207,8 @@ impl MlCharacterizer {
                 .map_err(|e| CircuitError::Training(e.to_string()))?;
             let out_slew = GradientBoostRegressor::fit(&slew_ds, &gb_cfg)
                 .map_err(|e| CircuitError::Training(e.to_string()))?;
-            progress.tick();
             Ok((cell_id.0, CellModels { delay, out_slew }))
         });
-        drop(progress);
         // First error in cell-list order wins, matching the serial flow.
         let mut models = HashMap::new();
         for f in fitted {
@@ -375,17 +372,15 @@ pub fn golden_instance_library(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::characterize::{characterize_library, Corner};
+    use crate::characterize::default_library;
     use crate::netlist::ripple_carry_adder;
     use crate::tech::TechParams;
     use std::sync::OnceLock;
 
     fn setup() -> (&'static GoldenSimulator, &'static Library) {
         static SIM: OnceLock<GoldenSimulator> = OnceLock::new();
-        static LIB: OnceLock<Library> = OnceLock::new();
         let sim = SIM.get_or_init(|| GoldenSimulator::new(TechParams::default()).unwrap());
-        let lib = LIB.get_or_init(|| characterize_library(sim, &Corner::default()).unwrap());
-        (sim, lib)
+        (sim, default_library())
     }
 
     fn small_config() -> MlCharConfig {

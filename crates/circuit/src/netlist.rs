@@ -896,18 +896,7 @@ pub fn processor_datapath(lib: &Library, width: usize, seed: u64) -> Result<Netl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::characterize::{characterize_library, Corner};
-    use crate::spicelike::GoldenSimulator;
-    use crate::tech::TechParams;
-    use std::sync::OnceLock;
-
-    fn lib() -> &'static Library {
-        static LIB: OnceLock<Library> = OnceLock::new();
-        LIB.get_or_init(|| {
-            let sim = GoldenSimulator::new(TechParams::default()).unwrap();
-            characterize_library(&sim, &Corner::default()).unwrap()
-        })
-    }
+    use crate::characterize::default_library as lib;
 
     fn to_bits(mut v: u64, n: usize) -> Vec<bool> {
         let mut bits = Vec::with_capacity(n);

@@ -14,41 +14,7 @@
 use crate::cell::CellKind;
 use crate::error::CircuitError;
 use crate::tech::TechParams;
-use lori_cache::{Cache, CacheKey, CachePayload, KeyBuilder};
 use lori_core::units::{Celsius, Volts};
-use std::sync::{Arc, OnceLock};
-
-/// Bump whenever the transient engine's numerics change in any way that can
-/// alter an [`ArcTiming`] bit pattern — it is the cache-invalidation switch
-/// for every previously persisted golden result.
-const GOLDEN_KEY_VERSION: u32 = 1;
-
-/// The process-wide golden-result cache, in the mode `LORI_CACHE` selects.
-/// Shared by every [`GoldenSimulator::new`] so the 18 `exp-*` binaries and
-/// all tests pool their memoized arcs; [`GoldenSimulator::with_cache`]
-/// opts out of the sharing.
-fn global_golden_cache() -> Arc<Cache<ArcTiming>> {
-    static CACHE: OnceLock<Arc<Cache<ArcTiming>>> = OnceLock::new();
-    Arc::clone(CACHE.get_or_init(|| Arc::new(Cache::new(lori_cache::global_mode().clone()))))
-}
-
-impl CachePayload for ArcTiming {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.delay_ps.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.out_slew_ps.to_bits().to_le_bytes());
-    }
-
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() != 16 {
-            return None;
-        }
-        let word = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8-byte slice"));
-        Some(ArcTiming {
-            delay_ps: f64::from_bits(word(0)),
-            out_slew_ps: f64::from_bits(word(8)),
-        })
-    }
-}
 
 /// One characterization query: the full operating context of a cell arc.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,62 +39,28 @@ pub struct ArcTiming {
 }
 
 /// The golden transient engine.
-///
-/// Characterization results are memoized through a content-addressed
-/// [`Cache`] (see `lori-cache`): the key covers every input that can alter
-/// the numerics — all technology parameters, the integration settings, the
-/// cell kind, drive, and the full operating point — so a hit is exactly the
-/// bytes a recompute would produce.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GoldenSimulator {
     tech: TechParams,
     /// Integration steps per input-slew unit; total step count is
     /// `steps_per_ps × simulated time`, floored at `min_steps`.
     steps_per_ps: f64,
     min_steps: usize,
-    cache: Arc<Cache<ArcTiming>>,
-}
-
-impl PartialEq for GoldenSimulator {
-    fn eq(&self, other: &Self) -> bool {
-        // The cache is a transparent accelerator: two simulators with the
-        // same physics are equal regardless of what either has memoized.
-        self.tech == other.tech
-            && self.steps_per_ps == other.steps_per_ps
-            && self.min_steps == other.min_steps
-    }
 }
 
 impl GoldenSimulator {
-    /// Creates a simulator over the given technology, sharing the
-    /// process-wide golden cache (mode from `LORI_CACHE`, default `mem`).
+    /// Creates a simulator over the given technology.
     ///
     /// # Errors
     ///
     /// Returns [`CircuitError::InvalidParameter`] if the technology fails
     /// validation.
     pub fn new(tech: TechParams) -> Result<Self, CircuitError> {
-        Self::with_cache(tech, global_golden_cache())
-    }
-
-    /// Creates a simulator with a caller-supplied cache (e.g. a private
-    /// [`lori_cache::CacheMode::Off`] cache for baseline timing, or a disk cache over
-    /// a custom directory).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::InvalidParameter`] if the technology fails
-    /// validation.
-    pub fn with_cache(
-        tech: TechParams,
-        cache: Arc<Cache<ArcTiming>>,
-    ) -> Result<Self, CircuitError> {
         tech.validate()?;
         Ok(GoldenSimulator {
             tech,
             steps_per_ps: 40.0,
             min_steps: 20_000,
-            cache,
         })
     }
 
@@ -138,61 +70,13 @@ impl GoldenSimulator {
         &self.tech
     }
 
-    /// The memoization cache this simulator consults.
-    #[must_use]
-    pub fn cache(&self) -> &Arc<Cache<ArcTiming>> {
-        &self.cache
-    }
-
-    /// The content-addressed key for one characterization query: every
-    /// field that feeds the transient integration, in a fixed order.
-    fn cache_key(&self, kind: CellKind, drive: f64, op: &OperatingPoint) -> CacheKey {
-        let mut b = KeyBuilder::new("circuit.golden", GOLDEN_KEY_VERSION);
-        b.push_f64(self.tech.vdd.value())
-            .push_f64(self.tech.vth0.value())
-            .push_f64(self.tech.alpha)
-            .push_f64(self.tech.t_ref.0)
-            .push_f64(self.tech.mobility_exponent)
-            .push_f64(self.tech.vth_temp_coeff)
-            .push_f64(self.tech.unit_current_ua)
-            .push_f64(self.tech.unit_pin_cap_ff)
-            .push_f64(self.steps_per_ps)
-            .push_u64(self.min_steps as u64)
-            .push_str(kind.prefix())
-            .push_f64(drive)
-            .push_f64(op.slew_ps)
-            .push_f64(op.load_ff)
-            .push_f64(op.temperature.0)
-            .push_f64(op.delta_vth.value());
-        b.finish()
-    }
-
-    /// Characterizes one arc of `kind` at `drive` under `op`, consulting
-    /// the cache first. Bit-identical to [`characterize_uncached`] — the
-    /// cache can change wall-clock time only, never the result.
+    /// Characterizes one arc of `kind` at `drive` under `op` by running the
+    /// transient integration.
     ///
     /// Returns an [`ArcTiming`] with infinite delay if the device cannot
     /// switch (e.g. catastrophic aging).
-    ///
-    /// [`characterize_uncached`]: GoldenSimulator::characterize_uncached
     #[must_use]
     pub fn characterize(&self, kind: CellKind, drive: f64, op: &OperatingPoint) -> ArcTiming {
-        let key = self.cache_key(kind, drive, op);
-        self.cache
-            .get_or_compute(&key, || self.characterize_uncached(kind, drive, op))
-    }
-
-    /// Runs the transient integration unconditionally, bypassing the cache.
-    ///
-    /// Returns an [`ArcTiming`] with infinite delay if the device cannot
-    /// switch (e.g. catastrophic aging).
-    #[must_use]
-    pub fn characterize_uncached(
-        &self,
-        kind: CellKind,
-        drive: f64,
-        op: &OperatingPoint,
-    ) -> ArcTiming {
         let _span = lori_obs::span("circuit.transient.characterize");
         let vdd = self.tech.vdd.value();
         let vth = self.tech.vth_at(op.temperature, op.delta_vth).value();
@@ -301,7 +185,6 @@ fn mobility_factor(tech: &TechParams, t: Celsius) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lori_cache::CacheMode;
 
     fn sim() -> GoldenSimulator {
         GoldenSimulator::new(TechParams::default()).unwrap()
@@ -411,88 +294,5 @@ mod tests {
         let a = s.characterize(CellKind::Aoi21, 2.0, &op(40.0, 6.0));
         let b = s.characterize(CellKind::Aoi21, 2.0, &op(40.0, 6.0));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn cached_matches_uncached() {
-        let s = GoldenSimulator::with_cache(
-            TechParams::default(),
-            Arc::new(Cache::new(CacheMode::Mem)),
-        )
-        .unwrap();
-        for kind in [CellKind::Inv, CellKind::Maj3] {
-            for (slew, load) in [(5.0, 1.0), (40.0, 6.0), (160.0, 16.0)] {
-                let o = op(slew, load);
-                let direct = s.characterize_uncached(kind, 2.0, &o);
-                let cold = s.characterize(kind, 2.0, &o);
-                let warm = s.characterize(kind, 2.0, &o);
-                assert_eq!(direct, cold);
-                assert_eq!(cold, warm);
-            }
-        }
-        let stats = s.cache().stats();
-        assert_eq!((stats.hits, stats.misses), (6, 6));
-    }
-
-    #[test]
-    fn distinct_queries_get_distinct_keys() {
-        let s = sim();
-        let base = s.cache_key(CellKind::Inv, 1.0, &op(20.0, 4.0));
-        for (kind, drive, o) in [
-            (CellKind::Buf, 1.0, op(20.0, 4.0)),
-            (CellKind::Inv, 2.0, op(20.0, 4.0)),
-            (CellKind::Inv, 1.0, op(21.0, 4.0)),
-            (CellKind::Inv, 1.0, op(20.0, 4.5)),
-            (
-                CellKind::Inv,
-                1.0,
-                OperatingPoint {
-                    temperature: Celsius(26.0),
-                    ..op(20.0, 4.0)
-                },
-            ),
-            (
-                CellKind::Inv,
-                1.0,
-                OperatingPoint {
-                    delta_vth: Volts(0.01),
-                    ..op(20.0, 4.0)
-                },
-            ),
-        ] {
-            assert_ne!(base, s.cache_key(kind, drive, &o));
-        }
-        assert_eq!(base, s.cache_key(CellKind::Inv, 1.0, &op(20.0, 4.0)));
-    }
-
-    #[test]
-    fn tech_params_feed_the_key() {
-        let s = sim();
-        let mut tech = TechParams::default();
-        tech.vth0 = Volts(tech.vth0.value() + 0.001);
-        let s2 = GoldenSimulator::new(tech).unwrap();
-        assert_ne!(
-            s.cache_key(CellKind::Inv, 1.0, &op(20.0, 4.0)),
-            s2.cache_key(CellKind::Inv, 1.0, &op(20.0, 4.0)),
-        );
-    }
-
-    #[test]
-    fn arc_timing_payload_round_trips() {
-        for t in [
-            ArcTiming {
-                delay_ps: 12.345,
-                out_slew_ps: 67.875,
-            },
-            ArcTiming {
-                delay_ps: f64::INFINITY,
-                out_slew_ps: f64::INFINITY,
-            },
-        ] {
-            let mut bytes = Vec::new();
-            t.encode(&mut bytes);
-            assert_eq!(ArcTiming::decode(&bytes), Some(t));
-        }
-        assert_eq!(ArcTiming::decode(&[0u8; 15]), None);
     }
 }

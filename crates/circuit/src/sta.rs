@@ -793,20 +793,11 @@ impl Guardband {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::characterize::{characterize_library, Corner};
+    use crate::characterize::{characterize_library, default_library as lib, Corner};
     use crate::netlist::{random_logic, ripple_carry_adder};
     use crate::spicelike::GoldenSimulator;
     use crate::tech::TechParams;
     use lori_core::units::Volts;
-    use std::sync::OnceLock;
-
-    fn lib() -> &'static Library {
-        static LIB: OnceLock<Library> = OnceLock::new();
-        LIB.get_or_init(|| {
-            let sim = GoldenSimulator::new(TechParams::default()).unwrap();
-            characterize_library(&sim, &Corner::default()).unwrap()
-        })
-    }
 
     #[test]
     fn adder_delay_scales_with_width() {

@@ -262,16 +262,14 @@ impl RecordEncoder {
     /// [`RecordEncoder::n_features`].
     #[must_use]
     pub fn encode_batch(&self, rows: &[Vec<f64>], par: Parallelism) -> Vec<BinaryHv> {
-        let progress = lori_obs::Progress::start("hdc.encode", rows.len() as u64);
+        let _span = lori_obs::span("hdc.encode_batch");
         let chunks = lori_par::par_chunks(par, rows, ENCODE_CHUNK, |_, chunk| {
             // One scratch accumulator per chunk, reset per row.
             let mut acc = BundleAccumulator::new(self.dim());
-            let out = chunk
+            chunk
                 .iter()
                 .map(|row| self.encode_into(row, &mut acc))
-                .collect::<Vec<_>>();
-            progress.add(chunk.len() as u64);
-            out
+                .collect::<Vec<_>>()
         });
         chunks.into_iter().flatten().collect()
     }

@@ -14,8 +14,6 @@
 //! 3. **Run manifests** ([`RunManifest`]): a JSON document per experiment
 //!    run with seed, config, code version, wall time, per-phase breakdown,
 //!    and a metrics snapshot.
-//! 4. **Progress heartbeats** ([`Progress`]): rate-limited stderr lines
-//!    for long phases when `LORI_PROGRESS` asks for them.
 //!
 //! Install a [`JsonlRecorder`] to stream every event to an append-only
 //! `.events.jsonl` file:
@@ -38,7 +36,6 @@ pub(crate) mod fsio;
 pub mod json;
 pub mod manifest;
 pub mod metrics;
-pub mod progress;
 pub mod recorder;
 pub mod span;
 pub mod trace;
@@ -49,7 +46,6 @@ pub use metrics::{
     counter, gauge, histogram, registry, Counter, Gauge, Histogram, MetricSnapshot, MetricValue,
     Registry,
 };
-pub use progress::{progress_enabled, Progress};
 pub use recorder::{Event, JsonlRecorder, MemoryRecorder, NullRecorder, Recorder};
 pub use span::{in_span, span, span_with, Span};
 pub use trace::{ContextGuard, TraceContext};

@@ -17,8 +17,9 @@
 //!
 //! Worker counts resolve from the `LORI_THREADS` environment variable via
 //! [`Parallelism::from_env`] (unset or `0` → all available cores; `1` →
-//! serial fast path with zero thread spawns). Panics inside a task
-//! propagate to the caller after all workers have stopped.
+//! serial fast path with zero thread spawns; [`Parallelism::parse`] is the
+//! one parser). Panics inside a task propagate to the caller after all
+//! workers have stopped.
 
 #![warn(missing_docs)]
 
@@ -64,19 +65,39 @@ impl Parallelism {
         }
     }
 
-    /// Resolves the worker count from `LORI_THREADS`.
+    /// Parses a `LORI_THREADS` value: a non-negative integer worker count,
+    /// where `0` (or a blank value) means every available core and `1` the
+    /// serial fast path.
     ///
-    /// Unset, empty, unparsable, or `0` all mean "use every available
-    /// core"; any other value is the exact thread count (`1` = serial).
+    /// # Errors
+    ///
+    /// Anything else is a [`ParallelismError`] naming the value.
+    pub fn parse(s: &str) -> Result<Self, ParallelismError> {
+        let t = s.trim();
+        if t.is_empty() {
+            return Ok(Self::available());
+        }
+        match t.parse::<usize>() {
+            Ok(0) => Ok(Self::available()),
+            Ok(n) => Ok(Self::new(n)),
+            Err(_) => Err(ParallelismError {
+                value: s.to_owned(),
+            }),
+        }
+    }
+
+    /// Resolves the worker count from `LORI_THREADS` through
+    /// [`Parallelism::parse`]; unset means every available core.
+    ///
+    /// A value `parse` rejects also falls back to every core here, so
+    /// library callers never fail on it; the `exp-*` binaries reject it
+    /// before running (exit status 2).
     #[must_use]
     pub fn from_env() -> Self {
-        match std::env::var("LORI_THREADS") {
-            Ok(s) => match s.trim().parse::<usize>() {
-                Ok(0) | Err(_) => Self::available(),
-                Ok(n) => Self::new(n),
-            },
-            Err(_) => Self::available(),
-        }
+        std::env::var("LORI_THREADS")
+            .ok()
+            .and_then(|s| Self::parse(&s).ok())
+            .unwrap_or_else(Self::available)
     }
 
     /// The worker count.
@@ -91,6 +112,25 @@ impl Parallelism {
         self.threads.get() == 1
     }
 }
+
+/// A `LORI_THREADS` value that is not a non-negative integer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParallelismError {
+    /// The rejected value, as given.
+    pub value: String,
+}
+
+impl fmt::Display for ParallelismError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "invalid LORI_THREADS value {:?}: expected a non-negative integer (0 = all cores)",
+            self.value
+        )
+    }
+}
+
+impl std::error::Error for ParallelismError {}
 
 /// The process-wide default parallelism, resolved from `LORI_THREADS` once
 /// on first use and cached for the lifetime of the process.
@@ -507,6 +547,20 @@ mod tests {
         // is at least one thread.
         assert!(Parallelism::from_env().threads() >= 1);
         assert!(global().threads() >= 1);
+    }
+
+    #[test]
+    fn parallelism_parsing() {
+        let all = Parallelism::available();
+        assert_eq!(Parallelism::parse("1"), Ok(Parallelism::serial()));
+        assert_eq!(Parallelism::parse(" 4 "), Ok(Parallelism::new(4)));
+        assert_eq!(Parallelism::parse("0"), Ok(all));
+        assert_eq!(Parallelism::parse(""), Ok(all));
+        for bad in ["abc", "-1", "2.5", "4 threads"] {
+            let err = Parallelism::parse(bad).expect_err(bad);
+            assert_eq!(err.value, bad);
+            assert!(err.to_string().contains("LORI_THREADS"), "{err}");
+        }
     }
 
     #[test]
