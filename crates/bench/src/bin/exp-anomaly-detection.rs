@@ -165,8 +165,7 @@ fn main() {
         ),
     ]);
     let path = results_dir().join("exp-anomaly-detection.metrics.json");
-    if let Err(err) = lori_fault::atomic_write(&path, format!("{}\n", metrics.to_json()).as_bytes())
-    {
+    if let Err(err) = lori_obs::atomic_write(&path, format!("{}\n", metrics.to_json()).as_bytes()) {
         eprintln!("warning: metrics artifact not written: {err}");
     }
 

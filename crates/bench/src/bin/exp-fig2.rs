@@ -131,7 +131,7 @@ fn main() {
     // byte-identical files — CI compares them directly.
     let doc = Value::Arr(she.iter().map(|&v| Value::from(v)).collect());
     let path = results_dir().join("exp-fig2.she.json");
-    match lori_fault::atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes()) {
+    match lori_obs::atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes()) {
         Ok(()) => println!("she data: {}", path.display()),
         Err(err) => eprintln!("warning: she data not written: {err}"),
     }

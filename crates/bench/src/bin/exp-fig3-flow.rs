@@ -200,7 +200,7 @@ fn main() {
         ),
     ]);
     let path = results_dir().join("exp-fig3-flow.guardbands.json");
-    match lori_fault::atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes()) {
+    match lori_obs::atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes()) {
         Ok(()) => println!("guardband data: {}", path.display()),
         Err(err) => eprintln!("warning: guardband data not written: {err}"),
     }

@@ -2,12 +2,12 @@
 //!
 //! Every `exp-*` binary runs through a [`Harness`]: it prints the standard
 //! banner, installs a [`lori_obs::JsonlRecorder`] streaming to
-//! `results/<name>.events.jsonl` (disable with `LORI_OBS=off`), arms the
-//! `LORI_FAULT_PLAN` fault plan (if any), times each [`Harness::phase`],
-//! and on [`Harness::finish`] writes a [`lori_obs::RunManifest`] to
-//! `results/<name>.manifest.json` with the seed, config summary, code
-//! version, per-phase wall times, shape-check outcomes, and a snapshot of
-//! every metric the instrumented layers aggregated during the run.
+//! `results/<name>.events.jsonl` (disable with `LORI_OBS=off`), times each
+//! [`Harness::phase`], and on [`Harness::finish`] writes a
+//! [`lori_obs::RunManifest`] to `results/<name>.manifest.json` with the
+//! seed, config summary, code version, per-phase wall times, shape-check
+//! outcomes, and a snapshot of every metric the instrumented layers
+//! aggregated during the run.
 //!
 //! The harness never aborts a run over results plumbing: an uncreatable
 //! results directory degrades to a [`lori_obs::NullRecorder`] with a
@@ -20,11 +20,10 @@
 //! unwinding writes the manifest and renames the event stream into place,
 //! so `results/<name>.events.jsonl` holds every span up to the crash.
 //!
-//! A malformed `LORI_FAULT_PLAN` stops the run before anything is written:
-//! the binary exits with status 2 and names the variable and the parse
-//! error. So does an environment the run would otherwise misread: a
-//! `LORI_*` name the workspace does not read (a typo or a retired switch),
-//! or a `LORI_THREADS` that is not a non-negative integer.
+//! An environment the run would otherwise misread stops it before anything
+//! is written: a `LORI_*` name the workspace does not read (a typo or a
+//! retired switch), or a `LORI_THREADS` that is not a non-negative
+//! integer, makes the binary exit with status 2 and name the variable.
 
 use lori_obs as obs;
 use obs::Value;
@@ -39,11 +38,9 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Every `LORI_*` environment variable the workspace reads.
-const KNOWN_VARS: [&str; 6] = [
+const KNOWN_VARS: [&str; 4] = [
     "LORI_BENCH_SMOKE",
-    "LORI_FAULT_PLAN",
     "LORI_OBS",
-    "LORI_RECOVERY",
     "LORI_RESULTS_DIR",
     "LORI_THREADS",
 ];
@@ -91,8 +88,7 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// Starts an experiment: banner, results dir, recorder, fault plan,
-    /// manifest.
+    /// Starts an experiment: banner, results dir, recorder, manifest.
     ///
     /// `name` keys the output files (`results/<name>.events.jsonl`,
     /// `results/<name>.manifest.json`); `id` and `title` feed the banner.
@@ -101,8 +97,8 @@ impl Harness {
     /// be created, the run continues with a [`obs::NullRecorder`] and a
     /// stderr warning, and the write failure surfaces again from
     /// [`Harness::finish`]. Exits the process with status 2 when the
-    /// environment holds an unknown `LORI_*` name, a malformed
-    /// `LORI_THREADS`, or a `LORI_FAULT_PLAN` that does not parse.
+    /// environment holds an unknown `LORI_*` name or a malformed
+    /// `LORI_THREADS`.
     #[must_use]
     pub fn new(name: &str, id: &str, title: &str) -> Self {
         crate::banner(id, title);
@@ -110,10 +106,6 @@ impl Harness {
             eprintln!("error: {err}");
             std::process::exit(2)
         }
-        let plan = lori_fault::init_from_env().unwrap_or_else(|err| {
-            eprintln!("error: invalid LORI_FAULT_PLAN: {err}");
-            std::process::exit(2)
-        });
         let dir = results_dir();
         let dir_ok = match std::fs::create_dir_all(&dir) {
             Ok(()) => true,
@@ -146,13 +138,6 @@ impl Harness {
         }
         let mut manifest = obs::RunManifest::start(name);
         manifest.config("obs", events_path.is_some());
-        if let Some(plan) = plan {
-            let unknown = plan.unknown_sites();
-            if !unknown.is_empty() {
-                eprintln!("warning: fault plan names unknown sites: {unknown:?}");
-            }
-            manifest.config("fault_plan", plan.to_string_lossless());
-        }
         Harness {
             name: name.to_owned(),
             manifest,
@@ -221,25 +206,6 @@ impl Harness {
         }
         self.finished = true;
         obs::uninstall();
-        // Derived health ratio, computed after the recorder is gone so it
-        // lands in the manifest snapshot without touching the event stream.
-        // Read through a snapshot rather than `obs::counter`, which would
-        // register absent counters at zero in every manifest.
-        let counters = obs::registry().snapshot();
-        let get = |name: &str| {
-            counters
-                .iter()
-                .find(|m| m.name == name)
-                .and_then(|m| match m.value {
-                    obs::MetricValue::Counter(v) => Some(v),
-                    _ => None,
-                })
-                .unwrap_or(0)
-        };
-        let tasks = get("fault.tasks");
-        if tasks > 0 {
-            obs::gauge("fault.quarantine_rate").set(ratio(get("fault.quarantined"), tasks));
-        }
         if !self.checks.is_empty() {
             let checks = Value::Obj(
                 self.checks
@@ -259,12 +225,6 @@ impl Harness {
         println!();
         Ok(())
     }
-}
-
-/// `num / den` as a gauge value; callers guarantee `den > 0`.
-#[allow(clippy::cast_precision_loss)]
-fn ratio(num: u64, den: u64) -> f64 {
-    num as f64 / den as f64
 }
 
 impl Drop for Harness {

@@ -11,7 +11,6 @@ pub mod resume;
 
 pub use harness::Harness;
 pub use perf::{write_bench_arch, write_bench_sta, ArchGroup, StaDesign};
-pub use resume::{resumable_sweep, SweepOutcome};
 
 use std::fmt::Write as _;
 

@@ -39,7 +39,7 @@ fn write_record(
     ));
     std::fs::create_dir_all(dir).expect("create results dir");
     let path = dir.join(file);
-    lori_fault::atomic_write(
+    lori_obs::atomic_write(
         &path,
         format!("{}\n", Value::Obj(fields).to_json()).as_bytes(),
     )

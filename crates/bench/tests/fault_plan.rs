@@ -1,7 +1,7 @@
 //! An environment an experiment binary would misread must stop it before it
 //! writes anything, instead of running under a warning or a silent default:
-//! a malformed `LORI_FAULT_PLAN`, a `LORI_*` name the workspace does not
-//! read, or a `LORI_THREADS` that is not a non-negative integer.
+//! a `LORI_*` name the workspace does not read (a typo or a retired switch)
+//! or a `LORI_THREADS` that is not a non-negative integer.
 
 use std::process::Command;
 
@@ -34,15 +34,11 @@ fn assert_rejected(tag: &str, var: &str, value: &str) {
 }
 
 #[test]
-fn malformed_fault_plan_exits_2_without_artifacts() {
-    assert_rejected("plan", "LORI_FAULT_PLAN", "pnic@sweep.point:3");
-}
-
-#[test]
 fn unknown_lori_variable_exits_2_without_artifacts() {
-    // The deleted golden-model cache's switch: a leftover setting must not
-    // be silently ignored.
-    assert_rejected("unknown", "LORI_CACHE", "disk");
+    // Retired switches: a leftover setting must not be silently ignored.
+    assert_rejected("cache", "LORI_CACHE", "disk");
+    assert_rejected("recovery", "LORI_RECOVERY", "quarantine:1");
+    assert_rejected("plan", "LORI_FAULT_PLAN", "panic@sweep.point:3");
 }
 
 #[test]

@@ -12,22 +12,10 @@
 //!   `(seed, site, hit)`. Hit order is deterministic single-threaded and
 //!   statistically identical under parallelism.
 
+use crate::fnv64;
 use crate::plan::{Directive, FaultKind, FaultPlan};
-use crate::wal::fnv64;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, RwLock};
-
-/// Every registered injection site, by layer. Plans naming other sites
-/// still parse, but [`FaultPlan::unknown_sites`] flags them so harnesses
-/// can warn about typos.
-pub const SITES: &[&str] = &[
-    "sweep.point",          // ftsched::montecarlo — one unit per probability point
-    "checkpoint.state",     // ftsched::checkpoint — serialized checkpoint bytes
-    "circuit.lut",          // circuit::lut — every Lut2d::lookup result
-    "circuit.characterize", // circuit::characterize — one unit per cell
-    "circuit.mlchar",       // circuit::mlchar — golden training samples
-    "hdc.encoder",          // hdc::encoder — encoded hypervectors
-];
 
 /// Fast-path switch: `true` only while a non-empty plan is armed.
 static ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -74,8 +62,9 @@ fn install(plan: &FaultPlan) {
     ACTIVE.store(enabled, Ordering::Relaxed);
 }
 
-/// Arms `plan` for the lifetime of the returned guard. Intended for tests
-/// and library callers; binaries use [`init_from_env`].
+/// Arms `plan` for the lifetime of the returned guard. This is the only
+/// way to arm a plan: fault injection is for tests, never a run-time
+/// switch of the experiment binaries.
 ///
 /// # Panics
 ///
@@ -94,21 +83,6 @@ pub fn clear() {
     let mut slot = ARMED.write().expect("fault plan lock poisoned");
     slot.clear();
     ACTIVE.store(false, Ordering::Relaxed);
-}
-
-/// Parses `LORI_FAULT_PLAN` and arms it for the rest of the process.
-/// Returns the armed plan (if any) so harnesses can record it in their
-/// manifest and warn about unknown sites.
-///
-/// # Errors
-///
-/// Propagates [`crate::PlanError`] from parsing.
-pub fn init_from_env() -> Result<Option<FaultPlan>, crate::PlanError> {
-    let Some(plan) = FaultPlan::from_env()? else {
-        return Ok(None);
-    };
-    install(&plan);
-    Ok(Some(plan))
 }
 
 /// `true` while a non-empty fault plan is armed (one relaxed load).

@@ -37,16 +37,6 @@ impl FaultKind {
             _ => None,
         }
     }
-
-    /// The grammar keyword for this kind.
-    #[must_use]
-    pub fn keyword(&self) -> &'static str {
-        match self {
-            FaultKind::Panic => "panic",
-            FaultKind::Nan => "nan",
-            FaultKind::BitFlip => "bitflip",
-        }
-    }
 }
 
 /// One parsed fault directive.
@@ -54,7 +44,8 @@ impl FaultKind {
 pub struct Directive {
     /// What to inject.
     pub kind: FaultKind,
-    /// The injection-site name it arms (see [`crate::SITES`]).
+    /// The injection-site name it arms (the sites are listed in the crate
+    /// docs).
     pub site: String,
     /// For [`FaultKind::Panic`]: the unit index to panic at.
     pub index: Option<u64>,
@@ -111,66 +102,10 @@ impl FaultPlan {
         Ok(FaultPlan { directives })
     }
 
-    /// Parses the `LORI_FAULT_PLAN` environment variable. `Ok(None)` when
-    /// the variable is unset or blank.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FaultPlan::parse`].
-    pub fn from_env() -> Result<Option<FaultPlan>, PlanError> {
-        match std::env::var("LORI_FAULT_PLAN") {
-            Ok(text) if !text.trim().is_empty() => {
-                let plan = FaultPlan::parse(&text)?;
-                Ok((!plan.directives.is_empty()).then_some(plan))
-            }
-            _ => Ok(None),
-        }
-    }
-
     /// `true` when the plan has no directives.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.directives.is_empty()
-    }
-
-    /// Site names referenced by the plan that are not in the registry
-    /// ([`crate::SITES`]) — usually typos worth warning about.
-    #[must_use]
-    pub fn unknown_sites(&self) -> Vec<&str> {
-        self.directives
-            .iter()
-            .map(|d| d.site.as_str())
-            .filter(|s| !crate::SITES.contains(s))
-            .collect()
-    }
-
-    /// Renders the plan back in grammar form (stable across parse cycles).
-    #[must_use]
-    pub fn to_string_lossless(&self) -> String {
-        let mut out = String::new();
-        for (i, d) in self.directives.iter().enumerate() {
-            if i > 0 {
-                out.push(';');
-            }
-            out.push_str(d.kind.keyword());
-            out.push('@');
-            out.push_str(&d.site);
-            let mut args = Vec::new();
-            if let Some(idx) = d.index {
-                args.push(idx.to_string());
-            }
-            if d.rate != 1.0 {
-                args.push(format!("rate={}", d.rate));
-            }
-            if d.seed != 0 {
-                args.push(format!("seed={}", d.seed));
-            }
-            if !args.is_empty() {
-                out.push(':');
-                out.push_str(&args.join(","));
-            }
-        }
-        out
     }
 }
 
@@ -251,7 +186,6 @@ mod tests {
         assert!((plan.directives[1].rate - 1e-3).abs() < 1e-18);
         assert_eq!(plan.directives[2].kind, FaultKind::BitFlip);
         assert_eq!(plan.directives[2].seed, 9);
-        assert!(plan.unknown_sites().is_empty());
     }
 
     #[test]
@@ -281,20 +215,5 @@ mod tests {
         assert!(FaultPlan::parse("nan@x:rate=abc").is_err());
         assert!(FaultPlan::parse("panic@x:minus").is_err());
         assert!(FaultPlan::parse("justtext").is_err());
-    }
-
-    #[test]
-    fn unknown_sites_are_flagged() {
-        let plan = FaultPlan::parse("panic@sweep.piont:1").unwrap();
-        assert_eq!(plan.unknown_sites(), vec!["sweep.piont"]);
-    }
-
-    #[test]
-    fn roundtrips_through_display() {
-        let text =
-            "panic@sweep.point:17;nan@circuit.lut:rate=0.001;bitflip@checkpoint.state:seed=9";
-        let plan = FaultPlan::parse(text).unwrap();
-        let rendered = plan.to_string_lossless();
-        assert_eq!(FaultPlan::parse(&rendered).unwrap(), plan);
     }
 }

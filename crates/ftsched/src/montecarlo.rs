@@ -4,10 +4,9 @@
 //!
 //! Every point is a pure function of `(axis index, config, trace)` — the
 //! per-point RNG stream is derived from the seed and the point's index,
-//! never from timing or worker identity. That purity is what the layers
-//! above stack execution modes on: `lori_par::par_map` fans points out
-//! over threads and `lori-bench`'s resumable sweep replays them from a
-//! WAL — both producing bit-identical results.
+//! never from timing or worker identity. That purity is what lets
+//! `lori_par::par_map` fan points out over threads with bit-identical
+//! results at every worker count.
 
 use crate::checkpoint::CheckpointSystem;
 use crate::error::FtError;
@@ -147,14 +146,13 @@ pub fn sweep_with(
 /// One probability point's unit of work: its index on the axis, its
 /// probability, and the RNG stream that was split off the sweep root for
 /// it. Tasks are produced by [`point_tasks`] and executed by
-/// [`run_point`]; resumable harnesses schedule any subset of them in any
-/// order without changing results.
+/// [`run_point`] in any order without changing results.
 #[derive(Debug, Clone)]
-pub struct PointTask {
+struct PointTask {
     /// Index of this point on the probability axis.
-    pub index: usize,
+    index: usize,
     /// The per-cycle error probability.
-    pub p: f64,
+    p: f64,
     errors: ErrorModel,
     rng: Rng,
 }
@@ -167,7 +165,7 @@ pub struct PointTask {
 /// # Errors
 ///
 /// Same as [`SweepConfig::validate`].
-pub fn point_tasks(
+fn point_tasks(
     p_values: &[f64],
     trace: &[Cycles],
     config: &SweepConfig,
@@ -277,7 +275,7 @@ pub fn observable_rollback_caps(trace: &[Cycles], config: &SweepConfig) -> Vec<u
 ///
 /// [`FtError::NonFinite`] when a per-point statistic comes out non-finite
 /// (injected or real).
-pub fn run_point(
+fn run_point(
     task: &PointTask,
     trace: &[Cycles],
     config: &SweepConfig,

@@ -2,10 +2,10 @@
 //! live in their own integration-test process because a fault plan is
 //! process-global state.
 
-use lori_ftsched::montecarlo::{point_tasks, run_point, sweep_with, SweepConfig};
+use lori_ftsched::montecarlo::{sweep_with, SweepConfig};
 use lori_ftsched::workload::adpcm_reference_trace;
 use lori_ftsched::FtError;
-use lori_par::{par_map_recover, Parallelism, RecoveryPolicy};
+use lori_par::Parallelism;
 
 fn quick_config() -> SweepConfig {
     SweepConfig {
@@ -24,38 +24,21 @@ fn inert_guard() -> lori_fault::PlanGuard {
 }
 
 #[test]
-fn injected_panic_quarantines_one_point_and_leaves_the_rest_bit_identical() {
+fn injected_panic_at_one_point_propagates_out_of_the_sweep() {
     let trace = adpcm_reference_trace();
     let config = quick_config();
-    let clean = {
-        let _guard = inert_guard();
-        sweep_with(&AXIS, &trace, &config, Parallelism::serial()).unwrap()
-    };
-
     let plan = lori_fault::FaultPlan::parse("panic@sweep.point:2").unwrap();
     let _guard = lori_fault::activate(&plan);
     for workers in [1, 2, 4] {
-        let tasks = point_tasks(&AXIS, &trace, &config).unwrap();
-        let out = par_map_recover(
-            Parallelism::new(workers),
-            RecoveryPolicy::Quarantine { retries: 1 },
-            &tasks,
-            |_, task| run_point(task, &trace, &config).expect("finite point"),
-        );
-        assert_eq!(out.failures.len(), 1, "workers={workers}");
-        assert_eq!(out.failures[0].index, 2);
-        assert!(out.failures[0].message.contains("sweep.point[2]"));
-        for (i, slot) in out.results.iter().enumerate() {
-            if i == 2 {
-                assert!(slot.is_none());
-            } else {
-                assert_eq!(
-                    slot.as_ref(),
-                    Some(&clean[i]),
-                    "non-faulted point {i} must be bit-identical (workers={workers})"
-                );
-            }
-        }
+        let caught = std::panic::catch_unwind(|| {
+            sweep_with(&AXIS, &trace, &config, Parallelism::new(workers))
+        });
+        let payload = caught.expect_err("the injected panic must propagate");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(msg.contains("sweep.point[2]"), "workers={workers}: {msg}");
     }
 }
 

@@ -15,8 +15,14 @@ pub(crate) fn tmp_sibling(path: &Path) -> PathBuf {
     path.with_file_name(format!(".{name}.tmp.{}", std::process::id()))
 }
 
-/// Writes `bytes` to `path` atomically (temp file + rename).
-pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+/// Writes `bytes` to `path` atomically: a same-directory temp file,
+/// synced to disk, then renamed over `path`. Readers never observe a
+/// truncated artifact, and a failed write removes its temp file.
+///
+/// # Errors
+///
+/// Propagates filesystem errors from the write, the sync or the rename.
+pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = tmp_sibling(path);
     let result = (|| {
         let mut file = std::fs::File::create(&tmp)?;

@@ -13,7 +13,8 @@
 //!    p50/p95/p99 estimates, keyed by static names.
 //! 3. **Run manifests** ([`RunManifest`]): a JSON document per experiment
 //!    run with seed, config, code version, wall time, per-phase breakdown,
-//!    and a metrics snapshot.
+//!    and a metrics snapshot, written with [`atomic_write`] (temp file,
+//!    sync, rename), the one atomic writer every artifact shares.
 //!
 //! Install a [`JsonlRecorder`] to stream every event to an append-only
 //! `.events.jsonl` file:
@@ -40,6 +41,7 @@ pub mod recorder;
 pub mod span;
 pub mod trace;
 
+pub use fsio::atomic_write;
 pub use json::Value;
 pub use manifest::{version_string, PhaseRecord, RunManifest};
 pub use metrics::{

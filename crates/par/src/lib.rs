@@ -18,16 +18,17 @@
 //! Worker counts resolve from the `LORI_THREADS` environment variable via
 //! [`Parallelism::from_env`] (unset or `0` → all available cores; `1` →
 //! serial fast path with zero thread spawns; [`Parallelism::parse`] is the
-//! one parser). Panics inside a task propagate to the caller after all
-//! workers have stopped.
+//! one parser). [`par_map`] is the one executor ([`par_chunks`] maps over
+//! fixed-size chunks through it). A region fails fast: a panic inside any
+//! task propagates to the caller after all workers have stopped. Tasks are
+//! pure functions of their index, so a retry would fail the same way.
 
 #![warn(missing_docs)]
 
 use std::fmt;
 use std::num::NonZeroUsize;
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// How many worker threads a parallel region may use.
 ///
@@ -241,192 +242,6 @@ where
     par_map(par, &chunks, |i, chunk| f(i, chunk))
 }
 
-/// What to do when a task panics inside a parallel region.
-///
-/// The default, [`RecoveryPolicy::FailFast`], matches [`par_map`]: the
-/// panic propagates to the caller after every worker has stopped. Under
-/// [`RecoveryPolicy::Quarantine`] each task runs inside `catch_unwind`;
-/// a panicking task is retried deterministically (same index, same
-/// inputs, up to `retries` times) and, if it keeps failing, quarantined:
-/// its slot is reported as failed while every other task completes
-/// normally. Because tasks are pure functions of their index, retries
-/// and quarantines never perturb other tasks' results — the surviving
-/// outputs are bit-identical to a fault-free run at any worker count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecoveryPolicy {
-    /// Propagate the first panic (the [`par_map`] contract).
-    #[default]
-    FailFast,
-    /// Catch panics per task, retry deterministically, then quarantine.
-    Quarantine {
-        /// Re-executions to attempt after the first failure.
-        retries: u32,
-    },
-}
-
-impl RecoveryPolicy {
-    /// Resolves the policy from `LORI_RECOVERY`: unset/blank/`fail-fast` →
-    /// [`RecoveryPolicy::FailFast`]; `quarantine` or `quarantine:<n>` →
-    /// [`RecoveryPolicy::Quarantine`] with `n` retries (default 1).
-    ///
-    /// # Errors
-    ///
-    /// Any other value is a [`RecoveryPolicyError`] naming it.
-    pub fn from_env() -> Result<Self, RecoveryPolicyError> {
-        match std::env::var("LORI_RECOVERY") {
-            Ok(s) if !s.trim().is_empty() => Self::parse(&s),
-            _ => Ok(Self::default()),
-        }
-    }
-
-    /// Parses a `LORI_RECOVERY`-style policy string (see [`Self::from_env`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RecoveryPolicyError`] for anything but `fail-fast`,
-    /// `quarantine`, or `quarantine:<n>` (case-insensitive).
-    pub fn parse(s: &str) -> Result<Self, RecoveryPolicyError> {
-        let norm = s.trim().to_ascii_lowercase();
-        let retries = match norm.as_str() {
-            "fail-fast" => return Ok(RecoveryPolicy::FailFast),
-            "quarantine" => Some(1),
-            _ => norm
-                .strip_prefix("quarantine:")
-                .and_then(|n| n.parse().ok()),
-        };
-        retries
-            .map(|retries| RecoveryPolicy::Quarantine { retries })
-            .ok_or_else(|| RecoveryPolicyError {
-                value: s.to_owned(),
-            })
-    }
-}
-
-/// A `LORI_RECOVERY` value that is not a recovery policy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryPolicyError {
-    /// The rejected value, as given.
-    pub value: String,
-}
-
-impl fmt::Display for RecoveryPolicyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid LORI_RECOVERY value {:?}: expected fail-fast, quarantine, or quarantine:<n>",
-            self.value
-        )
-    }
-}
-
-impl std::error::Error for RecoveryPolicyError {}
-
-/// One task that exhausted its retries under quarantine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskFailure {
-    /// The input index of the failed task.
-    pub index: usize,
-    /// Total executions attempted (1 + retries).
-    pub attempts: u32,
-    /// The panic payload, when it was a string.
-    pub message: String,
-}
-
-/// The outcome of [`par_map_recover`]: per-slot results plus the
-/// quarantined failures in input order.
-#[derive(Debug)]
-pub struct RecoveredMap<R> {
-    /// `results[i]` is `Some(f(i, &items[i]))`, or `None` when the task
-    /// was quarantined.
-    pub results: Vec<Option<R>>,
-    /// Quarantined tasks, sorted by input index.
-    pub failures: Vec<TaskFailure>,
-}
-
-impl<R> RecoveredMap<R> {
-    /// `true` when every task completed.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// [`par_map`] with a panic-recovery policy.
-///
-/// Under [`RecoveryPolicy::FailFast`] this is exactly [`par_map`] (and
-/// panics propagate). Under [`RecoveryPolicy::Quarantine`] every task
-/// increments the `fault.tasks` obs counter and panicking tasks are
-/// retried then quarantined; every retry increments `fault.retried` and
-/// every quarantined task increments `fault.quarantined`, so run
-/// manifests record the blast radius (and the derived
-/// `fault.quarantine_rate` = quarantined / tasks). The spans leading up
-/// to a failure stay in the installed recorder's event stream.
-///
-/// # Panics
-///
-/// Only under [`RecoveryPolicy::FailFast`], when `f` panics.
-pub fn par_map_recover<T, R, F>(
-    par: Parallelism,
-    policy: RecoveryPolicy,
-    items: &[T],
-    f: F,
-) -> RecoveredMap<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let RecoveryPolicy::Quarantine { retries } = policy else {
-        return RecoveredMap {
-            results: par_map(par, items, f).into_iter().map(Some).collect(),
-            failures: Vec::new(),
-        };
-    };
-    let retried = lori_obs::counter(lori_fault::METRIC_RETRIED);
-    let quarantined = lori_obs::counter(lori_fault::METRIC_QUARANTINED);
-    lori_obs::counter("fault.tasks").incr(items.len() as u64);
-    let failures: Mutex<Vec<TaskFailure>> = Mutex::new(Vec::new());
-    let results = par_map(par, items, |i, item| {
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            match std::panic::catch_unwind(AssertUnwindSafe(|| f(i, item))) {
-                Ok(out) => return Some(out),
-                Err(payload) => {
-                    if attempts <= retries {
-                        retried.incr(1);
-                        continue;
-                    }
-                    quarantined.incr(1);
-                    failures
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push(TaskFailure {
-                            index: i,
-                            attempts,
-                            message: panic_message(payload.as_ref()),
-                        });
-                    return None;
-                }
-            }
-        }
-    });
-    let mut failures = failures
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    // Completion order is worker-dependent; the report is input-ordered.
-    failures.sort_by_key(|t| t.index);
-    RecoveredMap { results, failures }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(ToString::to_string)
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_owned())
-}
-
 /// A shared writer over pre-allocated result slots.
 ///
 /// Safety contract: [`SlotWriter::write`] may be called at most once per
@@ -575,101 +390,5 @@ mod tests {
         for (i, &v) in out.iter().enumerate() {
             assert_eq!(v, i * 2);
         }
-    }
-
-    #[test]
-    fn quarantine_isolates_the_poisoned_task() {
-        let items: Vec<usize> = (0..64).collect();
-        let clean = par_map(Parallelism::new(4), &items, |_, &x| x * 3);
-        for workers in [1, 2, 4, 8] {
-            let out = par_map_recover(
-                Parallelism::new(workers),
-                RecoveryPolicy::Quarantine { retries: 1 },
-                &items,
-                |_, &x| {
-                    assert!(x != 17, "injected failure");
-                    x * 3
-                },
-            );
-            assert_eq!(out.failures.len(), 1);
-            assert_eq!(out.failures[0].index, 17);
-            assert_eq!(out.failures[0].attempts, 2, "1 try + 1 retry");
-            assert!(out.failures[0].message.contains("injected failure"));
-            assert!(!out.is_complete());
-            for (i, slot) in out.results.iter().enumerate() {
-                if i == 17 {
-                    assert!(slot.is_none());
-                } else {
-                    assert_eq!(*slot, Some(clean[i]), "survivors bit-identical");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn quarantine_retry_recovers_transient_failures() {
-        use std::sync::atomic::AtomicU32;
-        let items = [0usize; 4];
-        let tries = AtomicU32::new(0);
-        let out = par_map_recover(
-            Parallelism::serial(),
-            RecoveryPolicy::Quarantine { retries: 2 },
-            &items,
-            |i, _| {
-                // Task 2 fails on its first attempt only.
-                if i == 2 && tries.fetch_add(1, Ordering::Relaxed) == 0 {
-                    panic!("transient");
-                }
-                i
-            },
-        );
-        assert!(out.is_complete());
-        assert_eq!(out.results, vec![Some(0), Some(1), Some(2), Some(3)]);
-        assert_eq!(tries.load(Ordering::Relaxed), 2, "one retry consumed");
-    }
-
-    #[test]
-    fn fail_fast_still_propagates() {
-        let items: Vec<usize> = (0..8).collect();
-        let caught = std::panic::catch_unwind(|| {
-            par_map_recover(
-                Parallelism::serial(),
-                RecoveryPolicy::FailFast,
-                &items,
-                |_, &x| {
-                    assert!(x != 3, "boom");
-                    x
-                },
-            )
-        });
-        assert!(caught.is_err());
-    }
-
-    #[test]
-    fn recovery_policy_parsing() {
-        assert_eq!(
-            RecoveryPolicy::parse("fail-fast"),
-            Ok(RecoveryPolicy::FailFast)
-        );
-        assert_eq!(
-            RecoveryPolicy::parse("quarantine"),
-            Ok(RecoveryPolicy::Quarantine { retries: 1 })
-        );
-        assert_eq!(
-            RecoveryPolicy::parse(" Quarantine:3 "),
-            Ok(RecoveryPolicy::Quarantine { retries: 3 })
-        );
-        for bad in [
-            "nonsense",
-            "quarantine:abc",
-            "quarantinefoo",
-            "quarantine:",
-            "",
-        ] {
-            let err = RecoveryPolicy::parse(bad).expect_err(bad);
-            assert_eq!(err.value, bad);
-            assert!(err.to_string().contains("LORI_RECOVERY"), "{err}");
-        }
-        assert_eq!(RecoveryPolicy::default(), RecoveryPolicy::FailFast);
     }
 }

@@ -192,8 +192,7 @@ fn read(path: &Path) -> Result<String, String> {
 }
 
 fn write(path: &Path, bytes: &[u8]) -> Result<(), String> {
-    lori_report::atomic_write(path, bytes)
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))
+    lori_obs::atomic_write(path, bytes).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 fn load_json(path: &Path) -> Result<Value, String> {

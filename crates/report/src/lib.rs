@@ -38,7 +38,7 @@ pub use diff::{diff, flatten, DiffReport};
 pub use error::ReportError;
 pub use profile::{build_profile, parse_events, OrphanSpan, ParsedEvents, Profile, SpanNode};
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// The results directory: `$LORI_RESULTS_DIR` when set, else `results/`.
 /// Mirrors `lori-bench`'s convention so the CLI finds what the harness
@@ -46,16 +46,4 @@ use std::path::{Path, PathBuf};
 #[must_use]
 pub fn results_dir() -> PathBuf {
     std::env::var_os("LORI_RESULTS_DIR").map_or_else(|| PathBuf::from("results"), PathBuf::from)
-}
-
-/// Atomic file replace (same-directory temp + rename): readers never see a
-/// partial profile, and a crash never corrupts an existing artifact.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from the write or the rename.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
 }
