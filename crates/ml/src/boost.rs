@@ -10,7 +10,7 @@
 use crate::data::Dataset;
 use crate::error::MlError;
 use crate::traits::{Classifier, ProbabilisticClassifier, Regressor};
-use crate::tree::{RegressionTree, TreeConfig};
+use crate::tree::{Presort, RegressionTree, TreeBuffers, TreeConfig};
 
 /// A decision stump: one feature, one threshold, one class on each side.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,8 +31,9 @@ impl Stump {
         }
     }
 
-    /// Best stump under sample weights, by exhaustive threshold scan.
-    fn fit(ds: &Dataset, signs: &[f64], weights: &[f64]) -> Stump {
+    /// Best stump under sample weights, by exhaustive threshold scan over
+    /// each feature's presorted rows.
+    fn fit(ds: &Dataset, presort: &Presort, signs: &[f64], weights: &[f64]) -> Stump {
         let d = ds.n_features();
         let mut best = Stump {
             feature: 0,
@@ -41,12 +42,7 @@ impl Stump {
         };
         let mut best_err = f64::INFINITY;
         for f in 0..d {
-            let mut order: Vec<usize> = (0..ds.len()).collect();
-            order.sort_by(|&a, &b| {
-                ds.features()[a][f]
-                    .partial_cmp(&ds.features()[b][f])
-                    .expect("NaN feature")
-            });
+            let order = presort.feature(f);
             // err(left_sign=+1) for threshold before the first point:
             // everything is on the right predicting −1.
             let mut err_plus: f64 = order
@@ -116,8 +112,9 @@ impl AdaBoost {
     ///
     /// # Errors
     ///
-    /// Returns [`MlError::SingleClass`] if only one class is present or
-    /// [`MlError::InvalidHyperparameter`] for zero rounds.
+    /// Returns [`MlError::SingleClass`] if only one class is present,
+    /// [`MlError::InvalidHyperparameter`] for zero rounds, or
+    /// [`MlError::Numerical`] if a feature value is NaN.
     pub fn fit(ds: &Dataset, config: &AdaBoostConfig) -> Result<Self, MlError> {
         if config.rounds == 0 {
             return Err(MlError::InvalidHyperparameter("rounds"));
@@ -126,6 +123,7 @@ impl AdaBoost {
         if !ys.contains(&0) || !ys.contains(&1) {
             return Err(MlError::SingleClass);
         }
+        let presort = Presort::new(ds.features())?;
         let signs: Vec<f64> = ys
             .iter()
             .map(|&y| if y == 1 { 1.0 } else { -1.0 })
@@ -135,7 +133,7 @@ impl AdaBoost {
         let mut weights = vec![1.0 / n as f64; n];
         let mut stumps = Vec::new();
         for _ in 0..config.rounds {
-            let stump = Stump::fit(ds, &signs, &weights);
+            let stump = Stump::fit(ds, &presort, &signs, &weights);
             let err: f64 = (0..n)
                 .filter(|&i| stump.predict_sign(ds.features()[i].as_slice()) != signs[i])
                 .map(|i| weights[i])
@@ -233,11 +231,14 @@ impl GradientBoostRegressor {
     /// # Errors
     ///
     /// Returns [`MlError::InvalidHyperparameter`] for zero stages or a
-    /// non-positive learning rate.
+    /// non-positive learning rate, or [`MlError::Numerical`] if a feature
+    /// value is NaN.
     pub fn fit(ds: &Dataset, config: &GradientBoostConfig) -> Result<Self, MlError> {
+        let _span = lori_obs::span("ml.gbt.fit");
         if config.stages == 0 || config.learning_rate.is_nan() || config.learning_rate <= 0.0 {
             return Err(MlError::InvalidHyperparameter("gradient boost config"));
         }
+        let presort = Presort::new(ds.features())?;
         #[allow(clippy::cast_precision_loss)]
         let base = ds.targets().iter().sum::<f64>() / ds.len() as f64;
         let tree_cfg = TreeConfig {
@@ -245,17 +246,21 @@ impl GradientBoostRegressor {
             min_samples_split: 2,
             max_features: None,
         };
+        let mut buffers = TreeBuffers::default();
         let mut preds = vec![base; ds.len()];
+        let mut residuals = vec![0.0; ds.len()];
         let mut trees = Vec::with_capacity(config.stages);
         for _ in 0..config.stages {
-            let residuals: Vec<f64> = ds
-                .targets()
-                .iter()
-                .zip(&preds)
-                .map(|(y, p)| y - p)
-                .collect();
-            let stage_ds = Dataset::from_rows(ds.features().to_vec(), residuals)?;
-            let tree = RegressionTree::fit(&stage_ds, &tree_cfg)?;
+            for ((r, y), p) in residuals.iter_mut().zip(ds.targets()).zip(&preds) {
+                *r = y - p;
+            }
+            let tree = RegressionTree::fit_presorted(
+                ds.features(),
+                &residuals,
+                &tree_cfg,
+                &presort,
+                &mut buffers,
+            );
             for (p, row) in preds.iter_mut().zip(ds.features()) {
                 *p += config.learning_rate * tree.predict(row);
             }
@@ -296,9 +301,11 @@ impl GradientBoostClassifier {
     ///
     /// # Errors
     ///
-    /// Returns [`MlError::SingleClass`] or
-    /// [`MlError::InvalidHyperparameter`].
+    /// Returns [`MlError::SingleClass`],
+    /// [`MlError::InvalidHyperparameter`], or [`MlError::Numerical`] if a
+    /// feature value is NaN.
     pub fn fit(ds: &Dataset, config: &GradientBoostConfig) -> Result<Self, MlError> {
+        let _span = lori_obs::span("ml.gbt.fit");
         if config.stages == 0 || config.learning_rate.is_nan() || config.learning_rate <= 0.0 {
             return Err(MlError::InvalidHyperparameter("gradient boost config"));
         }
@@ -307,6 +314,7 @@ impl GradientBoostClassifier {
         if n_pos == 0 || n_pos == ys.len() {
             return Err(MlError::SingleClass);
         }
+        let presort = Presort::new(ds.features())?;
         #[allow(clippy::cast_precision_loss)]
         let p0 = (n_pos as f64 / ys.len() as f64).clamp(1e-6, 1.0 - 1e-6);
         let base_logit = (p0 / (1.0 - p0)).ln();
@@ -315,22 +323,25 @@ impl GradientBoostClassifier {
             min_samples_split: 2,
             max_features: None,
         };
+        let mut buffers = TreeBuffers::default();
         let mut logits = vec![base_logit; ds.len()];
+        let mut grads = vec![0.0; ds.len()];
         let mut trees = Vec::with_capacity(config.stages);
         for _ in 0..config.stages {
-            let grads: Vec<f64> = ys
-                .iter()
-                .zip(&logits)
-                .map(|(&y, &z)| {
-                    let p = 1.0 / (1.0 + (-z).exp());
-                    #[allow(clippy::cast_precision_loss)]
-                    {
-                        y as f64 - p
-                    }
-                })
-                .collect();
-            let stage_ds = Dataset::from_rows(ds.features().to_vec(), grads)?;
-            let tree = RegressionTree::fit(&stage_ds, &tree_cfg)?;
+            for ((g, &y), &z) in grads.iter_mut().zip(&ys).zip(&logits) {
+                let p = 1.0 / (1.0 + (-z).exp());
+                #[allow(clippy::cast_precision_loss)]
+                {
+                    *g = y as f64 - p;
+                }
+            }
+            let tree = RegressionTree::fit_presorted(
+                ds.features(),
+                &grads,
+                &tree_cfg,
+                &presort,
+                &mut buffers,
+            );
             for (z, row) in logits.iter_mut().zip(ds.features()) {
                 *z += config.learning_rate * tree.predict(row);
             }
@@ -375,6 +386,7 @@ impl ProbabilisticClassifier for GradientBoostClassifier {
 mod tests {
     use super::*;
     use crate::metrics::{accuracy, r2};
+    use crate::tree::oracle;
     use lori_core::Rng;
 
     fn rings(n: usize, seed: u64) -> Dataset {
@@ -497,5 +509,139 @@ mod tests {
             GradientBoostClassifier::fit(&single, &GradientBoostConfig::default()),
             Err(MlError::SingleClass)
         );
+    }
+
+    #[test]
+    fn nan_feature_is_a_typed_error() {
+        let ds = Dataset::from_rows(
+            vec![vec![0.0, 1.0], vec![1.0, f64::NAN], vec![2.0, 3.0]],
+            vec![0.0, 1.0, 1.0],
+        )
+        .unwrap();
+        let nan = MlError::Numerical("NaN feature");
+        assert_eq!(
+            AdaBoost::fit(&ds, &AdaBoostConfig::default()),
+            Err(nan.clone())
+        );
+        let config = GradientBoostConfig::default();
+        assert_eq!(GradientBoostRegressor::fit(&ds, &config), Err(nan.clone()));
+        assert_eq!(GradientBoostClassifier::fit(&ds, &config), Err(nan));
+    }
+
+    fn oracle_tree_config(config: &GradientBoostConfig) -> TreeConfig {
+        TreeConfig {
+            max_depth: config.max_depth,
+            min_samples_split: 2,
+            max_features: None,
+        }
+    }
+
+    /// The boosted regressor as fitted before the shared presort: a copy of
+    /// the features per stage and the quadratic-scan tree.
+    fn oracle_regressor(ds: &Dataset, config: &GradientBoostConfig) -> GradientBoostRegressor {
+        #[allow(clippy::cast_precision_loss)]
+        let base = ds.targets().iter().sum::<f64>() / ds.len() as f64;
+        let mut preds = vec![base; ds.len()];
+        let mut trees = Vec::with_capacity(config.stages);
+        for _ in 0..config.stages {
+            let residuals: Vec<f64> = ds
+                .targets()
+                .iter()
+                .zip(&preds)
+                .map(|(y, p)| y - p)
+                .collect();
+            let stage_ds = Dataset::from_rows(ds.features().to_vec(), residuals).unwrap();
+            let tree = RegressionTree::fit_quadratic(
+                &stage_ds,
+                &oracle_tree_config(config),
+                &mut Rng::from_seed(0),
+            );
+            for (p, row) in preds.iter_mut().zip(ds.features()) {
+                *p += config.learning_rate * tree.predict(row);
+            }
+            trees.push(tree);
+        }
+        GradientBoostRegressor {
+            base,
+            learning_rate: config.learning_rate,
+            trees,
+        }
+    }
+
+    /// The boosted classifier as fitted before the shared presort.
+    fn oracle_classifier(ds: &Dataset, config: &GradientBoostConfig) -> GradientBoostClassifier {
+        let ys = ds.class_targets();
+        let n_pos = ys.iter().filter(|&&y| y == 1).count();
+        #[allow(clippy::cast_precision_loss)]
+        let p0 = (n_pos as f64 / ys.len() as f64).clamp(1e-6, 1.0 - 1e-6);
+        let base_logit = (p0 / (1.0 - p0)).ln();
+        let mut logits = vec![base_logit; ds.len()];
+        let mut trees = Vec::with_capacity(config.stages);
+        for _ in 0..config.stages {
+            let grads: Vec<f64> = ys
+                .iter()
+                .zip(&logits)
+                .map(|(&y, &z)| {
+                    let p = 1.0 / (1.0 + (-z).exp());
+                    #[allow(clippy::cast_precision_loss)]
+                    {
+                        y as f64 - p
+                    }
+                })
+                .collect();
+            let stage_ds = Dataset::from_rows(ds.features().to_vec(), grads).unwrap();
+            let tree = RegressionTree::fit_quadratic(
+                &stage_ds,
+                &oracle_tree_config(config),
+                &mut Rng::from_seed(0),
+            );
+            for (z, row) in logits.iter_mut().zip(ds.features()) {
+                *z += config.learning_rate * tree.predict(row);
+            }
+            trees.push(tree);
+        }
+        GradientBoostClassifier {
+            base_logit,
+            learning_rate: config.learning_rate,
+            trees,
+            n_features: ds.n_features(),
+        }
+    }
+
+    fn ensemble_bits(base: f64, trees: &[RegressionTree]) -> Vec<u64> {
+        let mut bits = vec![base.to_bits()];
+        for tree in trees {
+            bits.extend(tree.fingerprint());
+        }
+        bits
+    }
+
+    #[test]
+    fn gradient_boosting_matches_quadratic_oracle() {
+        let mut rng = Rng::from_seed(44);
+        for _ in 0..400 {
+            #[allow(clippy::cast_possible_truncation)]
+            let config = GradientBoostConfig {
+                stages: 1 + rng.below(8) as usize,
+                learning_rate: *rng.choose(&[0.1, 0.3, 1.0]).unwrap(),
+                max_depth: 1 + rng.below(4) as usize,
+            };
+            let reg = oracle::random_dataset(&mut rng, 0);
+            let fast = GradientBoostRegressor::fit(&reg, &config).unwrap();
+            let slow = oracle_regressor(&reg, &config);
+            assert_eq!(
+                ensemble_bits(fast.base, &fast.trees),
+                ensemble_bits(slow.base, &slow.trees),
+                "{config:?} {reg:?}"
+            );
+            let cls = oracle::random_dataset(&mut rng, 2);
+            let fast = GradientBoostClassifier::fit(&cls, &config).unwrap();
+            let slow = oracle_classifier(&cls, &config);
+            assert_eq!(
+                ensemble_bits(fast.base_logit, &fast.trees),
+                ensemble_bits(slow.base_logit, &slow.trees),
+                "{config:?} {cls:?}"
+            );
+        }
     }
 }

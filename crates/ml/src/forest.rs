@@ -3,7 +3,7 @@
 use crate::data::Dataset;
 use crate::error::MlError;
 use crate::traits::{Classifier, ProbabilisticClassifier, Regressor};
-use crate::tree::{argmax, DecisionTree, RegressionTree, TreeConfig};
+use crate::tree::{argmax, reject_nan_features, DecisionTree, RegressionTree, TreeConfig};
 use lori_core::Rng;
 
 /// Configuration for random-forest training.
@@ -41,15 +41,18 @@ impl RandomForest {
     ///
     /// # Errors
     ///
-    /// Returns [`MlError::InvalidHyperparameter`] for zero trees, or the
-    /// underlying tree errors ([`MlError::SingleClass`], ...). Bootstrap
-    /// resamples that collapse to a single class are retried with a
-    /// different seed and, failing that, skipped; if every tree is skipped
-    /// the original error is propagated.
+    /// Returns [`MlError::InvalidHyperparameter`] for zero trees,
+    /// [`MlError::Numerical`] if a feature value is NaN, or the underlying
+    /// tree errors ([`MlError::SingleClass`], ...). Bootstrap resamples
+    /// that collapse to a single class are retried with a different seed
+    /// and, failing that, skipped; if every tree is skipped the original
+    /// error is propagated.
     pub fn fit(ds: &Dataset, config: &ForestConfig) -> Result<Self, MlError> {
         if config.n_trees == 0 {
             return Err(MlError::InvalidHyperparameter("n_trees"));
         }
+        // Checked on the whole dataset: a bootstrap can miss the NaN row.
+        reject_nan_features(ds.features())?;
         let mut tree_cfg = config.tree.clone();
         if tree_cfg.max_features.is_none() {
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -127,11 +130,14 @@ impl RandomForestRegressor {
     /// # Errors
     ///
     /// Returns [`MlError::InvalidHyperparameter`] for zero trees or invalid
-    /// tree configuration.
+    /// tree configuration, or [`MlError::Numerical`] if a feature value is
+    /// NaN.
     pub fn fit(ds: &Dataset, config: &ForestConfig) -> Result<Self, MlError> {
         if config.n_trees == 0 {
             return Err(MlError::InvalidHyperparameter("n_trees"));
         }
+        // Checked on the whole dataset: a bootstrap can miss the NaN row.
+        reject_nan_features(ds.features())?;
         let mut tree_cfg = config.tree.clone();
         if tree_cfg.max_features.is_none() {
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -240,5 +246,22 @@ mod tests {
         };
         let f = RandomForest::fit(&ds, &cfg).unwrap();
         assert_eq!(f.tree_count(), 7);
+    }
+
+    #[test]
+    fn nan_feature_is_a_typed_error() {
+        let mut rows: Vec<Vec<f64>> = (0..40).map(|i| vec![f64::from(i), 1.0]).collect();
+        rows[7][1] = f64::NAN;
+        let ys: Vec<f64> = (0..40).map(|i| f64::from(i % 2)).collect();
+        let ds = Dataset::from_rows(rows, ys).unwrap();
+        let nan = MlError::Numerical("NaN feature");
+        assert_eq!(
+            RandomForest::fit(&ds, &ForestConfig::default()),
+            Err(nan.clone())
+        );
+        assert_eq!(
+            RandomForestRegressor::fit(&ds, &ForestConfig::default()),
+            Err(nan)
+        );
     }
 }
