@@ -11,7 +11,7 @@ use lori_circuit::characterize::{characterize_library, she_as_delay_library, Cor
 use lori_circuit::netlist::processor_datapath;
 use lori_circuit::she::SheModel;
 use lori_circuit::spicelike::GoldenSimulator;
-use lori_circuit::sta::{StaConfig, StaEngine};
+use lori_circuit::sta::{run_sta, StaConfig};
 use lori_circuit::tech::TechParams;
 use lori_core::stats::{max, mean, min, percentile, std_dev};
 use lori_obs::Value;
@@ -43,9 +43,7 @@ fn main() {
     // The Fig.-3 trick: SHE temperatures in the delay slots, conventional STA.
     let report = h.phase("she_sta", || {
         let she_lib = she_as_delay_library(&lib, &SheModel::default()).expect("she library");
-        StaEngine::new(&netlist, &she_lib, &StaConfig::default())
-            .expect("sta")
-            .into_report()
+        run_sta(&netlist, &she_lib, &StaConfig::default()).expect("sta")
     });
     let she = &report.instance_delay_ps; // these numbers are ΔT in kelvin
 

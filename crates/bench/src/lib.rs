@@ -10,7 +10,7 @@ pub mod perf;
 pub mod resume;
 
 pub use harness::Harness;
-pub use perf::{write_bench_arch, write_bench_sta, ArchGroup, StaDesign};
+pub use perf::{write_bench_arch, ArchGroup};
 
 use std::fmt::Write as _;
 

@@ -39,10 +39,6 @@ pub enum CircuitError {
         /// Name of the non-finite quantity.
         what: &'static str,
     },
-    /// An incremental STA engine no longer matches the netlist it indexed
-    /// (the structure changed, or an earlier edit failed mid-retime and
-    /// poisoned its state). Rebuild with `StaEngine::new`.
-    StaleEngine(&'static str),
 }
 
 impl fmt::Display for CircuitError {
@@ -63,9 +59,6 @@ impl fmt::Display for CircuitError {
             CircuitError::Training(msg) => write!(f, "ml characterization training failed: {msg}"),
             CircuitError::NonFinite { site, what } => {
                 write!(f, "non-finite {what} detected at {site}")
-            }
-            CircuitError::StaleEngine(why) => {
-                write!(f, "stale STA engine ({why}); rebuild with StaEngine::new")
             }
         }
     }

@@ -27,7 +27,7 @@ use crate::mlchar::{InstanceContext, MlCharacterizer};
 use crate::netlist::Netlist;
 use crate::she::SheModel;
 use crate::spicelike::GoldenSimulator;
-use crate::sta::{Guardband, StaConfig, StaEngine, StaReport};
+use crate::sta::{run_sta, run_sta_with_overrides, Guardband, StaConfig, StaReport};
 use lori_core::units::{Celsius, Seconds};
 
 /// Configuration of the SHE flow.
@@ -99,15 +99,9 @@ impl SheFlowReport {
     }
 }
 
-/// Runs the full Fig.-3 flow.
-///
-/// One [`StaEngine`] over the timing library serves the nominal,
-/// accurate, and worst-case corners (validation, topological order, and
-/// net loads computed once; the corner changes re-time in-place), and the
-/// SHE extraction builds a second engine over the SHE-as-delay library
-/// that still shares the netlist's cached topological order. The result
-/// equals four independent full STA passes exactly; `flow::tests` keeps
-/// that four-pass oracle.
+/// Runs the full Fig.-3 flow: four full STA passes (nominal, SHE-as-delay,
+/// per-instance accurate, and the worst-case corner), all sharing the
+/// netlist's cached topological order and sink index.
 ///
 /// `timing_library` must be characterized at the flow's nominal corner;
 /// `ml` must be trained for every cell the netlist uses (e.g. via
@@ -127,27 +121,22 @@ pub fn run_she_flow(
     config.she.validate()?;
 
     // Step 1-2: nominal STA and SHE extraction via the delay-slot trick.
-    let mut engine = StaEngine::new(netlist, timing_library, &config.sta)?;
-    let nominal = engine.report();
+    let nominal = run_sta(netlist, timing_library, &config.sta)?;
     let she_lib = she_as_delay_library(timing_library, &config.she)?;
-    let she_run = StaEngine::new(netlist, &she_lib, &config.sta)?.into_report();
-    let instance_she_k = she_run.instance_delay_ps;
+    let instance_she_k = run_sta(netlist, &she_lib, &config.sta)?.instance_delay_ps;
 
     // Step 3: per-instance contexts.
     let (contexts, instance_delta_vth_v) =
         instance_contexts(netlist, &nominal, &instance_she_k, config)?;
 
-    // Step 4a: accurate per-instance STA — an override-set retime on the
-    // nominal engine state.
+    // Step 4a: accurate per-instance STA.
     let overrides = ml.generate_instance_library(netlist, &contexts)?;
-    engine.set_all_timings(netlist, timing_library, &overrides)?;
-    let accurate = engine.report();
+    let accurate = run_sta_with_overrides(netlist, timing_library, &config.sta, &overrides)?;
 
-    // Step 4b: worst-case corner — a second retime on the same engine.
+    // Step 4b: the worst-case corner.
     let wc_contexts = worst_case_contexts(&contexts, &instance_she_k, &instance_delta_vth_v);
     let wc_overrides = ml.generate_instance_library(netlist, &wc_contexts)?;
-    engine.set_all_timings(netlist, timing_library, &wc_overrides)?;
-    let worst_case = engine.into_report();
+    let worst_case = run_sta_with_overrides(netlist, timing_library, &config.sta, &wc_overrides)?;
 
     Ok(SheFlowReport {
         instance_she_k,
@@ -212,7 +201,6 @@ mod tests {
     use crate::characterize::default_library;
     use crate::mlchar::MlCharConfig;
     use crate::netlist::processor_datapath;
-    use crate::sta::{run_sta, run_sta_with_overrides};
     use crate::tech::TechParams;
     use std::sync::OnceLock;
 
@@ -292,45 +280,6 @@ mod tests {
             saving > 0.0 && saving <= 1.0,
             "pessimism reduction {saving}"
         );
-    }
-
-    /// The reference oracle: the flow as four independent full STA passes.
-    fn four_pass_flow(s: &Setup, config: &SheFlowConfig) -> SheFlowReport {
-        let Setup {
-            lib, netlist, ml, ..
-        } = s;
-        let nominal = run_sta(netlist, lib, &config.sta).unwrap();
-        let she_lib = she_as_delay_library(lib, &config.she).unwrap();
-        let instance_she_k = run_sta(netlist, &she_lib, &config.sta)
-            .unwrap()
-            .instance_delay_ps;
-        let (contexts, instance_delta_vth_v) =
-            instance_contexts(netlist, &nominal, &instance_she_k, config).unwrap();
-        let overrides = ml.generate_instance_library(netlist, &contexts).unwrap();
-        let accurate = run_sta_with_overrides(netlist, lib, &config.sta, &overrides).unwrap();
-        let wc_contexts = worst_case_contexts(&contexts, &instance_she_k, &instance_delta_vth_v);
-        let wc_overrides = ml.generate_instance_library(netlist, &wc_contexts).unwrap();
-        let worst_case = run_sta_with_overrides(netlist, lib, &config.sta, &wc_overrides).unwrap();
-        SheFlowReport {
-            instance_she_k,
-            instance_delta_vth_v,
-            nominal,
-            accurate,
-            worst_case,
-        }
-    }
-
-    #[test]
-    fn engine_flow_matches_four_pass_oracle_exactly() {
-        let s = setup();
-        let config = SheFlowConfig::default();
-        let engine = run_she_flow(&s.sim, s.lib, &s.netlist, &s.ml, &config).unwrap();
-        let oracle = four_pass_flow(s, &config);
-        assert_eq!(engine.instance_she_k, oracle.instance_she_k);
-        assert_eq!(engine.instance_delta_vth_v, oracle.instance_delta_vth_v);
-        assert_eq!(engine.nominal, oracle.nominal);
-        assert_eq!(engine.accurate, oracle.accurate);
-        assert_eq!(engine.worst_case, oracle.worst_case);
     }
 
     #[test]

@@ -8,18 +8,13 @@
 //!
 //! The netlist carries an indexed graph core (see [`NetlistIndex`]): a
 //! CSR-style sink index per net, primary-output multiplicities, and the
-//! cached topological order. The index is built once on first use and
-//! survives *timing-only* edits ([`Netlist::swap_cell`],
-//! [`Netlist::set_activity`]), which instead land in a dirty-set that the
-//! incremental STA engine (`crate::sta::StaEngine`) drains to re-time only
-//! the affected fanout cones. Structural edits (adding nets, gates, or
-//! outputs) bump a generation counter and drop the cached index, which
-//! also invalidates any engine built on top of it.
+//! cached topological order. The index is built once on first use, and
+//! every edit (adding nets, gates, or outputs) drops it.
 
 use crate::cell::{CellId, CellKind, Library};
 use crate::error::CircuitError;
 use lori_core::Rng;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Index of a net within a netlist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -51,22 +46,9 @@ pub struct Instance {
     pub activity: f64,
 }
 
-/// A timing-only netlist edit, recorded in the dirty-set for incremental
-/// consumers (notably `crate::sta::StaEngine::refresh`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetlistEdit {
-    /// The instance's cell binding changed (timing functions and input-pin
-    /// capacitances — the loads of its input nets move with it).
-    Cell(InstId),
-    /// The instance's switching activity changed. Activity feeds power,
-    /// SHE, and aging models but never STA, so this edit re-times nothing.
-    Activity(InstId),
-}
-
 /// The indexed graph core of a netlist: CSR sink index, primary-output
 /// multiplicities, and the cached topological order. Built lazily, shared
-/// by `fanout`, `net_loads`, and the incremental STA engine; dropped on
-/// any structural edit.
+/// by `fanout`, `evaluate`, and the STA pass; dropped on any edit.
 #[derive(Debug, Clone)]
 pub(crate) struct NetlistIndex {
     /// CSR offsets into `sink_pins`, one slice per net (`net_count + 1`).
@@ -79,8 +61,6 @@ pub(crate) struct NetlistIndex {
     po_count: Vec<u32>,
     /// Topological order of instances, or the cycle error.
     topo: Result<Vec<InstId>, CircuitError>,
-    /// Position of each instance in `topo` (valid only when `topo` is Ok).
-    topo_pos: Vec<u32>,
 }
 
 impl NetlistIndex {
@@ -107,73 +87,17 @@ impl NetlistIndex {
             Err(err) => Err(err.clone()),
         }
     }
-
-    /// Position of an instance in the topological order.
-    pub(crate) fn topo_pos(&self, inst: InstId) -> u32 {
-        self.topo_pos[inst.0]
-    }
-}
-
-/// A cheap structural fingerprint of the library facts `validate` reads:
-/// the cell count and, per cell, the logic kind (which fixes pin arity).
-/// Two libraries with equal fingerprints validate identically against any
-/// netlist, so the fingerprint is a sound cache key.
-fn library_validation_fingerprint(lib: &Library) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
-    let mut eat = |byte: u8| {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for byte in lib.len().to_le_bytes() {
-        eat(byte);
-    }
-    for (_, cell) in lib.iter() {
-        for byte in cell.kind.prefix().bytes() {
-            eat(byte);
-        }
-        eat(0xff);
-    }
-    h
 }
 
 /// A gate-level netlist.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Netlist {
     drivers: Vec<Option<Driver>>,
     instances: Vec<Instance>,
     primary_inputs: Vec<NetId>,
     primary_outputs: Vec<NetId>,
-    /// Bumped on every structural edit; incremental engines compare it to
-    /// detect that their cached state no longer describes this netlist.
-    generation: u64,
-    /// Timing-only edits since the last `take_dirty` drain.
-    dirty: Vec<NetlistEdit>,
-    /// Lazily built graph index; dropped on structural edits.
+    /// Lazily built graph index; dropped on every edit.
     index: OnceLock<NetlistIndex>,
-    /// Library fingerprints this structure has validated cleanly against.
-    /// Cleared on structural and cell edits (activity cannot affect
-    /// validation).
-    validated: Mutex<Vec<u64>>,
-}
-
-impl Clone for Netlist {
-    fn clone(&self) -> Self {
-        Netlist {
-            drivers: self.drivers.clone(),
-            instances: self.instances.clone(),
-            primary_inputs: self.primary_inputs.clone(),
-            primary_outputs: self.primary_outputs.clone(),
-            generation: self.generation,
-            dirty: self.dirty.clone(),
-            index: self.index.clone(),
-            validated: Mutex::new(
-                self.validated
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .clone(),
-            ),
-        }
-    }
 }
 
 impl Netlist {
@@ -183,22 +107,9 @@ impl Netlist {
         Netlist::default()
     }
 
-    /// Invalidates every structure-derived cache. Called by all structural
-    /// edits; timing-only edits must NOT call this (that is the point of
-    /// the dirty-set).
-    fn structural_edit(&mut self) {
-        self.generation += 1;
-        self.index.take();
-        self.dirty.clear();
-        self.validated
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
-    }
-
     /// Adds a primary input net.
     pub fn add_input(&mut self) -> NetId {
-        self.structural_edit();
+        self.index.take();
         let id = NetId(self.drivers.len());
         self.drivers.push(Some(Driver::PrimaryInput));
         self.primary_inputs.push(id);
@@ -213,7 +124,7 @@ impl Netlist {
         inputs: &[NetId],
         activity: f64,
     ) -> NetId {
-        self.structural_edit();
+        self.index.take();
         let out = NetId(self.drivers.len());
         self.drivers.push(None);
         let inst = InstId(self.instances.len());
@@ -234,79 +145,8 @@ impl Netlist {
 
     /// Marks a net as a primary output.
     pub fn mark_output(&mut self, net: NetId) {
-        self.structural_edit();
+        self.index.take();
         self.primary_outputs.push(net);
-    }
-
-    /// The structural generation: bumped by every edit that changes the
-    /// graph (nets, gates, outputs). Timing-only edits leave it untouched.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Rebinds an instance to a different library cell (resize / swap): a
-    /// timing-only edit. The graph, the cached index, and the topological
-    /// order all survive; the edit lands in the dirty-set for incremental
-    /// consumers. The new cell must have the same pin arity — that is
-    /// checked by `validate` and by the STA engine when the edit is
-    /// consumed (this method has no library to check against).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::DanglingReference`] for an out-of-range
-    /// instance id.
-    pub fn swap_cell(&mut self, inst: InstId, cell: CellId) -> Result<(), CircuitError> {
-        let slot = self
-            .instances
-            .get_mut(inst.0)
-            .ok_or(CircuitError::DanglingReference {
-                what: "instance",
-                index: inst.0,
-            })?;
-        slot.cell = cell;
-        // A different cell may have a different arity: cached validation
-        // verdicts no longer apply.
-        self.validated
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
-        self.dirty.push(NetlistEdit::Cell(inst));
-        Ok(())
-    }
-
-    /// Retunes an instance's switching activity (clamped to `[0, 1]`): a
-    /// timing-only edit recorded in the dirty-set. Activity never enters
-    /// STA, so consuming this edit re-times nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::DanglingReference`] for an out-of-range
-    /// instance id.
-    pub fn set_activity(&mut self, inst: InstId, activity: f64) -> Result<(), CircuitError> {
-        let slot = self
-            .instances
-            .get_mut(inst.0)
-            .ok_or(CircuitError::DanglingReference {
-                what: "instance",
-                index: inst.0,
-            })?;
-        slot.activity = activity.clamp(0.0, 1.0);
-        self.dirty.push(NetlistEdit::Activity(inst));
-        Ok(())
-    }
-
-    /// Drains the dirty-set of timing-only edits accumulated since the
-    /// last drain. Single-consumer: the engine that drains it is the one
-    /// that sees the edits.
-    pub fn take_dirty(&mut self) -> Vec<NetlistEdit> {
-        std::mem::take(&mut self.dirty)
-    }
-
-    /// The pending (undrained) timing-only edits.
-    #[must_use]
-    pub fn dirty(&self) -> &[NetlistEdit] {
-        &self.dirty
     }
 
     /// The graph index, building it on first use.
@@ -316,7 +156,6 @@ impl Netlist {
 
     fn build_index(&self) -> NetlistIndex {
         let n_nets = self.drivers.len();
-        let n_inst = self.instances.len();
 
         // CSR sink index: count, prefix-sum, fill. Iterating instances in
         // id order (and pins in pin order) groups each net's entries in
@@ -351,23 +190,11 @@ impl Netlist {
             }
         }
 
-        let topo = self.compute_topological_order();
-        let mut topo_pos = vec![0u32; n_inst];
-        if let Ok(order) = &topo {
-            for (pos, inst) in order.iter().enumerate() {
-                #[allow(clippy::cast_possible_truncation)]
-                {
-                    topo_pos[inst.0] = pos as u32;
-                }
-            }
-        }
-
         NetlistIndex {
             sink_offsets,
             sink_pins,
             po_count,
-            topo,
-            topo_pos,
+            topo: self.compute_topological_order(),
         }
     }
 
@@ -435,40 +262,6 @@ impl Netlist {
     /// [`CircuitError::FloatingNet`] for an undriven net used as an input,
     /// or [`CircuitError::UnknownCell`] via arity checks.
     pub fn validate(&self, lib: &Library) -> Result<(), CircuitError> {
-        self.validate_uncached(lib)
-    }
-
-    /// [`Netlist::validate`], memoized per library fingerprint: a clean
-    /// verdict is cached and survives timing-only edits that cannot change
-    /// it (activity retunes; cell swaps clear the cache because arity may
-    /// change). Structural edits clear the cache. Errors are never cached.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Netlist::validate`].
-    pub fn validate_cached(&self, lib: &Library) -> Result<(), CircuitError> {
-        let fp = library_validation_fingerprint(lib);
-        {
-            let seen = self
-                .validated
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if seen.contains(&fp) {
-                return Ok(());
-            }
-        }
-        self.validate_uncached(lib)?;
-        let mut seen = self
-            .validated
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if !seen.contains(&fp) {
-            seen.push(fp);
-        }
-        Ok(())
-    }
-
-    fn validate_uncached(&self, lib: &Library) -> Result<(), CircuitError> {
         for inst in &self.instances {
             if inst.cell.0 >= lib.len() {
                 return Err(CircuitError::DanglingReference {
@@ -509,8 +302,8 @@ impl Netlist {
     }
 
     /// A topological order of instances (every instance appears after the
-    /// drivers of all its inputs). Served from the cached index; the order
-    /// is computed once per structural generation.
+    /// drivers of all its inputs). Served from the cached index, so the
+    /// order is computed on first use after the last edit.
     ///
     /// # Errors
     ///

@@ -1,8 +1,13 @@
 //! Property-based tests for the circuit substrate.
 
 use lori_circuit::aging::{AgingModel, StressProfile};
+use lori_circuit::characterize::{characterize_library, Corner};
 use lori_circuit::lut::Lut2d;
+use lori_circuit::netlist::{
+    array_multiplier, processor_datapath, random_logic, ripple_carry_adder, InstId, NetId,
+};
 use lori_circuit::she::SheModel;
+use lori_circuit::spicelike::GoldenSimulator;
 use lori_circuit::tech::TechParams;
 use lori_core::units::{Celsius, Seconds, Volts};
 use proptest::prelude::*;
@@ -89,6 +94,35 @@ proptest! {
             prop_assert_eq!(i, 0.0);
         } else {
             prop_assert!(i > 0.0);
+        }
+    }
+}
+
+/// The CSR-backed `fanout` must agree with a naive scan over all
+/// instances, for every net of the four standard generators.
+#[test]
+fn fanout_matches_naive_scan() {
+    let sim = GoldenSimulator::new(TechParams::default()).unwrap();
+    let lib = characterize_library(&sim, &Corner::default()).unwrap();
+    let designs = [
+        ("ripple_carry_adder", ripple_carry_adder(&lib, 8).unwrap()),
+        ("array_multiplier", array_multiplier(&lib, 5).unwrap()),
+        ("random_logic", random_logic(&lib, 12, 300, 3).unwrap()),
+        (
+            "processor_datapath",
+            processor_datapath(&lib, 6, 5).unwrap(),
+        ),
+    ];
+    for (name, netlist) in designs {
+        for net in 0..netlist.net_count() {
+            let net = NetId(net);
+            let mut naive = Vec::new();
+            for (i, inst) in netlist.instances().iter().enumerate() {
+                if inst.inputs.contains(&net) {
+                    naive.push(InstId(i));
+                }
+            }
+            assert_eq!(netlist.fanout(net), naive, "{name}: net {}", net.0);
         }
     }
 }
