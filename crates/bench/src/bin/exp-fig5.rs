@@ -3,7 +3,7 @@
 //! Paper claims: negligible below 1e-6; rapid growth beyond; more than 10
 //! rollbacks per segment past 1e-5 ("formidable to deal with").
 
-use lori_bench::resume::write_points_artifact;
+use lori_bench::points::write_points_artifact;
 use lori_bench::{fmt, fmt_prob, render_table, Harness};
 use lori_ftsched::montecarlo::{paper_probability_axis, sweep, SweepConfig};
 use lori_ftsched::workload::adpcm_reference_trace;

@@ -5,7 +5,7 @@
 //! 1e-6..1e-5; within the window conservative algorithms hold higher hit
 //! rates; beyond the wall every algorithm converges to zero.
 
-use lori_bench::resume::write_points_artifact;
+use lori_bench::points::write_points_artifact;
 use lori_bench::{fmt, fmt_prob, render_table, Harness};
 use lori_ftsched::mitigation::BudgetAlgorithm;
 use lori_ftsched::montecarlo::{paper_probability_axis, sweep, SweepConfig};

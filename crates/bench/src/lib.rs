@@ -7,7 +7,7 @@
 
 pub mod harness;
 pub mod perf;
-pub mod resume;
+pub mod points;
 
 pub use harness::Harness;
 pub use perf::{write_bench_arch, ArchGroup};

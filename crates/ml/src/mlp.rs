@@ -5,12 +5,23 @@
 //! cross-layer SER models (ref \[1\]), vulnerability estimation for MWTF
 //! mapping (ref \[2\]), anomaly detection on intermediate DNN outputs
 //! (ref \[30\]), and WarningNet-style input-perturbation warning (ref \[32\]).
+//!
+//! A fit allocates its working memory once: an activation buffer per
+//! layer, gradient and momentum buffers shaped like the flat row-major
+//! weights, and two delta buffers as wide as the widest layer. Every
+//! floating-point operation runs in the order of a plain fit that
+//! allocates per mini-batch and per sample, so the trained bits equal it
+//! (DESIGN.md §15); that fit is the test oracle in `mlp/oracle.rs`.
 
 use crate::data::Dataset;
 use crate::error::MlError;
 use crate::traits::{Classifier, ProbabilisticClassifier, Regressor};
-use crate::tree::argmax;
+use crate::tree::{argmax, reject_nan_features};
 use lori_core::Rng;
+use std::mem;
+
+#[cfg(test)]
+mod oracle;
 
 /// Activation function for hidden layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -115,14 +126,13 @@ impl MlpConfig {
     }
 }
 
-/// One dense layer: `weights[out][in]` and a bias per output.
+/// One dense layer: row-major `weights` (`n_out × n_in`) and a bias per
+/// output.
 #[derive(Debug, Clone, PartialEq)]
 struct Layer {
-    weights: Vec<Vec<f64>>,
+    n_in: usize,
+    weights: Vec<f64>,
     biases: Vec<f64>,
-    // Momentum buffers.
-    vw: Vec<Vec<f64>>,
-    vb: Vec<f64>,
 }
 
 impl Layer {
@@ -131,23 +141,72 @@ impl Layer {
         // tanh/sigmoid at these scales too.
         #[allow(clippy::cast_precision_loss)]
         let scale = (2.0 / n_in as f64).sqrt();
-        let weights = (0..n_out)
-            .map(|_| (0..n_in).map(|_| rng.normal() * scale).collect())
-            .collect();
+        // Drawn row by row, in the order the rows are laid out.
+        let weights = (0..n_out * n_in).map(|_| rng.normal() * scale).collect();
         Layer {
+            n_in,
             weights,
             biases: vec![0.0; n_out],
-            vw: vec![vec![0.0; n_in]; n_out],
-            vb: vec![0.0; n_out],
         }
     }
 
-    fn forward(&self, input: &[f64]) -> Vec<f64> {
-        self.weights
-            .iter()
-            .zip(&self.biases)
-            .map(|(row, b)| b + row.iter().zip(input).map(|(w, x)| w * x).sum::<f64>())
-            .collect()
+    /// The weights of output `o`.
+    fn row(&self, o: usize) -> &[f64] {
+        &self.weights[o * self.n_in..(o + 1) * self.n_in]
+    }
+
+    /// Writes the pre-activations `b + Σ w·x` into `out`. Training and
+    /// inference share this kernel. `Σ` is `Iterator::sum` in input order
+    /// and the bias is added last; any other order changes the trained
+    /// bits (DESIGN.md §15).
+    fn forward_into(&self, input: &[f64], out: &mut [f64]) {
+        for (o, (z, b)) in out.iter_mut().zip(&self.biases).enumerate() {
+            let row = self.row(o);
+            *z = b + row.iter().zip(input).map(|(w, x)| w * x).sum::<f64>();
+        }
+    }
+}
+
+/// A fit's working memory, allocated once per fit. The per-layer buffers
+/// are shaped like that layer's outputs, weights and biases.
+struct Workspace {
+    /// Each layer's activations for the current sample.
+    acts: Vec<Vec<f64>>,
+    /// Weight and bias gradients summed over the current mini-batch.
+    gw: Vec<Vec<f64>>,
+    gb: Vec<Vec<f64>>,
+    /// Weight and bias momentum, carried across mini-batches.
+    vw: Vec<Vec<f64>>,
+    vb: Vec<Vec<f64>>,
+    /// The delta at a layer's output and the one back-propagated to its
+    /// input, each as wide as the widest layer; swapped after each layer.
+    delta: Vec<f64>,
+    prev: Vec<f64>,
+}
+
+impl Workspace {
+    fn new(layers: &[Layer]) -> Workspace {
+        let outputs: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.biases.len()]).collect();
+        let weights: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.weights.len()]).collect();
+        let width = layers.iter().map(|l| l.biases.len()).max().unwrap_or(0);
+        Workspace {
+            acts: outputs.clone(),
+            gw: weights.clone(),
+            gb: outputs.clone(),
+            vw: weights,
+            vb: outputs,
+            delta: vec![0.0; width],
+            prev: vec![0.0; width],
+        }
+    }
+}
+
+/// SGD with momentum, element by element: `v = μ·v − scale·g`, then
+/// `w += v`.
+fn sgd_step(params: &mut [f64], velocity: &mut [f64], grads: &[f64], scale: f64, momentum: f64) {
+    for ((w, v), &g) in params.iter_mut().zip(velocity).zip(grads) {
+        *v = momentum * *v - scale * g;
+        *w += *v;
     }
 }
 
@@ -170,10 +229,11 @@ impl Mlp {
     ///
     /// # Errors
     ///
-    /// Returns [`MlError::InvalidHyperparameter`] for invalid config, or
-    /// [`MlError::SingleClass`] when a classification head sees classes
-    /// outside `0..n_classes`.
+    /// Returns [`MlError::InvalidHyperparameter`] for an invalid config,
+    /// including a classification head that sees class labels outside
+    /// `0..n_classes`, or [`MlError::Numerical`] if a feature value is NaN.
     pub fn fit(ds: &Dataset, config: &MlpConfig) -> Result<Self, MlError> {
+        let _span = lori_obs::span("ml.mlp.fit");
         if config.learning_rate.is_nan()
             || config.learning_rate <= 0.0
             || !(0.0..1.0).contains(&config.momentum)
@@ -183,31 +243,34 @@ impl Mlp {
         {
             return Err(MlError::InvalidHyperparameter("mlp config"));
         }
+        let class_targets = ds.class_targets();
         let out_dim = match config.head {
             Head::Regression => 1,
             Head::Classification { n_classes } => {
-                if n_classes < 2 {
+                if n_classes < 2 || class_targets.iter().any(|&c| c >= n_classes) {
                     return Err(MlError::InvalidHyperparameter("n_classes"));
-                }
-                if ds.class_targets().iter().any(|&c| c >= n_classes) {
-                    return Err(MlError::SingleClass);
                 }
                 n_classes
             }
         };
+        reject_nan_features(ds.features())?;
 
         let mut rng = Rng::from_seed(config.seed);
         let mut sizes = vec![ds.n_features()];
         sizes.extend(&config.hidden);
         sizes.push(out_dim);
-        let mut layers: Vec<Layer> = sizes
-            .windows(2)
-            .map(|w| Layer::new(w[0], w[1], &mut rng))
-            .collect();
-
-        let class_targets = ds.class_targets();
+        let mut mlp = Mlp {
+            layers: sizes
+                .windows(2)
+                .map(|w| Layer::new(w[0], w[1], &mut rng))
+                .collect(),
+            activation: config.activation,
+            head: config.head,
+            n_features: ds.n_features(),
+            loss_history: Vec::with_capacity(config.epochs),
+        };
+        let mut work = Workspace::new(&mlp.layers);
         let mut order: Vec<usize> = (0..ds.len()).collect();
-        let mut loss_history = Vec::with_capacity(config.epochs);
 
         let loss_gauge = lori_obs::gauge("ml.train.loss");
         for epoch in 0..config.epochs {
@@ -216,104 +279,103 @@ impl Mlp {
             rng.shuffle(&mut order);
             let mut epoch_loss = 0.0;
             for chunk in order.chunks(config.batch_size) {
-                // Accumulate gradients over the mini-batch.
-                let mut gw: Vec<Vec<Vec<f64>>> = layers
-                    .iter()
-                    .map(|l| vec![vec![0.0; l.weights[0].len()]; l.weights.len()])
-                    .collect();
-                let mut gb: Vec<Vec<f64>> =
-                    layers.iter().map(|l| vec![0.0; l.biases.len()]).collect();
-
+                for g in work.gw.iter_mut().chain(&mut work.gb) {
+                    g.fill(0.0);
+                }
                 for &i in chunk {
                     let (x, y) = ds.sample(i);
-                    // Forward pass, keeping activations.
-                    let mut acts: Vec<Vec<f64>> = vec![x.to_vec()];
-                    for (li, layer) in layers.iter().enumerate() {
-                        let mut z = layer.forward(acts.last().expect("nonempty"));
-                        let is_last = li == layers.len() - 1;
-                        if is_last {
-                            if let Head::Classification { .. } = config.head {
-                                softmax_in_place(&mut z);
-                            }
-                        } else {
-                            for v in &mut z {
-                                *v = config.activation.apply(*v);
-                            }
-                        }
-                        acts.push(z);
-                    }
-                    let out = acts.last().expect("nonempty");
-                    // Output delta (dL/dz for the last pre-activation).
-                    let mut delta: Vec<f64> = match config.head {
-                        Head::Regression => {
-                            let e = out[0] - y;
-                            epoch_loss += e * e;
-                            vec![e]
-                        }
-                        Head::Classification { .. } => {
-                            let c = class_targets[i];
-                            epoch_loss += -(out[c].max(1e-12)).ln();
-                            out.iter()
-                                .enumerate()
-                                .map(|(k, &p)| p - f64::from(u8::from(k == c)))
-                                .collect()
-                        }
-                    };
-                    // Backward pass.
-                    for li in (0..layers.len()).rev() {
-                        let input = &acts[li];
-                        for (o, &d) in delta.iter().enumerate() {
-                            gb[li][o] += d;
-                            for (gwi, &xi) in gw[li][o].iter_mut().zip(input) {
-                                *gwi += d * xi;
-                            }
-                        }
-                        if li > 0 {
-                            let mut prev = vec![0.0; input.len()];
-                            for (o, &d) in delta.iter().enumerate() {
-                                for (p, &w) in prev.iter_mut().zip(&layers[li].weights[o]) {
-                                    *p += d * w;
-                                }
-                            }
-                            for (p, &a) in prev.iter_mut().zip(&acts[li]) {
-                                *p *= config.activation.derivative_from_output(a);
-                            }
-                            delta = prev;
-                        }
-                    }
+                    epoch_loss += mlp.accumulate_gradient(x, y, class_targets[i], &mut work);
                 }
-
-                // SGD-with-momentum update.
                 #[allow(clippy::cast_precision_loss)]
                 let scale = config.learning_rate / chunk.len() as f64;
-                for (layer, (gwl, gbl)) in layers.iter_mut().zip(gw.iter().zip(&gb)) {
-                    for ((wrow, vrow), grow) in
-                        layer.weights.iter_mut().zip(layer.vw.iter_mut()).zip(gwl)
-                    {
-                        for ((w, v), &g) in wrow.iter_mut().zip(vrow.iter_mut()).zip(grow) {
-                            *v = config.momentum * *v - scale * g;
-                            *w += *v;
-                        }
-                    }
-                    for ((b, v), &g) in layer.biases.iter_mut().zip(layer.vb.iter_mut()).zip(gbl) {
-                        *v = config.momentum * *v - scale * g;
-                        *b += *v;
-                    }
+                for (li, layer) in mlp.layers.iter_mut().enumerate() {
+                    let (vw, gw) = (&mut work.vw[li], &work.gw[li]);
+                    sgd_step(&mut layer.weights, vw, gw, scale, config.momentum);
+                    let (vb, gb) = (&mut work.vb[li], &work.gb[li]);
+                    sgd_step(&mut layer.biases, vb, gb, scale, config.momentum);
                 }
             }
             #[allow(clippy::cast_precision_loss)]
             let mean_loss = epoch_loss / ds.len() as f64;
             loss_gauge.set(mean_loss);
-            loss_history.push(mean_loss);
+            mlp.loss_history.push(mean_loss);
         }
+        Ok(mlp)
+    }
 
-        Ok(Mlp {
-            layers,
-            activation: config.activation,
-            head: config.head,
-            n_features: ds.n_features(),
-            loss_history,
-        })
+    /// Applies the nonlinearity after a layer in place: softmax after a
+    /// classification head's output layer, none after a regression head's,
+    /// and the hidden activation after every other layer.
+    fn nonlinearity(&self, is_output: bool, z: &mut [f64]) {
+        if !is_output {
+            for v in z {
+                *v = self.activation.apply(*v);
+            }
+        } else if let Head::Classification { .. } = self.head {
+            softmax_in_place(z);
+        }
+    }
+
+    /// Forward and backward pass for one sample: adds its gradient to
+    /// `work.gw`/`work.gb` and returns its loss. `y` is the regression
+    /// target and `class` the class index; each head reads its own.
+    fn accumulate_gradient(&self, x: &[f64], y: f64, class: usize, work: &mut Workspace) -> f64 {
+        let Workspace {
+            acts,
+            gw,
+            gb,
+            delta,
+            prev,
+            ..
+        } = work;
+        let last = self.layers.len() - 1;
+        for (li, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = acts.split_at_mut(li);
+            let out = &mut rest[0];
+            layer.forward_into(done.last().map_or(x, Vec::as_slice), out);
+            self.nonlinearity(li == last, out);
+        }
+        // Output delta (dL/dz for the last pre-activation).
+        let out = &acts[last];
+        let loss = match self.head {
+            Head::Regression => {
+                let e = out[0] - y;
+                delta[0] = e;
+                e * e
+            }
+            Head::Classification { .. } => {
+                for (k, (d, &p)) in delta.iter_mut().zip(out).enumerate() {
+                    *d = p - f64::from(u8::from(k == class));
+                }
+                -(out[class].max(1e-12)).ln()
+            }
+        };
+        // Backward pass.
+        for (li, layer) in self.layers.iter().enumerate().rev() {
+            let input = if li == 0 { x } else { &acts[li - 1] };
+            let d = &delta[..layer.biases.len()];
+            for (o, (&d_o, gb_o)) in d.iter().zip(&mut gb[li]).enumerate() {
+                *gb_o += d_o;
+                let gw_row = &mut gw[li][o * layer.n_in..(o + 1) * layer.n_in];
+                for (g, &xi) in gw_row.iter_mut().zip(input) {
+                    *g += d_o * xi;
+                }
+            }
+            if li > 0 {
+                let p = &mut prev[..layer.n_in];
+                p.fill(0.0);
+                for (o, &d_o) in d.iter().enumerate() {
+                    for (p, &w) in p.iter_mut().zip(layer.row(o)) {
+                        *p += d_o * w;
+                    }
+                }
+                for (p, &a) in p.iter_mut().zip(input) {
+                    *p *= self.activation.derivative_from_output(a);
+                }
+                mem::swap(delta, prev);
+            }
+        }
+        loss
     }
 
     /// Raw network output (post-softmax for classification heads).
@@ -324,18 +386,12 @@ impl Mlp {
     #[must_use]
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.n_features, "feature count mismatch");
+        let last = self.layers.len() - 1;
         let mut a = x.to_vec();
         for (li, layer) in self.layers.iter().enumerate() {
-            let mut z = layer.forward(&a);
-            if li == self.layers.len() - 1 {
-                if let Head::Classification { .. } = self.head {
-                    softmax_in_place(&mut z);
-                }
-            } else {
-                for v in &mut z {
-                    *v = self.activation.apply(*v);
-                }
-            }
+            let mut z = vec![0.0; layer.biases.len()];
+            layer.forward_into(&a, &mut z);
+            self.nonlinearity(li == last, &mut z);
             a = z;
         }
         a
@@ -352,7 +408,7 @@ impl Mlp {
     pub fn parameter_count(&self) -> usize {
         self.layers
             .iter()
-            .map(|l| l.weights.iter().map(Vec::len).sum::<usize>() + l.biases.len())
+            .map(|l| l.weights.len() + l.biases.len())
             .sum()
     }
 }
@@ -481,9 +537,27 @@ mod tests {
         assert!(Mlp::fit(&ds, &c).is_err());
         let c = MlpConfig::classifier(1);
         assert!(Mlp::fit(&ds, &c).is_err());
-        // Class label out of range for declared n_classes.
+    }
+
+    #[test]
+    fn out_of_range_class_label_is_an_invalid_n_classes() {
         let bad = Dataset::from_rows(vec![vec![0.0], vec![1.0]], vec![0.0, 5.0]).unwrap();
-        assert!(Mlp::fit(&bad, &MlpConfig::classifier(2)).is_err());
+        assert_eq!(
+            Mlp::fit(&bad, &MlpConfig::classifier(2)),
+            Err(MlError::InvalidHyperparameter("n_classes"))
+        );
+    }
+
+    #[test]
+    fn nan_feature_is_a_typed_error() {
+        let ds = Dataset::from_rows(
+            vec![vec![0.0, 1.0], vec![f64::NAN, 2.0], vec![1.0, 3.0]],
+            vec![0.0, 1.0, 1.0],
+        )
+        .unwrap();
+        let nan = Err(MlError::Numerical("NaN feature"));
+        assert_eq!(Mlp::fit(&ds, &MlpConfig::classifier(2)), nan);
+        assert_eq!(Mlp::fit(&ds, &MlpConfig::regressor()), nan);
     }
 
     #[test]
@@ -513,6 +587,64 @@ mod tests {
         c.epochs = 1;
         let mlp = Mlp::fit(&ds, &c).unwrap();
         let _: f64 = Regressor::predict(&mlp, &[0.0, 0.0]);
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    const ORACLE_CASES: usize = 240;
+
+    /// The workspace fit equals the allocating oracle bit for bit: loss
+    /// history, every weight and bias, and the output on every training
+    /// row, over random configs and datasets (`oracle::random_case`).
+    #[test]
+    fn fit_matches_allocating_oracle() {
+        let mut rng = Rng::from_seed(0x006d_6c70);
+        let (mut classes, mut activations, mut hidden, mut batches) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let (mut oversized_batch, mut finite) = (false, 0);
+        for case in 0..ORACLE_CASES {
+            let (ds, config) = oracle::random_case(&mut rng);
+            let fast = Mlp::fit(&ds, &config).unwrap();
+            let slow = oracle::fit(&ds, &config);
+            assert_eq!(
+                bits(fast.loss_history()),
+                bits(&slow.loss_history),
+                "case {case}: {config:?}"
+            );
+            for (layer, expected) in fast.layers.iter().zip(&slow.layers) {
+                assert_eq!(bits(&layer.weights), bits(&expected.weights.concat()));
+                assert_eq!(bits(&layer.biases), bits(&expected.biases));
+            }
+            for row in ds.features() {
+                assert_eq!(bits(&fast.forward(row)), bits(&slow.forward(row)));
+            }
+            finite += usize::from(fast.loss_history().iter().all(|l| l.is_finite()));
+            classes.push(match config.head {
+                Head::Regression => 0,
+                Head::Classification { n_classes } => n_classes,
+            });
+            activations.push(config.activation);
+            hidden.push(config.hidden);
+            batches.push(config.batch_size);
+            oversized_batch |= config.batch_size > ds.len();
+        }
+        // The cases cover what the operation order depends on.
+        for k in [0, 2, 3, 4] {
+            assert!(classes.contains(&k), "head with {k} classes");
+        }
+        for a in [Activation::Relu, Activation::Tanh, Activation::Sigmoid] {
+            assert!(activations.contains(&a), "{a:?}");
+        }
+        assert!(hidden.iter().any(|h| h.contains(&1)));
+        assert!(hidden.iter().any(|h| h.len() == 3));
+        for b in [1, 7, 32] {
+            assert!(batches.contains(&b), "batch size {b}");
+        }
+        assert!(oversized_batch, "a batch larger than n");
+        // Bit equality of diverged fits says little; most must stay finite.
+        assert!(finite * 10 >= ORACLE_CASES * 9, "{finite} finite fits");
     }
 
     #[test]
