@@ -1,7 +1,6 @@
 //! Bit-parallel fault-injection throughput: the lane engine vs the scalar
 //! path on the two campaign shapes the paper's architecture studies run at
-//! survey scale. Emits `results/BENCH_arch.json`, the machine-readable
-//! perf-trajectory record.
+//! survey scale.
 //!
 //! Two fixed spec sets, both timed at `Parallelism::serial()` so the
 //! measured speedup is the lane engine's alone (thread scaling is
@@ -15,24 +14,18 @@
 //!
 //! Bit-identity is asserted, not assumed: both paths run over the full
 //! spec sets once and their outcome sequences are compared `==` before any
-//! timing. `LORI_BENCH_SMOKE=1` shrinks the trial counts (CI runs it that
-//! way) but still performs the identity checks, both timed passes, and the
-//! record write.
+//! timing. Each benchmark id carries the pass's injection count, so
+//! injections/s is that count over the printed time per iteration.
 
+use criterion::{black_box, BenchmarkId, Criterion};
 use lori_arch::cpu::{run_golden, CpuConfig, ExecResult, Protection};
 use lori_arch::fault::{run_with_fault, FaultSpec, FaultTarget, Outcome};
 use lori_arch::isa::{Program, Reg, NUM_REGS};
-use lori_arch::lane::{campaign_outcomes, MAX_LANES};
+use lori_arch::lane::campaign_outcomes;
 use lori_arch::workload;
-use lori_bench::harness::results_dir;
-use lori_bench::{write_bench_arch, ArchGroup};
 use lori_core::Rng;
 use lori_par::Parallelism;
-use std::time::Instant;
-
-fn smoke_mode() -> bool {
-    std::env::var("LORI_BENCH_SMOKE").is_ok_and(|v| !matches!(v.as_str(), "" | "0" | "false"))
-}
+use std::time::Duration;
 
 /// One program's fixed campaign: golden run plus the spec set evaluated
 /// against it.
@@ -121,92 +114,49 @@ fn lane_outcomes(set: &CampaignSet, config: &CpuConfig, protection: &Protection)
 
 type Evaluator = fn(&CampaignSet, &CpuConfig, &Protection) -> Vec<Outcome>;
 
-/// Median wall seconds over `reps` passes of `eval` over every set.
-fn time_path(
-    sets: &[CampaignSet],
-    config: &CpuConfig,
-    protection: &Protection,
-    eval: Evaluator,
-    reps: usize,
-) -> f64 {
-    let mut walls: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            for set in sets {
-                std::hint::black_box(eval(set, config, protection));
-            }
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    walls.sort_by(f64::total_cmp);
-    walls[walls.len() / 2]
-}
-
-fn measure_group(
-    name: &str,
-    sets: &[CampaignSet],
-    config: &CpuConfig,
-    protection: &Protection,
-    reps: usize,
-) -> ArchGroup {
+/// Asserts lane == scalar on every spec of `sets`, then times one scalar
+/// and one lane pass over all of them as criterion group `name`.
+fn bench_campaign(c: &mut Criterion, name: &str, sets: &[CampaignSet]) {
+    let config = CpuConfig::default();
+    let protection = Protection::none();
     // Bit-identity first: the speedup claim is void if the outcomes drift.
     for set in sets {
         assert_eq!(
-            scalar_outcomes(set, config, protection),
-            lane_outcomes(set, config, protection),
+            scalar_outcomes(set, &config, &protection),
+            lane_outcomes(set, &config, &protection),
             "{name}: lane outcomes diverged from scalar on {}",
             set.program.name
         );
     }
     let injections: usize = sets.iter().map(|s| s.specs.len()).sum();
-    let scalar_wall_s = time_path(sets, config, protection, scalar_outcomes, reps);
-    let lane_wall_s = time_path(sets, config, protection, lane_outcomes, reps);
-    ArchGroup {
-        injections,
-        scalar_wall_s,
-        lane_wall_s,
+    let mut group = c.benchmark_group(name);
+    for (label, eval) in [
+        ("scalar", scalar_outcomes as Evaluator),
+        ("lanes", lane_outcomes),
+    ] {
+        group.bench_with_input(BenchmarkId::new(label, injections), &eval, |b, eval| {
+            b.iter(|| {
+                for set in sets {
+                    black_box(eval(black_box(set), &config, &protection));
+                }
+            });
+        });
     }
+    group.finish();
 }
 
 fn main() {
-    let smoke = smoke_mode();
     let config = CpuConfig::default();
-    let protection = Protection::none();
-    // Full mode matches the exp-ff-vulnerability hot phase (5 programs ×
-    // 16 regs × 32 bits × 4 trials = 10240 injections); smoke shrinks the
-    // trial counts but keeps every (program, register, bit) cell.
-    let trials_per_ff = if smoke { 1 } else { 4 };
-    let anomaly_trials = if smoke { 1024 } else { 8192 };
-    let reps = if smoke { 1 } else { 3 };
-
-    let ff_sets = ff_vulnerability_sets(&config, trials_per_ff, 1);
-    let anomaly_sets = [anomaly_set(&config, anomaly_trials, 2)];
-
-    let ff = measure_group("ff_vulnerability", &ff_sets, &config, &protection, reps);
-    let anomaly = measure_group(
-        "anomaly_campaign",
-        &anomaly_sets,
-        &config,
-        &protection,
-        reps,
-    );
-
-    let path = write_bench_arch(&results_dir(), MAX_LANES, ff, anomaly);
-    #[allow(clippy::cast_precision_loss)]
-    let per_s = |g: &ArchGroup| g.injections as f64 / g.lane_wall_s.max(1e-12);
-    println!(
-        "BENCH_arch: ff {} injections, scalar {:.3}s, lanes {:.3}s ({:.1}x, {:.0}/s); \
-         anomaly {} injections, scalar {:.3}s, lanes {:.3}s ({:.1}x, {:.0}/s) -> {}",
-        ff.injections,
-        ff.scalar_wall_s,
-        ff.lane_wall_s,
-        ff.speedup(),
-        per_s(&ff),
-        anomaly.injections,
-        anomaly.scalar_wall_s,
-        anomaly.lane_wall_s,
-        anomaly.speedup(),
-        per_s(&anomaly),
-        path.display()
-    );
+    // 5 programs × 16 regs × 32 bits × 4 trials = 10240 injections, the
+    // exp-ff-vulnerability hot phase.
+    let ff_sets = ff_vulnerability_sets(&config, 4, 1);
+    let anomaly_sets = [anomaly_set(&config, 8192, 2)];
+    // One scalar ff pass takes seconds, so each of its samples is a single
+    // pass; ten samples keep the whole bench near a minute on 2 cores.
+    let mut c = Criterion::default()
+        .measurement_time(Duration::from_millis(1500))
+        .warm_up_time(Duration::from_millis(400))
+        .sample_size(10);
+    bench_campaign(&mut c, "ff_vulnerability", &ff_sets);
+    bench_campaign(&mut c, "anomaly_campaign", &anomaly_sets);
 }

@@ -2,12 +2,11 @@
 //!
 //! Every `exp-*` binary runs through a [`Harness`]: it prints the standard
 //! banner, installs a [`lori_obs::JsonlRecorder`] streaming to
-//! `results/<name>.events.jsonl` (disable with `LORI_OBS=off`), times each
-//! [`Harness::phase`], and on [`Harness::finish`] writes a
-//! [`lori_obs::RunManifest`] to `results/<name>.manifest.json` with the
-//! seed, config summary, code version, per-phase wall times, shape-check
-//! outcomes, and a snapshot of every metric the instrumented layers
-//! aggregated during the run.
+//! `results/<name>.events.jsonl`, times each [`Harness::phase`], and on
+//! [`Harness::finish`] writes a [`lori_obs::RunManifest`] to
+//! `results/<name>.manifest.json` with the seed, config summary, code
+//! version, per-phase wall times, shape-check outcomes, and a snapshot of
+//! every metric the instrumented layers aggregated during the run.
 //!
 //! The harness never aborts a run over results plumbing: an uncreatable
 //! results directory degrades to a [`lori_obs::NullRecorder`] with a
@@ -38,12 +37,7 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Every `LORI_*` environment variable the workspace reads.
-const KNOWN_VARS: [&str; 4] = [
-    "LORI_BENCH_SMOKE",
-    "LORI_OBS",
-    "LORI_RESULTS_DIR",
-    "LORI_THREADS",
-];
+const KNOWN_VARS: [&str; 2] = ["LORI_RESULTS_DIR", "LORI_THREADS"];
 
 /// Rejects `LORI_*` names outside [`KNOWN_VARS`] and a `LORI_THREADS` that
 /// [`lori_par::Parallelism::parse`] refuses.
@@ -69,18 +63,11 @@ fn check_env() -> Result<(), String> {
     }
 }
 
-/// `true` unless `LORI_OBS=off|0|false` disables event recording.
-fn obs_enabled() -> bool {
-    !matches!(
-        std::env::var("LORI_OBS").as_deref(),
-        Ok("off" | "0" | "false")
-    )
-}
-
 /// The shared experiment runner. See the module docs.
 #[derive(Debug)]
 pub struct Harness {
     name: String,
+    dir: PathBuf,
     manifest: obs::RunManifest,
     checks: Vec<(String, bool)>,
     events_path: Option<PathBuf>,
@@ -106,7 +93,12 @@ impl Harness {
             eprintln!("error: {err}");
             std::process::exit(2)
         }
-        let dir = results_dir();
+        Self::in_dir(name, results_dir())
+    }
+
+    /// [`Harness::new`] after the banner and the environment check, with
+    /// the results directory given rather than read from the environment.
+    fn in_dir(name: &str, dir: PathBuf) -> Self {
         let dir_ok = match std::fs::create_dir_all(&dir) {
             Ok(()) => true,
             Err(err) => {
@@ -118,7 +110,7 @@ impl Harness {
                 false
             }
         };
-        let events_path = if dir_ok && obs_enabled() {
+        let events_path = if dir_ok {
             let path = dir.join(format!("{name}.events.jsonl"));
             match obs::JsonlRecorder::create_atomic(&path) {
                 Ok(rec) => {
@@ -140,6 +132,7 @@ impl Harness {
         manifest.config("obs", events_path.is_some());
         Harness {
             name: name.to_owned(),
+            dir,
             manifest,
             checks: Vec::new(),
             events_path,
@@ -216,7 +209,7 @@ impl Harness {
             self.manifest.config.push(("checks".to_owned(), checks));
         }
         self.manifest.finish(obs::registry().snapshot());
-        let path = results_dir().join(format!("{}.manifest.json", self.name));
+        let path = self.dir.join(format!("{}.manifest.json", self.name));
         self.manifest.write(&path)?;
         print!("manifest: {}", path.display());
         if let Some(events) = &self.events_path {
@@ -245,8 +238,7 @@ mod tests {
     #[test]
     fn harness_lifecycle_writes_events_and_manifest() {
         let dir = std::env::temp_dir().join(format!("lori-harness-{}", std::process::id()));
-        std::env::set_var("LORI_RESULTS_DIR", &dir);
-        let mut h = Harness::new("exp-unit", "E0", "harness unit test");
+        let mut h = Harness::in_dir("exp-unit", dir.clone());
         assert_eq!(h.name(), "exp-unit");
         h.seed(9);
         h.config("runs", 3u64);
@@ -255,7 +247,6 @@ mod tests {
         h.check("sum matches", total == 4950);
         assert!(h.all_checks_pass());
         h.finish().expect("manifest written");
-        std::env::remove_var("LORI_RESULTS_DIR");
 
         let manifest =
             std::fs::read_to_string(dir.join("exp-unit.manifest.json")).expect("manifest");
@@ -282,19 +273,17 @@ mod tests {
         }
         std::fs::remove_dir_all(&dir).ok();
 
-        // Degraded mode, same test body (the recorder and LORI_RESULTS_DIR
-        // are process-global): a file where the results dir should be makes
-        // create_dir_all fail; the harness must warn and keep computing,
-        // and finish() must return the write error instead of panicking.
+        // Degraded mode, same test body (the recorder is process-global): a
+        // file where the results dir should be makes create_dir_all fail;
+        // the harness must warn and keep computing, and finish() must
+        // return the write error instead of panicking.
         let blocker = std::env::temp_dir().join(format!("lori-harness-blk-{}", std::process::id()));
         std::fs::write(&blocker, b"not a directory").unwrap();
-        std::env::set_var("LORI_RESULTS_DIR", &blocker);
-        let mut h = Harness::new("exp-degraded", "E0", "degraded harness");
+        let mut h = Harness::in_dir("exp-degraded", blocker.clone());
         let out = h.phase("compute", || 21 * 2);
         assert_eq!(out, 42);
         let err = h.finish().expect_err("manifest write must fail");
         assert!(!err.to_string().is_empty());
-        std::env::remove_var("LORI_RESULTS_DIR");
         std::fs::remove_file(&blocker).ok();
 
         // Crash mode: a phase panics and the harness drops while the panic
@@ -302,13 +291,11 @@ mod tests {
         // under its final name with the failing phase's enter event, next
         // to a manifest.
         let dir = std::env::temp_dir().join(format!("lori-harness-crash-{}", std::process::id()));
-        std::env::set_var("LORI_RESULTS_DIR", &dir);
-        let h = Harness::new("exp-crash", "E0", "crashing harness");
+        let h = Harness::in_dir("exp-crash", dir.clone());
         let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             let mut h = h;
             h.phase("doomed", || panic!("injected phase failure"));
         }));
-        std::env::remove_var("LORI_RESULTS_DIR");
         assert!(crashed.is_err(), "the phase panic propagates");
         let events = std::fs::read_to_string(dir.join("exp-crash.events.jsonl"))
             .expect("events renamed into place");

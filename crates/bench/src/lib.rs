@@ -6,11 +6,9 @@
 //! EXPERIMENTS.md for recorded results.
 
 pub mod harness;
-pub mod perf;
 pub mod points;
 
 pub use harness::Harness;
-pub use perf::{write_bench_arch, ArchGroup};
 
 use std::fmt::Write as _;
 

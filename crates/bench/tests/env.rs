@@ -39,6 +39,8 @@ fn unknown_lori_variable_exits_2_without_artifacts() {
     assert_rejected("cache", "LORI_CACHE", "disk");
     assert_rejected("recovery", "LORI_RECOVERY", "quarantine:1");
     assert_rejected("plan", "LORI_FAULT_PLAN", "panic@sweep.point:3");
+    assert_rejected("smoke", "LORI_BENCH_SMOKE", "1");
+    assert_rejected("obs", "LORI_OBS", "off");
 }
 
 #[test]

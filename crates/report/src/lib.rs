@@ -1,8 +1,8 @@
-//! # lori-report — trace analysis and perf gating for LORI
+//! # lori-report — trace analysis and run checks for LORI
 //!
-//! The read side of `lori-obs`: every run writes `.events.jsonl`,
-//! `.manifest.json`, and `BENCH_*.json` artifacts, and this crate turns
-//! them back into answers. Three pieces, all on `std` only:
+//! The read side of `lori-obs`: every run writes `.events.jsonl` and
+//! `.manifest.json` artifacts, and this crate turns them back into
+//! answers. Two pieces, both on `std` only:
 //!
 //! 1. **Profiling** ([`profile`]): reconstructs span trees from an event
 //!    stream — validating nesting, depths, span ids, and timestamp
@@ -12,29 +12,22 @@
 //!    wall/self time, call counts, p50/p95/max durations, the critical
 //!    path (which may cross threads), and flamegraph folded stacks.
 //!    Deterministic: same input, byte-identical output.
-//! 2. **Diffing & gating** ([`diff`]): flattens two JSON records to
-//!    dotted-path metric maps and compares them; with `--gate <pct>` it
-//!    fails on wall-time or throughput regressions past the threshold,
-//!    downgrading to warnings when the records' `cores` fields say the
-//!    machines are not comparable.
-//! 3. **Sanity checks** ([`check`]): scans a manifest and its event stream
+//! 2. **Sanity checks** ([`check`]): scans a manifest and its event stream
 //!    for values that cannot be true — non-finite metrics, phase times
 //!    exceeding the run's wall time, unbalanced event streams, orphan
 //!    spans whose recorded parent never appears (broken trace-context
 //!    propagation), and counters implying physically impossible rates.
 //!
-//! The `lori-report` binary exposes all three as subcommands
-//! (`profile <name>`, `diff <base> <cur> [--gate <pct>]`, `check <name>`).
+//! The `lori-report` binary exposes both as subcommands
+//! (`profile <name>`, `check <name>`).
 
 #![warn(missing_docs)]
 
 pub mod check;
-pub mod diff;
 pub mod error;
 pub mod profile;
 
 pub use check::{check_run, CheckReport};
-pub use diff::{diff, flatten, DiffReport};
 pub use error::ReportError;
 pub use profile::{build_profile, parse_events, OrphanSpan, ParsedEvents, Profile, SpanNode};
 

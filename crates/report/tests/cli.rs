@@ -85,71 +85,6 @@ fn profile_rejects_corrupt_stream_with_line_number() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-fn bench_record(wall_s: f64, pps: f64) -> String {
-    format!(
-        "{{\"bench\":\"fig56_sweep\",\"cores\":4,\
-         \"parallel\":{{\"threads\":4,\"wall_s\":{wall_s},\"points_per_s\":{pps}}},\
-         \"version\":\"test\"}}"
-    )
-}
-
-#[test]
-fn diff_gate_fails_on_regression_and_passes_on_identical() {
-    let dir = tmp_dir("diff");
-    let base = dir.join("base.json");
-    let same = dir.join("same.json");
-    let slow = dir.join("slow.json");
-    std::fs::write(&base, bench_record(2.0, 6.5)).unwrap();
-    std::fs::write(&same, bench_record(2.0, 6.5)).unwrap();
-    std::fs::write(&slow, bench_record(4.0, 3.25)).unwrap();
-
-    let ok = run(
-        &[
-            "diff",
-            base.to_str().unwrap(),
-            same.to_str().unwrap(),
-            "--gate",
-            "25",
-        ],
-        &dir,
-    );
-    assert!(ok.status.success(), "stdout: {}", text(&ok.stdout));
-
-    let fail = run(
-        &[
-            "diff",
-            base.to_str().unwrap(),
-            slow.to_str().unwrap(),
-            "--gate",
-            "25",
-        ],
-        &dir,
-    );
-    assert_eq!(
-        fail.status.code(),
-        Some(1),
-        "stdout: {}",
-        text(&fail.stdout)
-    );
-    assert!(text(&fail.stdout).contains("FAIL gate"));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn diff_without_gate_never_fails() {
-    let dir = tmp_dir("diff-nogate");
-    let base = dir.join("base.json");
-    let slow = dir.join("slow.json");
-    std::fs::write(&base, bench_record(2.0, 6.5)).unwrap();
-    std::fs::write(&slow, bench_record(40.0, 0.3)).unwrap();
-    let out = run(
-        &["diff", base.to_str().unwrap(), slow.to_str().unwrap()],
-        &dir,
-    );
-    assert!(out.status.success());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 #[test]
 fn check_flags_the_corrupt_rollbacks_class() {
     let dir = tmp_dir("check");
@@ -185,7 +120,7 @@ fn usage_errors_exit_2() {
     let out = Command::new(bin()).args(["frobnicate"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     let out = Command::new(bin())
-        .args(["diff", "a.json"]) // missing second file
+        .args(["profile"]) // missing run name
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
