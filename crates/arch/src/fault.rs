@@ -284,69 +284,6 @@ pub fn random_register_campaign_with(
     })
 }
 
-/// Per-register vulnerability: `n_per_reg` random-bit/random-cycle trials
-/// for each architectural register, returning each register's AVF-style
-/// vulnerability fraction.
-///
-/// # Errors
-///
-/// Returns [`ArchError::NoTrials`] for `n_per_reg == 0`.
-pub fn per_register_vulnerability(
-    program: &Program,
-    config: &CpuConfig,
-    n_per_reg: usize,
-    seed: u64,
-) -> Result<Vec<f64>, ArchError> {
-    per_register_vulnerability_with(program, config, n_per_reg, seed, lori_par::global())
-}
-
-/// [`per_register_vulnerability`] with explicit parallelism.
-///
-/// # Errors
-///
-/// Returns [`ArchError::NoTrials`] for `n_per_reg == 0`.
-pub fn per_register_vulnerability_with(
-    program: &Program,
-    config: &CpuConfig,
-    n_per_reg: usize,
-    seed: u64,
-    par: Parallelism,
-) -> Result<Vec<f64>, ArchError> {
-    if n_per_reg == 0 {
-        return Err(ArchError::NoTrials);
-    }
-    let golden = crate::cpu::run_golden(program, config);
-    let protection = Protection::none();
-    // Register-major spec generation, one shared RNG stream — the draw
-    // order of the original nested loops.
-    let mut rng = Rng::from_seed(seed);
-    let mut specs = Vec::with_capacity(NUM_REGS * n_per_reg);
-    for reg_idx in 0..NUM_REGS {
-        for _ in 0..n_per_reg {
-            #[allow(clippy::cast_possible_truncation)]
-            specs.push(FaultSpec {
-                target: FaultTarget::Register {
-                    reg: Reg::new(reg_idx as u8).expect("in range"),
-                    bit: rng.below(32) as u8,
-                },
-                cycle: rng.below(golden.cycles.max(1)),
-            });
-        }
-    }
-    let outcomes = lane::campaign_outcomes(program, config, &protection, &golden, &specs, par);
-    let result = outcomes
-        .chunks(n_per_reg)
-        .map(|chunk| {
-            let mut counts = OutcomeCounts::default();
-            for &o in chunk {
-                counts.record(o);
-            }
-            counts.vulnerability()
-        })
-        .collect();
-    Ok(result)
-}
-
 /// Per-instruction SDC proneness: inject faults into the destination
 /// register *immediately after* each dynamic execution of each static
 /// instruction, `n_per_instr` times, and report the SDC fraction per static
@@ -479,19 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn per_register_vulnerability_varies() {
-        let p = workload::fibonacci();
-        let cfg = CpuConfig::default();
-        let v = per_register_vulnerability(&p, &cfg, 60, 3).unwrap();
-        assert_eq!(v.len(), NUM_REGS);
-        // Loop-carried registers must be far more vulnerable than unused ones.
-        let max = v.iter().copied().fold(0.0f64, f64::max);
-        let min = v.iter().copied().fold(1.0f64, f64::min);
-        assert!(max > 0.2, "max vulnerability {max}");
-        assert!(min < 0.05, "min vulnerability {min}");
-    }
-
-    #[test]
     fn per_instruction_sdc_shapes() {
         let p = workload::dot_product();
         let cfg = CpuConfig::default();
@@ -532,7 +456,6 @@ mod tests {
         let p = workload::fibonacci();
         let cfg = CpuConfig::default();
         assert!(random_register_campaign(&p, &cfg, &Protection::none(), 0, 1).is_err());
-        assert!(per_register_vulnerability(&p, &cfg, 0, 1).is_err());
         assert!(per_instruction_sdc(&p, &cfg, 0, 1).is_err());
     }
 

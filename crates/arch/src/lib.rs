@@ -5,7 +5,7 @@
 //!
 //! - [`isa`] — a small RISC-style instruction set;
 //! - [`cpu`] — an architectural simulator with registers, PC, and memory,
-//!   plus optional shadow-register replication and symptom monitors;
+//!   plus optional shadow-register replication;
 //! - [`workload`] — real little programs (matrix multiply, sort, checksum,
 //!   dot product, Fibonacci) used as injection targets;
 //! - [`fault`] — bit-flip fault injection campaigns with outcome
@@ -18,8 +18,8 @@
 //! - [`predict`] — dataset builders for vulnerability prediction (the
 //!   ref-\[20\] "train on 20 % of injections" experiment and the ref-\[24\]
 //!   SDC-proneness experiment);
-//! - [`protect`] — selective instruction replication (IPAS-style, ref \[27\])
-//!   and symptom-based detection (ref \[29\]).
+//! - [`protect`] — coverage and overhead of selective instruction
+//!   replication (IPAS-style, ref \[27\]).
 
 pub(crate) mod accel;
 pub mod cpu;

@@ -1,17 +1,13 @@
-//! Protection mechanisms and their evaluation.
+//! Protection evaluation.
 //!
-//! - **Selective replication** (IPAS-style, ref \[27\]): protect only the
-//!   instructions an ML classifier flags as SDC-prone, trading coverage for
-//!   slowdown. [`evaluate_protection`] measures both.
-//! - **Symptom-based detection** (ref \[29\]): watch executions for
-//!   value-range anomalies learned from golden traces; cheap but prone to
-//!   under-protection, which experiment E8/E10 quantifies.
+//! **Selective replication** (IPAS-style, ref \[27\]): protect only the
+//! instructions an ML classifier flags as SDC-prone, trading coverage for
+//! slowdown. [`evaluate_protection`] measures both.
 
-use crate::cpu::{Cpu, CpuConfig, ExecResult, Protection, StopReason};
+use crate::cpu::{Cpu, CpuConfig, Protection};
 use crate::error::ArchError;
-use crate::fault::{classify, FaultSpec, FaultTarget, Outcome, OutcomeCounts};
-use crate::isa::{Program, NUM_REGS};
-use lori_core::Rng;
+use crate::fault::{Outcome, OutcomeCounts};
+use crate::isa::Program;
 
 /// Coverage/overhead report for a protection configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,125 +80,6 @@ pub fn evaluate_protection(
     })
 }
 
-/// A symptom monitor: per-register value envelopes learned from the golden
-/// execution, widened by a tolerance factor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SymptomMonitor {
-    lo: [u32; NUM_REGS],
-    hi: [u32; NUM_REGS],
-}
-
-impl SymptomMonitor {
-    /// Learns register-value envelopes from a fault-free run.
-    #[must_use]
-    pub fn learn(program: &Program, config: &CpuConfig) -> Self {
-        let mut lo = [u32::MAX; NUM_REGS];
-        let mut hi = [0u32; NUM_REGS];
-        let mut cpu = Cpu::new(program, config);
-        let protection = Protection::none();
-        loop {
-            let info = cpu.step(program, &protection);
-            if let Some((reg, v)) = info.wrote {
-                lo[reg.index()] = lo[reg.index()].min(v);
-                hi[reg.index()] = hi[reg.index()].max(v);
-            }
-            if info.stop.is_some() {
-                break;
-            }
-        }
-        // Widen envelopes slightly: values near the bounds are normal.
-        for i in 0..NUM_REGS {
-            if lo[i] <= hi[i] {
-                let span = (hi[i] - lo[i]).max(16);
-                lo[i] = lo[i].saturating_sub(span / 8);
-                hi[i] = hi[i].saturating_add(span / 8);
-            }
-        }
-        SymptomMonitor { lo, hi }
-    }
-
-    /// Whether a register write is anomalous.
-    #[must_use]
-    pub fn is_anomalous(&self, reg: usize, value: u32) -> bool {
-        if self.lo[reg] > self.hi[reg] {
-            // Register never written in golden run; any write is anomalous.
-            return true;
-        }
-        value < self.lo[reg] || value > self.hi[reg]
-    }
-
-    /// Runs a faulty trial under symptom monitoring: an anomalous register
-    /// write stops the run as *detected*. Returns the classified outcome.
-    #[must_use]
-    pub fn run_with_fault(
-        &self,
-        program: &Program,
-        config: &CpuConfig,
-        golden: &ExecResult,
-        fault: &FaultSpec,
-    ) -> Outcome {
-        let mut cpu = Cpu::new(program, config);
-        let protection = Protection::none();
-        let mut injected = false;
-        let mut executed: u64 = 0;
-        let result = loop {
-            if !injected && executed >= fault.cycle {
-                match fault.target {
-                    FaultTarget::Register { reg, bit } => cpu.flip_register_bit(reg, bit),
-                    FaultTarget::Pc { bit } => cpu.flip_pc_bit(bit),
-                    FaultTarget::Memory { addr, bit } => cpu.flip_memory_bit(addr, bit),
-                }
-                injected = true;
-            }
-            let info = cpu.step(program, &protection);
-            executed += 1;
-            if injected {
-                if let Some((reg, v)) = info.wrote {
-                    if self.is_anomalous(reg.index(), v) {
-                        break cpu.finish(program, StopReason::DetectedMismatch);
-                    }
-                }
-            }
-            if let Some(stop) = info.stop {
-                break cpu.finish(program, stop);
-            }
-        };
-        classify(&result, golden)
-    }
-}
-
-/// Evaluates symptom-based detection with a random register campaign.
-///
-/// # Errors
-///
-/// Returns [`ArchError::NoTrials`] for `n == 0`.
-pub fn evaluate_symptom_detection(
-    program: &Program,
-    config: &CpuConfig,
-    n: usize,
-    seed: u64,
-) -> Result<OutcomeCounts, ArchError> {
-    if n == 0 {
-        return Err(ArchError::NoTrials);
-    }
-    let golden = crate::cpu::run_golden(program, config);
-    let monitor = SymptomMonitor::learn(program, config);
-    let mut rng = Rng::from_seed(seed);
-    let mut counts = OutcomeCounts::default();
-    for _ in 0..n {
-        #[allow(clippy::cast_possible_truncation)]
-        let fault = FaultSpec {
-            target: FaultTarget::Register {
-                reg: crate::isa::Reg::new(rng.below(NUM_REGS as u64) as u8).expect("in range"),
-                bit: rng.below(32) as u8,
-            },
-            cycle: rng.below(golden.cycles.max(1)),
-        };
-        counts.record(monitor.run_with_fault(program, config, &golden, &fault));
-    }
-    Ok(counts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,34 +120,9 @@ mod tests {
     }
 
     #[test]
-    fn symptom_monitor_learns_envelopes() {
-        let p = workload::fibonacci();
-        let cfg = CpuConfig::default();
-        let m = SymptomMonitor::learn(&p, &cfg);
-        // fib values stay below ~7000; a huge value is anomalous.
-        assert!(m.is_anomalous(1, 0xFFFF_0000));
-        assert!(!m.is_anomalous(1, 100));
-        // A register never written in the golden run flags any write.
-        assert!(m.is_anomalous(15, 0));
-    }
-
-    #[test]
-    fn symptom_detection_catches_some_faults_cheaply() {
-        let p = workload::fibonacci();
-        let cfg = CpuConfig::default();
-        let counts = evaluate_symptom_detection(&p, &cfg, 400, 4).unwrap();
-        assert_eq!(counts.total(), 400);
-        assert!(counts.count(Outcome::Detected) > 0, "no symptoms caught");
-        // Under-protection: symptom detection misses some SDCs (the paper's
-        // critique of symptom-based techniques).
-        assert!(counts.count(Outcome::Sdc) > 0, "suspiciously perfect");
-    }
-
-    #[test]
     fn zero_trials_rejected() {
         let p = workload::fibonacci();
         let cfg = CpuConfig::default();
         assert!(evaluate_protection(&p, &cfg, &Protection::none(), 0, 1).is_err());
-        assert!(evaluate_symptom_detection(&p, &cfg, 0, 1).is_err());
     }
 }

@@ -11,8 +11,8 @@
 
 use lori_arch::cpu::{run_golden, CpuConfig, ExecResult, Protection};
 use lori_arch::fault::{
-    per_instruction_sdc_with, per_register_vulnerability_with, random_register_campaign_with,
-    run_with_fault, FaultSpec, FaultTarget, Outcome,
+    per_instruction_sdc_with, random_register_campaign_with, run_with_fault, FaultSpec,
+    FaultTarget, Outcome,
 };
 use lori_arch::isa::{Program, Reg, NUM_REGS};
 use lori_arch::lane::{campaign_outcomes, run_fault_block, MAX_LANES};
@@ -83,19 +83,6 @@ fn random_campaign_matches_scalar_oracle_at_any_thread_count() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn per_register_vulnerability_identical_across_threads() {
-    let config = CpuConfig::default();
-    for program in [workload::fibonacci(), workload::bubble_sort()] {
-        let serial =
-            per_register_vulnerability_with(&program, &config, 40, 5, Parallelism::serial())
-                .unwrap();
-        let parallel =
-            per_register_vulnerability_with(&program, &config, 40, 5, Parallelism::new(4)).unwrap();
-        assert_eq!(serial, parallel, "{}", program.name);
     }
 }
 

@@ -8,7 +8,6 @@
 use lori_arch::cpu::{Cpu, CpuConfig, Protection};
 use lori_arch::isa::NUM_REGS;
 use lori_arch::workload;
-use lori_bench::harness::results_dir;
 use lori_bench::{fmt, render_table, Harness};
 use lori_core::Rng;
 use lori_ml::data::{Dataset, StandardScaler};
@@ -164,7 +163,7 @@ fn main() {
             Value::from(detector_params as u64),
         ),
     ]);
-    let path = results_dir().join("exp-anomaly-detection.metrics.json");
+    let path = h.dir().join("exp-anomaly-detection.metrics.json");
     if let Err(err) = lori_obs::atomic_write(&path, format!("{}\n", metrics.to_json()).as_bytes()) {
         eprintln!("warning: metrics artifact not written: {err}");
     }

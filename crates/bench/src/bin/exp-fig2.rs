@@ -5,7 +5,6 @@
 //! per-instance SHE temperatures spread widely because each instance's
 //! input slew, connected load, and position differ.
 
-use lori_bench::harness::results_dir;
 use lori_bench::{fmt, render_table, Harness};
 use lori_circuit::characterize::{characterize_library, she_as_delay_library, Corner};
 use lori_circuit::netlist::processor_datapath;
@@ -128,7 +127,7 @@ fn main() {
     // per-instance SHE vector. Runs at different thread counts must produce
     // byte-identical files — CI compares them directly.
     let doc = Value::Arr(she.iter().map(|&v| Value::from(v)).collect());
-    let path = results_dir().join("exp-fig2.she.json");
+    let path = h.dir().join("exp-fig2.she.json");
     match lori_obs::atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes()) {
         Ok(()) => println!("she data: {}", path.display()),
         Err(err) => eprintln!("warning: she data not written: {err}"),

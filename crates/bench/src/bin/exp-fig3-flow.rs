@@ -7,7 +7,6 @@
 //! library of thousands of cells "within seconds"; the resulting guardbands
 //! are less pessimistic than worst-case corners while remaining safe.
 
-use lori_bench::harness::results_dir;
 use lori_bench::{fmt, render_table, Harness};
 use lori_circuit::characterize::{characterize_library, Corner};
 use lori_circuit::flow::{run_she_flow, SheFlowConfig};
@@ -199,7 +198,7 @@ fn main() {
             ),
         ),
     ]);
-    let path = results_dir().join("exp-fig3-flow.guardbands.json");
+    let path = h.dir().join("exp-fig3-flow.guardbands.json");
     match lori_obs::atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes()) {
         Ok(()) => println!("guardband data: {}", path.display()),
         Err(err) => eprintln!("warning: guardband data not written: {err}"),

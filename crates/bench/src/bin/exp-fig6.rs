@@ -31,7 +31,7 @@ fn main() {
             eprintln!("error: {err}");
             std::process::exit(2)
         });
-    match write_points_artifact(h.name(), &points) {
+    match write_points_artifact(&h, &points) {
         Ok(path) => println!("points: {}", path.display()),
         Err(err) => eprintln!("warning: cannot write points artifact: {err}"),
     }

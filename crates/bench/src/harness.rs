@@ -26,13 +26,12 @@
 
 use lori_obs as obs;
 use obs::Value;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Directory experiment outputs land in, honoring `LORI_RESULTS_DIR`.
-#[must_use]
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     std::env::var_os("LORI_RESULTS_DIR").map_or_else(|| PathBuf::from("results"), PathBuf::from)
 }
 
@@ -144,6 +143,13 @@ impl Harness {
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The results directory this run writes to, resolved once by
+    /// [`Harness::new`]. Binaries put their data files here.
+    #[must_use]
+    pub fn dir(&self) -> &Path {
+        &self.dir
     }
 
     /// Records the master RNG seed in the manifest.

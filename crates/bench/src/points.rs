@@ -5,7 +5,7 @@
 //! wall times, written atomically. It is the file to byte-compare across
 //! runs and worker counts.
 
-use crate::harness::results_dir;
+use crate::harness::Harness;
 use lori_ftsched::montecarlo::SweepPoint;
 use lori_obs::Value;
 use std::path::PathBuf;
@@ -29,13 +29,14 @@ fn point_to_value(point: &SweepPoint) -> Value {
     ])
 }
 
-/// Writes the `results/<name>.points.json` artifact (see the module docs)
-/// and returns its path.
+/// Writes the run's `<name>.points.json` artifact (see the module docs)
+/// into the harness's results directory and returns its path.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
-pub fn write_points_artifact(name: &str, points: &[SweepPoint]) -> std::io::Result<PathBuf> {
+pub fn write_points_artifact(h: &Harness, points: &[SweepPoint]) -> std::io::Result<PathBuf> {
+    let name = h.name();
     let doc = Value::Obj(vec![
         ("exp".to_owned(), Value::from(name)),
         (
@@ -43,7 +44,7 @@ pub fn write_points_artifact(name: &str, points: &[SweepPoint]) -> std::io::Resu
             Value::Arr(points.iter().map(point_to_value).collect()),
         ),
     ]);
-    let path = results_dir().join(format!("{name}.points.json"));
+    let path = h.dir().join(format!("{name}.points.json"));
     lori_obs::atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes())?;
     Ok(path)
 }

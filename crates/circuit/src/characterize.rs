@@ -1,14 +1,11 @@
 //! Library characterization flows.
 //!
-//! Three characterizations mirror the paper's Fig. 3:
+//! Two characterizations mirror the paper's Fig. 3:
 //!
 //! 1. [`characterize_library`] — the conventional flow: golden-model sweeps
 //!    over a (slew × load) grid at one corner (temperature, ΔVth), producing
 //!    NLDM delay/slew tables.
-//! 2. [`characterize_library_with_she`] — SHE-aware: at every grid point the
-//!    device temperature is raised by its *own* self-heating ΔT before the
-//!    golden run, so the tables embed the SHE feedback.
-//! 3. [`she_as_delay_library`] — the Fig. 3 trick: a library whose *delay*
+//! 2. [`she_as_delay_library`] — the Fig. 3 trick: a library whose *delay*
 //!    slots contain the SHE temperatures. Running conventional STA with this
 //!    library produces an "SDF" whose numbers are per-instance SHE
 //!    temperatures rather than delays.
@@ -44,13 +41,12 @@ impl Default for Corner {
     }
 }
 
-/// Characterizes one cell at a corner, optionally with per-point SHE.
+/// Characterizes one cell at a corner.
 fn characterize_cell(
     sim: &GoldenSimulator,
     kind: CellKind,
     drive: f64,
     corner: &Corner,
-    she: Option<&SheModel>,
 ) -> Result<StandardCell, CircuitError> {
     let slews = DEFAULT_SLEWS.to_vec();
     let loads = DEFAULT_LOADS.to_vec();
@@ -58,11 +54,10 @@ fn characterize_cell(
     let mut out_slew = vec![vec![0.0; loads.len()]; slews.len()];
     for (i, &s) in slews.iter().enumerate() {
         for (j, &l) in loads.iter().enumerate() {
-            let dt = she.map_or(0.0, |m| m.delta_t(drive, s, l, m.default_activity).value());
             let op = OperatingPoint {
                 slew_ps: s,
                 load_ff: l,
-                temperature: Celsius(corner.chip_temperature.value() + dt),
+                temperature: corner.chip_temperature,
                 delta_vth: corner.delta_vth,
             };
             let t = sim.characterize(kind, drive, &op);
@@ -105,7 +100,7 @@ pub fn characterize_library(
     sim: &GoldenSimulator,
     corner: &Corner,
 ) -> Result<Library, CircuitError> {
-    build_library(sim, corner, None, lori_par::global())
+    build_library(sim, corner, lori_par::global())
 }
 
 /// [`characterize_library`] with an explicit worker pool.
@@ -118,47 +113,16 @@ pub fn characterize_library_par(
     corner: &Corner,
     par: Parallelism,
 ) -> Result<Library, CircuitError> {
-    build_library(sim, corner, None, par)
-}
-
-/// Characterizes the catalog with per-operating-point self-heating applied
-/// (the upper path of Fig. 3 with SHE folded into the timing).
-///
-/// # Errors
-///
-/// Propagates characterization failures.
-pub fn characterize_library_with_she(
-    sim: &GoldenSimulator,
-    corner: &Corner,
-    she: &SheModel,
-) -> Result<Library, CircuitError> {
-    she.validate()?;
-    build_library(sim, corner, Some(she), lori_par::global())
-}
-
-/// [`characterize_library_with_she`] with an explicit worker pool.
-///
-/// # Errors
-///
-/// Same as [`characterize_library_with_she`].
-pub fn characterize_library_with_she_par(
-    sim: &GoldenSimulator,
-    corner: &Corner,
-    she: &SheModel,
-    par: Parallelism,
-) -> Result<Library, CircuitError> {
-    she.validate()?;
-    build_library(sim, corner, Some(she), par)
+    build_library(sim, corner, par)
 }
 
 fn build_library(
     sim: &GoldenSimulator,
     corner: &Corner,
-    she: Option<&SheModel>,
     par: Parallelism,
 ) -> Result<Library, CircuitError> {
     // The golden sweeps per cell are pure functions of (kind, drive,
-    // corner, she), so the per-cell fan-out is deterministic by
+    // corner), so the per-cell fan-out is deterministic by
     // construction; cells are inserted in catalog order afterwards, which
     // keeps CellId assignment identical to the serial flow. The first
     // error in catalog order wins, matching serial short-circuiting.
@@ -173,7 +137,7 @@ fn build_library(
     let cells = lori_par::par_map(par, &catalog, |ci, &(kind, drive)| {
         #[allow(clippy::cast_possible_truncation)]
         lori_fault::check_panic("circuit.characterize", ci as u64);
-        characterize_cell(sim, kind, drive, corner, she)
+        characterize_cell(sim, kind, drive, corner)
     });
     let mut lib = Library::new();
     for cell in cells {
@@ -257,19 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn she_library_is_slower_than_plain() {
-        let plain = default_library();
-        let she = characterize_library_with_she(&sim(), &Corner::default(), &SheModel::default())
-            .unwrap();
-        // SHE heats devices, so delays must be >= everywhere we sample.
-        let a = plain.cell(plain.find("NAND2_X1").unwrap());
-        let b = she.cell(she.find("NAND2_X1").unwrap());
-        let (da, _) = a.timing(40.0, 8.0);
-        let (db, _) = b.timing(40.0, 8.0);
-        assert!(db > da, "with SHE {db} vs plain {da}");
-    }
-
-    #[test]
     fn aged_corner_is_slower() {
         let fresh = default_library();
         let aged_corner = Corner {
@@ -316,12 +267,5 @@ mod tests {
         // Full-struct equality: identical cell order (CellIds), names, and
         // bit-identical LUT contents.
         assert_eq!(serial, parallel);
-
-        let she = SheModel::default();
-        let serial_she =
-            characterize_library_with_she_par(&s, &corner, &she, Parallelism::serial()).unwrap();
-        let parallel_she =
-            characterize_library_with_she_par(&s, &corner, &she, Parallelism::new(4)).unwrap();
-        assert_eq!(serial_she, parallel_she);
     }
 }

@@ -15,9 +15,10 @@
 //!   library of ~59 cells, as in the paper's Fig. 2 RISC-V case study);
 //! - [`spicelike`] — a deliberately time-stepped "golden" transient
 //!   characterization engine standing in for foundry SPICE;
-//! - [`characterize`] — library characterization flows, including the
-//!   Fig. 3 trick of writing SHE temperatures *into the delay slots* of the
-//!   library so a conventional STA run emits an SDF full of temperatures;
+//! - [`characterize`] — golden library characterization at a corner, and
+//!   the Fig. 3 trick of writing SHE temperatures *into the delay slots* of
+//!   the library so a conventional STA run emits an SDF full of
+//!   temperatures;
 //! - [`netlist`] — gate-level netlists and generators (adders, multipliers,
 //!   random logic, a processor-scale datapath);
 //! - [`sta`] — static timing analysis with per-instance cell overrides and
@@ -32,7 +33,6 @@ pub mod cell;
 pub mod characterize;
 pub mod error;
 pub mod flow;
-pub mod io;
 pub mod lut;
 pub mod mlchar;
 pub mod netlist;

@@ -2,9 +2,9 @@
 //!
 //! Shared substrate for the LORI (Learning-Oriented Reliability Improvement)
 //! workspace: strongly-typed physical units, validated probabilities, seeded
-//! reproducible randomness, lifetime distributions, reliability algebra
-//! (MTTF/MWTF, series/parallel composition), and the generic learning-based
-//! reliability-management loop of the paper's Fig. 1.
+//! reproducible randomness, running statistics, the paper's Eq. (1) and the
+//! MWTF metric, and the generic learning-based reliability-management loop of
+//! the paper's Fig. 1.
 //!
 //! Every stochastic component in LORI takes an explicit seed so that every
 //! experiment in the workspace is reproducible bit-for-bit.
@@ -23,7 +23,6 @@
 //! ```
 
 pub mod error;
-pub mod lifetime;
 pub mod mgmt;
 pub mod reliability;
 pub mod rng;

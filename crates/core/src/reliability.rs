@@ -1,8 +1,6 @@
-//! Reliability algebra: the paper's Eq. (1), MTTF/MWTF metrics, and
-//! series/parallel system composition.
+//! Reliability metrics: the paper's Eq. (1) and MWTF.
 
 use crate::error::Error;
-use crate::lifetime::Lifetime;
 use crate::units::{Cycles, Fit, Probability, Seconds};
 
 /// Eq. (1) of the paper: the probability that *no* cycle in an interval of
@@ -62,113 +60,9 @@ pub fn mwtf(raw_error_rate: Fit, avf: f64, execution_time: Seconds) -> Result<f6
     Ok(1.0 / (raw_error_rate.per_second() * avf * execution_time.value()))
 }
 
-/// A system reliability model composed of components, each with a lifetime
-/// distribution, wired in series (all must survive) and/or parallel groups
-/// (at least one must survive).
-///
-/// This is the standard reliability-block-diagram algebra used by
-/// system-level MTTF estimation (Sec. IV-B.1 of the paper).
-#[derive(Debug, Clone)]
-pub enum Block {
-    /// A single component.
-    Component(Lifetime),
-    /// All children must survive.
-    Series(Vec<Block>),
-    /// At least one child must survive.
-    Parallel(Vec<Block>),
-}
-
-impl Block {
-    /// Reliability of the block at time `t`.
-    #[must_use]
-    pub fn reliability(&self, t: Seconds) -> Probability {
-        match self {
-            Block::Component(l) => l.reliability(t),
-            Block::Series(children) => {
-                let r = children
-                    .iter()
-                    .map(|c| c.reliability(t).value())
-                    .product::<f64>();
-                Probability::saturating(r)
-            }
-            Block::Parallel(children) => {
-                let f = children
-                    .iter()
-                    .map(|c| 1.0 - c.reliability(t).value())
-                    .product::<f64>();
-                Probability::saturating(1.0 - f)
-            }
-        }
-    }
-
-    /// MTTF of the block, computed by numerically integrating `R(t)` with an
-    /// adaptive upper bound (Simpson's rule on a log-friendly grid).
-    ///
-    /// `MTTF = ∫₀^∞ R(t) dt`
-    #[must_use]
-    pub fn mttf(&self) -> Seconds {
-        // Find a horizon where R(t) is negligible by doubling.
-        let mut horizon = 1.0;
-        while self.reliability(Seconds(horizon)).value() > 1e-9 && horizon < 1.0e18 {
-            horizon *= 2.0;
-        }
-        // Composite Simpson over [0, horizon] with enough panels.
-        let n = 4096; // even
-        let h = horizon / f64::from(n);
-        let mut acc =
-            self.reliability(Seconds(0.0)).value() + self.reliability(Seconds(horizon)).value();
-        for i in 1..n {
-            let t = f64::from(i) * h;
-            let w = if i % 2 == 1 { 4.0 } else { 2.0 };
-            acc += w * self.reliability(Seconds(t)).value();
-        }
-        Seconds(acc * h / 3.0)
-    }
-
-    /// Number of leaf components in the block.
-    #[must_use]
-    pub fn component_count(&self) -> usize {
-        match self {
-            Block::Component(_) => 1,
-            Block::Series(c) | Block::Parallel(c) => c.iter().map(Block::component_count).sum(),
-        }
-    }
-}
-
-/// Sum-of-failure-rates composition: given per-mechanism FIT rates, the
-/// combined rate under the standard SOFR assumption (independent exponential
-/// mechanisms in series).
-#[must_use]
-pub fn sum_of_failure_rates<I: IntoIterator<Item = Fit>>(rates: I) -> Fit {
-    rates.into_iter().sum()
-}
-
-/// System availability under alternating up/down periods:
-/// `A = MTTF / (MTTF + MTTR)`.
-///
-/// # Errors
-///
-/// Returns [`Error::NonPositive`] if `mttf + mttr` is not strictly positive.
-pub fn availability(mttf: Seconds, mttr: Seconds) -> Result<Probability, Error> {
-    let total = mttf.value() + mttr.value();
-    if total > 0.0 && mttf.value() >= 0.0 && mttr.value() >= 0.0 {
-        Probability::new(mttf.value() / total)
-    } else {
-        Err(Error::NonPositive {
-            what: "mttf + mttr",
-            value: total,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lifetime::Lifetime;
-
-    fn exp(rate: f64) -> Block {
-        Block::Component(Lifetime::exponential(rate).unwrap())
-    }
 
     #[test]
     fn eq1_matches_paper_form() {
@@ -210,58 +104,5 @@ mod tests {
         assert!(mwtf(Fit(0.0), 0.5, Seconds(1.0)).is_err());
         assert!(mwtf(Fit(1.0), 0.0, Seconds(1.0)).is_err());
         assert!(mwtf(Fit(1.0), 0.5, Seconds(0.0)).is_err());
-    }
-
-    #[test]
-    fn series_of_exponentials_adds_rates() {
-        let s = Block::Series(vec![exp(0.1), exp(0.3)]);
-        // Series of exponentials is exponential with summed rate: MTTF = 1/0.4.
-        let mttf = s.mttf().value();
-        assert!((mttf - 2.5).abs() / 2.5 < 0.01, "mttf {mttf}");
-    }
-
-    #[test]
-    fn parallel_beats_single() {
-        let single = exp(0.1);
-        let dual = Block::Parallel(vec![exp(0.1), exp(0.1)]);
-        // Standby-free parallel pair of exponentials: MTTF = 1/λ + 1/(2λ) = 15.
-        let m1 = single.mttf().value();
-        let m2 = dual.mttf().value();
-        assert!(m2 > m1);
-        assert!((m2 - 15.0).abs() / 15.0 < 0.01, "mttf {m2}");
-    }
-
-    #[test]
-    fn reliability_bounds_hold() {
-        let sys = Block::Series(vec![
-            exp(0.2),
-            Block::Parallel(vec![exp(0.5), exp(0.5), exp(0.5)]),
-        ]);
-        for i in 0..50 {
-            let t = Seconds(f64::from(i) * 0.5);
-            let r = sys.reliability(t).value();
-            assert!((0.0..=1.0).contains(&r));
-            // Series reliability never exceeds weakest child.
-            assert!(r <= exp(0.2).reliability(t).value() + 1e-12);
-        }
-    }
-
-    #[test]
-    fn component_count() {
-        let sys = Block::Series(vec![exp(0.2), Block::Parallel(vec![exp(0.5), exp(0.5)])]);
-        assert_eq!(sys.component_count(), 3);
-    }
-
-    #[test]
-    fn sofr_sums() {
-        let total = sum_of_failure_rates([Fit(10.0), Fit(20.0), Fit(5.0)]);
-        assert!((total.value() - 35.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn availability_basic() {
-        let a = availability(Seconds(99.0), Seconds(1.0)).unwrap();
-        assert!((a.value() - 0.99).abs() < 1e-12);
-        assert!(availability(Seconds(0.0), Seconds(0.0)).is_err());
     }
 }

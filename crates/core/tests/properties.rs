@@ -1,9 +1,8 @@
 //! Property-based tests for the core reliability algebra.
 
-use lori_core::lifetime::Lifetime;
-use lori_core::reliability::{availability, no_error_probability, Block};
+use lori_core::reliability::no_error_probability;
 use lori_core::stats::Running;
-use lori_core::units::{Cycles, Probability, Seconds};
+use lori_core::units::{Cycles, Probability};
 use lori_core::Rng;
 use proptest::prelude::*;
 
@@ -52,42 +51,6 @@ proptest! {
         prop_assert!(i <= a + 1e-15 && i <= b + 1e-15);
         prop_assert!(u + 1e-15 >= a && u + 1e-15 >= b);
         prop_assert!((0.0..=1.0).contains(&u) && (0.0..=1.0).contains(&i));
-    }
-
-    /// Series reliability is a lower bound of every component; parallel is an
-    /// upper bound of every component.
-    #[test]
-    fn series_parallel_bounds(r1 in 0.01f64..2.0, r2 in 0.01f64..2.0, t in 0.0f64..20.0) {
-        let a = Lifetime::exponential(r1).unwrap();
-        let b = Lifetime::exponential(r2).unwrap();
-        let t = Seconds(t);
-        let series = Block::Series(vec![Block::Component(a), Block::Component(b)]);
-        let parallel = Block::Parallel(vec![Block::Component(a), Block::Component(b)]);
-        let ra = a.reliability(t).value();
-        let rb = b.reliability(t).value();
-        let rs = series.reliability(t).value();
-        let rp = parallel.reliability(t).value();
-        prop_assert!(rs <= ra.min(rb) + 1e-12);
-        prop_assert!(rp + 1e-12 >= ra.max(rb));
-    }
-
-    /// Weibull reliability is monotone decreasing in t.
-    #[test]
-    fn weibull_monotone(scale in 0.1f64..100.0, shape in 0.2f64..5.0,
-                        t1 in 0.0f64..50.0, dt in 0.0f64..50.0) {
-        let w = Lifetime::weibull(scale, shape).unwrap();
-        let r1 = w.reliability(Seconds(t1)).value();
-        let r2 = w.reliability(Seconds(t1 + dt)).value();
-        prop_assert!(r2 <= r1 + 1e-12);
-    }
-
-    /// Availability is within [0, 1] and increases with MTTF.
-    #[test]
-    fn availability_bounds(mttf in 0.001f64..1e6, mttr in 0.001f64..1e6) {
-        let a = availability(Seconds(mttf), Seconds(mttr)).unwrap().value();
-        prop_assert!((0.0..=1.0).contains(&a));
-        let a2 = availability(Seconds(mttf * 2.0), Seconds(mttr)).unwrap().value();
-        prop_assert!(a2 + 1e-15 >= a);
     }
 
     /// Welford accumulator agrees with the naive batch computation.

@@ -1,6 +1,5 @@
 //! Encoders from raw data to hypervectors.
 //!
-//! - [`ItemMemory`]: a deterministic symbol → random-hypervector store.
 //! - [`LevelEncoder`]: continuous values onto a chain of correlated level
 //!   hypervectors (nearby values → similar vectors; far values →
 //!   quasi-orthogonal).
@@ -12,57 +11,12 @@ use crate::error::HdcError;
 use crate::hypervector::{BinaryHv, BundleAccumulator};
 use lori_core::Rng;
 use lori_par::Parallelism;
-use std::collections::HashMap;
 
 /// Rows per task in [`RecordEncoder::encode_batch`]. Single-row encodes
 /// are microseconds, so batching amortizes dispatch; the size is a
 /// constant (never derived from the worker count) so chunk boundaries —
 /// and therefore the output — are identical under any parallelism.
 const ENCODE_CHUNK: usize = 32;
-
-/// A lazy store of random hypervectors, one per symbol id, generated
-/// deterministically from the memory's seed.
-#[derive(Debug, Clone)]
-pub struct ItemMemory {
-    dim: usize,
-    seed: u64,
-    cache: HashMap<u64, BinaryHv>,
-}
-
-impl ItemMemory {
-    /// Creates an item memory for `dim`-dimensional vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::ZeroDimension`] if `dim` is zero.
-    pub fn new(dim: usize, seed: u64) -> Result<Self, HdcError> {
-        if dim == 0 {
-            return Err(HdcError::ZeroDimension);
-        }
-        Ok(ItemMemory {
-            dim,
-            seed,
-            cache: HashMap::new(),
-        })
-    }
-
-    /// Dimensionality of stored vectors.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The hypervector for `symbol` (created on first use, then cached).
-    /// The same `(seed, symbol)` pair always yields the same vector.
-    pub fn get(&mut self, symbol: u64) -> &BinaryHv {
-        let dim = self.dim;
-        let seed = self.seed;
-        self.cache.entry(symbol).or_insert_with(|| {
-            let mut rng = Rng::from_seed(seed ^ symbol.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            BinaryHv::random(dim, &mut rng)
-        })
-    }
-}
 
 /// Maps a continuous range onto `levels` hypervectors where adjacent levels
 /// share most components: level 0 and level `L−1` are quasi-orthogonal, and
@@ -280,23 +234,6 @@ mod tests {
     use super::*;
 
     const DIM: usize = 2048;
-
-    #[test]
-    fn item_memory_deterministic() {
-        let mut a = ItemMemory::new(DIM, 42).unwrap();
-        let mut b = ItemMemory::new(DIM, 42).unwrap();
-        assert_eq!(a.get(7).clone(), b.get(7).clone());
-        let v7 = a.get(7).clone();
-        let v8 = a.get(8).clone();
-        assert!((v7.similarity(&v8) - 0.5).abs() < 0.05);
-        // Cached: same reference content on second call.
-        assert_eq!(a.get(7).clone(), v7);
-    }
-
-    #[test]
-    fn item_memory_zero_dim_rejected() {
-        assert_eq!(ItemMemory::new(0, 1).unwrap_err(), HdcError::ZeroDimension);
-    }
 
     #[test]
     fn level_similarity_decreases_with_distance() {

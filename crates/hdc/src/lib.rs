@@ -16,8 +16,8 @@
 //! - [`hypervector`] — bit-packed binary hypervectors (XOR bind, majority
 //!   bundle, rotation permute, Hamming similarity) and bipolar hypervectors
 //!   (sign algebra, cosine similarity);
-//! - [`encoder`] — item memories, level (thermometer) encoding for continuous
-//!   values, and record-based encoding of feature vectors;
+//! - [`encoder`] — level (thermometer) encoding for continuous values and
+//!   record-based encoding of feature vectors;
 //! - [`classifier`] — a prototype-bundling classifier with perceptron-style
 //!   retraining;
 //! - [`regressor`] — similarity-weighted regression used to mimic aging
@@ -43,6 +43,5 @@ pub mod error;
 pub mod hypervector;
 pub mod noise;
 pub mod regressor;
-pub mod sequence;
 
 pub use error::HdcError;

@@ -244,7 +244,6 @@ impl GradientBoostRegressor {
         let tree_cfg = TreeConfig {
             max_depth: config.max_depth,
             min_samples_split: 2,
-            max_features: None,
         };
         let mut buffers = TreeBuffers::default();
         let mut preds = vec![base; ds.len()];
@@ -321,7 +320,6 @@ impl GradientBoostClassifier {
         let tree_cfg = TreeConfig {
             max_depth: config.max_depth,
             min_samples_split: 2,
-            max_features: None,
         };
         let mut buffers = TreeBuffers::default();
         let mut logits = vec![base_logit; ds.len()];
@@ -532,7 +530,6 @@ mod tests {
         TreeConfig {
             max_depth: config.max_depth,
             min_samples_split: 2,
-            max_features: None,
         }
     }
 
@@ -551,11 +548,7 @@ mod tests {
                 .map(|(y, p)| y - p)
                 .collect();
             let stage_ds = Dataset::from_rows(ds.features().to_vec(), residuals).unwrap();
-            let tree = RegressionTree::fit_quadratic(
-                &stage_ds,
-                &oracle_tree_config(config),
-                &mut Rng::from_seed(0),
-            );
+            let tree = RegressionTree::fit_quadratic(&stage_ds, &oracle_tree_config(config));
             for (p, row) in preds.iter_mut().zip(ds.features()) {
                 *p += config.learning_rate * tree.predict(row);
             }
@@ -590,11 +583,7 @@ mod tests {
                 })
                 .collect();
             let stage_ds = Dataset::from_rows(ds.features().to_vec(), grads).unwrap();
-            let tree = RegressionTree::fit_quadratic(
-                &stage_ds,
-                &oracle_tree_config(config),
-                &mut Rng::from_seed(0),
-            );
+            let tree = RegressionTree::fit_quadratic(&stage_ds, &oracle_tree_config(config));
             for (z, row) in logits.iter_mut().zip(ds.features()) {
                 *z += config.learning_rate * tree.predict(row);
             }

@@ -180,16 +180,6 @@ impl Dataset {
         }
         Ok(folds)
     }
-
-    /// Bootstrap sample (with replacement) of the same size, for bagging.
-    #[must_use]
-    pub fn bootstrap(&self, rng: &mut Rng) -> Dataset {
-        #[allow(clippy::cast_possible_truncation)]
-        let indices: Vec<usize> = (0..self.len())
-            .map(|_| rng.below(self.len() as u64) as usize)
-            .collect();
-        self.subset(&indices)
-    }
 }
 
 /// Standardizing scaler: maps each feature to zero mean / unit variance.
@@ -244,69 +234,6 @@ impl StandardScaler {
         assert_eq!(row.len(), self.means.len(), "feature count mismatch");
         for ((x, &m), &s) in row.iter_mut().zip(&self.means).zip(&self.stds) {
             *x = (*x - m) / s;
-        }
-    }
-
-    /// Returns a scaled copy of a dataset.
-    #[must_use]
-    pub fn transform(&self, ds: &Dataset) -> Dataset {
-        let features = ds
-            .features()
-            .iter()
-            .map(|row| {
-                let mut r = row.clone();
-                self.transform_row(&mut r);
-                r
-            })
-            .collect();
-        Dataset {
-            features,
-            targets: ds.targets().to_vec(),
-        }
-    }
-}
-
-/// Min-max scaler mapping each feature into `[0, 1]`.
-///
-/// Constant features map to `0.5`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MinMaxScaler {
-    mins: Vec<f64>,
-    maxs: Vec<f64>,
-}
-
-impl MinMaxScaler {
-    /// Learns per-feature ranges.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::EmptyDataset`] if the dataset has no samples.
-    pub fn fit(ds: &Dataset) -> Result<Self, MlError> {
-        if ds.is_empty() {
-            return Err(MlError::EmptyDataset);
-        }
-        let d = ds.n_features();
-        let mut mins = vec![f64::INFINITY; d];
-        let mut maxs = vec![f64::NEG_INFINITY; d];
-        for row in ds.features() {
-            for ((lo, hi), &x) in mins.iter_mut().zip(&mut maxs).zip(row) {
-                *lo = lo.min(x);
-                *hi = hi.max(x);
-            }
-        }
-        Ok(MinMaxScaler { mins, maxs })
-    }
-
-    /// Scales one row in place (values outside the fitted range extrapolate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row length differs from the fitted feature count.
-    pub fn transform_row(&self, row: &mut [f64]) {
-        assert_eq!(row.len(), self.mins.len(), "feature count mismatch");
-        for ((x, &lo), &hi) in row.iter_mut().zip(&self.mins).zip(&self.maxs) {
-            let span = hi - lo;
-            *x = if span < 1e-12 { 0.5 } else { (*x - lo) / span };
         }
     }
 
@@ -421,14 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn bootstrap_same_size() {
-        let ds = toy();
-        let mut rng = Rng::from_seed(3);
-        let b = ds.bootstrap(&mut rng);
-        assert_eq!(b.len(), ds.len());
-    }
-
-    #[test]
     fn standard_scaler_zero_mean_unit_var() {
         let ds = toy();
         let sc = StandardScaler::fit(&ds).unwrap();
@@ -450,21 +369,6 @@ mod tests {
         for r in t.features() {
             assert_eq!(r[0], 0.0);
         }
-    }
-
-    #[test]
-    fn minmax_scaler_unit_range() {
-        let ds = toy();
-        let sc = MinMaxScaler::fit(&ds).unwrap();
-        let t = sc.transform(&ds);
-        for row in t.features() {
-            for &x in row {
-                assert!((0.0..=1.0).contains(&x));
-            }
-        }
-        // First feature spans 1..4, so first row maps to 0 and last to 1.
-        assert_eq!(t.features()[0][0], 0.0);
-        assert_eq!(t.features()[3][0], 1.0);
     }
 
     #[test]

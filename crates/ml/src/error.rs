@@ -29,13 +29,6 @@ pub enum MlError {
     SingleClass,
     /// Numerical failure (e.g. singular matrix in the normal equations).
     Numerical(&'static str),
-    /// Query feature count does not match the training feature count.
-    DimensionMismatch {
-        /// Feature count the model was trained with.
-        expected: usize,
-        /// Feature count of the query.
-        found: usize,
-    },
 }
 
 impl fmt::Display for MlError {
@@ -59,10 +52,6 @@ impl fmt::Display for MlError {
             }
             MlError::SingleClass => write!(f, "training data contains a single class"),
             MlError::Numerical(what) => write!(f, "numerical failure: {what}"),
-            MlError::DimensionMismatch { expected, found } => write!(
-                f,
-                "query has {found} features but the model expects {expected}"
-            ),
         }
     }
 }

@@ -1,11 +1,11 @@
-//! k-nearest-neighbour classification and regression.
+//! k-nearest-neighbour classification.
 //!
 //! The paper cites kNN as one of the "simple ML models" used to predict
 //! flip-flop vulnerability from structural features (Sec. III-B.1, ref \[20\]).
 
 use crate::data::{squared_distance, Dataset};
 use crate::error::MlError;
-use crate::traits::{Classifier, ProbabilisticClassifier, Regressor};
+use crate::traits::{Classifier, ProbabilisticClassifier};
 
 /// A fitted (memorized) k-nearest-neighbour classifier.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,38 +79,6 @@ impl ProbabilisticClassifier for Knn {
     }
 }
 
-/// A k-nearest-neighbour regressor (mean of neighbour targets).
-#[derive(Debug, Clone, PartialEq)]
-pub struct KnnRegressor {
-    inner: Knn,
-}
-
-impl KnnRegressor {
-    /// Stores the training set for lazy prediction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::InvalidHyperparameter`] if `k` is zero or exceeds
-    /// the sample count.
-    pub fn fit(ds: &Dataset, k: usize) -> Result<Self, MlError> {
-        Ok(KnnRegressor {
-            inner: Knn::fit(ds, k)?,
-        })
-    }
-}
-
-impl Regressor for KnnRegressor {
-    fn predict(&self, x: &[f64]) -> f64 {
-        let ns = self.inner.neighbours(x);
-        #[allow(clippy::cast_precision_loss)]
-        let k = ns.len() as f64;
-        ns.iter()
-            .map(|&i| self.inner.data.targets()[i])
-            .sum::<f64>()
-            / k
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,18 +127,6 @@ mod tests {
         let knn = Knn::fit(&blobs(), 6).unwrap();
         // All points vote; tie 3-3 resolves to class 0.
         assert_eq!(knn.predict(&[2.5, 2.5]), 0);
-    }
-
-    #[test]
-    fn regressor_averages_neighbours() {
-        let ds = Dataset::from_rows(
-            vec![vec![0.0], vec![1.0], vec![2.0], vec![10.0]],
-            vec![0.0, 1.0, 2.0, 10.0],
-        )
-        .unwrap();
-        let r = KnnRegressor::fit(&ds, 2).unwrap();
-        // Nearest two to 0.4 are x=0 and x=1.
-        assert!((r.predict(&[0.4]) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //!
 //! A from-scratch machine-learning substrate for the LORI workspace.
 //!
-//! The paper surveys learning-based reliability techniques built on exactly
-//! the model families implemented here: k-nearest neighbours and SVMs for
-//! flip-flop vulnerability prediction, naive Bayes / MLPs / boosted ensembles
-//! for fault-outcome modeling, decision trees for error-pattern mining,
-//! small neural networks for symptom detection, and tabular reinforcement
-//! learning (Q-learning / SARSA) for run-time DVFS/DPM/mapping managers.
+//! The paper surveys learning-based reliability techniques built on the
+//! model families implemented here, and the experiments use each of them:
+//! k-nearest neighbours and SVMs for flip-flop vulnerability prediction,
+//! naive Bayes / MLPs / boosted ensembles for fault-outcome modeling,
+//! decision trees for error-pattern mining, linear regression for learned
+//! cycle budgets, and tabular Q-learning for run-time DVFS/DPM/mapping
+//! managers.
 //!
 //! Nothing here depends on an external ML ecosystem; every model is
 //! implemented directly on `Vec<f64>` rows with seeded, reproducible
@@ -33,16 +34,12 @@
 pub mod boost;
 pub mod data;
 pub mod error;
-pub mod forest;
-pub mod kmeans;
 pub mod knn;
 pub mod linreg;
-pub mod logreg;
 pub mod metrics;
 pub mod mlp;
 pub mod naive_bayes;
 pub mod rl;
-pub mod select;
 pub mod svm;
 pub mod traits;
 pub mod tree;

@@ -66,21 +66,6 @@ pub fn f1_score(truth: &[usize], pred: &[usize], positive: usize) -> Result<f64,
     })
 }
 
-/// Confusion matrix: `m[t][p]` counts samples of true class `t` predicted `p`.
-///
-/// # Errors
-///
-/// Returns [`MlError::TargetMismatch`] or [`MlError::EmptyDataset`].
-pub fn confusion_matrix(truth: &[usize], pred: &[usize]) -> Result<Vec<Vec<usize>>, MlError> {
-    check(truth.len(), pred.len())?;
-    let n = truth.iter().chain(pred).max().map_or(0, |m| m + 1);
-    let mut m = vec![vec![0usize; n]; n];
-    for (&t, &p) in truth.iter().zip(pred) {
-        m[t][p] += 1;
-    }
-    Ok(m)
-}
-
 /// Mean squared error.
 ///
 /// # Errors
@@ -133,45 +118,6 @@ pub fn r2(truth: &[f64], pred: &[f64]) -> Result<f64, MlError> {
     Ok(1.0 - ss_res / ss_tot)
 }
 
-/// Area under the ROC curve via the rank-sum (Mann–Whitney) formulation.
-/// `truth` holds binary labels (0/1); `score` holds real-valued scores where
-/// higher means "more positive". Ties are counted as half.
-///
-/// # Errors
-///
-/// Returns [`MlError::TargetMismatch`], [`MlError::EmptyDataset`], or
-/// [`MlError::SingleClass`] when only one class is present.
-pub fn auc(truth: &[usize], score: &[f64]) -> Result<f64, MlError> {
-    check(truth.len(), score.len())?;
-    let pos: Vec<f64> = truth
-        .iter()
-        .zip(score)
-        .filter(|(&t, _)| t == 1)
-        .map(|(_, &s)| s)
-        .collect();
-    let neg: Vec<f64> = truth
-        .iter()
-        .zip(score)
-        .filter(|(&t, _)| t == 0)
-        .map(|(_, &s)| s)
-        .collect();
-    if pos.is_empty() || neg.is_empty() {
-        return Err(MlError::SingleClass);
-    }
-    let mut wins = 0.0;
-    for &p in &pos {
-        for &n in &neg {
-            if p > n {
-                wins += 1.0;
-            } else if (p - n).abs() < 1e-30 {
-                wins += 0.5;
-            }
-        }
-    }
-    #[allow(clippy::cast_precision_loss)]
-    Ok(wins / (pos.len() as f64 * neg.len() as f64))
-}
-
 fn count<F: Fn(usize, usize) -> bool>(truth: &[usize], pred: &[usize], f: F) -> usize {
     truth.iter().zip(pred).filter(|(&t, &p)| f(t, p)).count()
 }
@@ -221,17 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn confusion_matrix_counts() {
-        let m = confusion_matrix(&[0, 1, 2, 1], &[0, 2, 2, 1]).unwrap();
-        assert_eq!(m[0][0], 1);
-        assert_eq!(m[1][2], 1);
-        assert_eq!(m[1][1], 1);
-        assert_eq!(m[2][2], 1);
-        let total: usize = m.iter().flatten().sum();
-        assert_eq!(total, 4);
-    }
-
-    #[test]
     fn regression_metrics() {
         let t = [1.0, 2.0, 3.0];
         let p = [1.0, 2.0, 3.0];
@@ -247,14 +182,5 @@ mod tests {
     fn r2_constant_truth() {
         assert_eq!(r2(&[2.0, 2.0], &[2.0, 2.0]).unwrap(), 1.0);
         assert_eq!(r2(&[2.0, 2.0], &[1.0, 3.0]).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn auc_perfect_and_random() {
-        let t = [0, 0, 1, 1];
-        assert_eq!(auc(&t, &[0.1, 0.2, 0.8, 0.9]).unwrap(), 1.0);
-        assert_eq!(auc(&t, &[0.9, 0.8, 0.2, 0.1]).unwrap(), 0.0);
-        assert_eq!(auc(&t, &[0.5, 0.5, 0.5, 0.5]).unwrap(), 0.5);
-        assert!(auc(&[1, 1], &[0.5, 0.6]).is_err());
     }
 }

@@ -31,8 +31,6 @@ pub enum Activation {
     Relu,
     /// Hyperbolic tangent.
     Tanh,
-    /// Logistic sigmoid.
-    Sigmoid,
 }
 
 impl Activation {
@@ -40,7 +38,6 @@ impl Activation {
         match self {
             Activation::Relu => z.max(0.0),
             Activation::Tanh => z.tanh(),
-            Activation::Sigmoid => 1.0 / (1.0 + (-z).exp()),
         }
     }
 
@@ -55,7 +52,6 @@ impl Activation {
                 }
             }
             Activation::Tanh => 1.0 - a * a,
-            Activation::Sigmoid => a * (1.0 - a),
         }
     }
 }
@@ -138,7 +134,7 @@ struct Layer {
 impl Layer {
     fn new(n_in: usize, n_out: usize, rng: &mut Rng) -> Layer {
         // He-style initialization keeps gradients healthy for ReLU; fine for
-        // tanh/sigmoid at these scales too.
+        // tanh at these scales too.
         #[allow(clippy::cast_precision_loss)]
         let scale = (2.0 / n_in as f64).sqrt();
         // Drawn row by row, in the order the rows are laid out.
@@ -634,7 +630,7 @@ mod tests {
         for k in [0, 2, 3, 4] {
             assert!(classes.contains(&k), "head with {k} classes");
         }
-        for a in [Activation::Relu, Activation::Tanh, Activation::Sigmoid] {
+        for a in [Activation::Relu, Activation::Tanh] {
             assert!(activations.contains(&a), "{a:?}");
         }
         assert!(hidden.iter().any(|h| h.contains(&1)));
@@ -651,7 +647,6 @@ mod tests {
     fn activations_behave() {
         assert_eq!(Activation::Relu.apply(-1.0), 0.0);
         assert_eq!(Activation::Relu.apply(2.0), 2.0);
-        assert!((Activation::Sigmoid.apply(0.0) - 0.5).abs() < 1e-12);
         assert!((Activation::Tanh.apply(0.0)).abs() < 1e-12);
         assert_eq!(Activation::Relu.derivative_from_output(0.0), 0.0);
         assert_eq!(Activation::Relu.derivative_from_output(3.0), 1.0);

@@ -249,10 +249,7 @@ pub(super) fn random_case(rng: &mut Rng) -> (Dataset, MlpConfig) {
         rows.push(row);
     }
 
-    let activation = pick(
-        rng,
-        &[Activation::Relu, Activation::Tanh, Activation::Sigmoid],
-    );
+    let activation = pick(rng, &[Activation::Relu, Activation::Tanh]);
     let (head, targets): (Head, Vec<f64>) = if rng.bernoulli(0.5) {
         let ys = rows
             .iter()

@@ -1,5 +1,5 @@
-//! Tabular reinforcement learning: Q-learning and SARSA agents implementing
-//! the [`lori_core::mgmt::Agent`] trait, plus a uniform grid discretizer for
+//! Tabular reinforcement learning: a Q-learning agent implementing the
+//! [`lori_core::mgmt::Agent`] trait, plus a uniform grid discretizer for
 //! mapping continuous observations (temperature, utilization, ...) onto
 //! state indices.
 //!
@@ -13,7 +13,7 @@ use crate::error::MlError;
 use lori_core::mgmt::{Agent, Transition};
 use lori_core::Rng;
 
-/// Hyper-parameters shared by the tabular learners.
+/// Hyper-parameters of the tabular learner.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RlConfig {
     /// Learning rate α ∈ (0, 1].
@@ -136,96 +136,6 @@ impl Agent for QLearning {
     }
 
     fn end_episode(&mut self) {
-        self.epsilon = (self.epsilon * self.config.epsilon_decay).max(self.config.epsilon_min);
-    }
-}
-
-/// A tabular SARSA agent (on-policy TD control).
-///
-/// SARSA updates toward the value of the action it will actually take, which
-/// makes it more conservative than Q-learning under exploration — often the
-/// safer choice when "exploration" means briefly running a core hot.
-#[derive(Debug, Clone)]
-pub struct Sarsa {
-    q: Vec<Vec<f64>>,
-    config: RlConfig,
-    epsilon: f64,
-    rng: Rng,
-    /// Pending (state, action, transition) awaiting the next action choice.
-    pending: Option<(usize, usize, Transition)>,
-}
-
-impl Sarsa {
-    /// Creates an agent with a zero-initialized Q table.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::InvalidHyperparameter`] for invalid config or zero
-    /// state/action counts.
-    pub fn new(n_states: usize, n_actions: usize, config: RlConfig) -> Result<Self, MlError> {
-        config.validate()?;
-        if n_states == 0 || n_actions == 0 {
-            return Err(MlError::InvalidHyperparameter("state/action count"));
-        }
-        let rng = Rng::from_seed(config.seed);
-        let epsilon = config.epsilon;
-        Ok(Sarsa {
-            q: vec![vec![0.0; n_actions]; n_states],
-            config,
-            epsilon,
-            rng,
-            pending: None,
-        })
-    }
-
-    /// The current Q table (`q[state][action]`).
-    #[must_use]
-    pub fn q_table(&self) -> &[Vec<f64>] {
-        &self.q
-    }
-
-    fn epsilon_greedy(&mut self, state: usize) -> usize {
-        if self.rng.bernoulli(self.epsilon) {
-            #[allow(clippy::cast_possible_truncation)]
-            {
-                self.rng.below(self.q[state].len() as u64) as usize
-            }
-        } else {
-            self.best_action(state)
-        }
-    }
-}
-
-impl Agent for Sarsa {
-    fn act(&mut self, state: usize) -> usize {
-        let action = self.epsilon_greedy(state);
-        // Complete any pending SARSA update now that a' is known.
-        if let Some((s, a, tr)) = self.pending.take() {
-            let future = if tr.done { 0.0 } else { self.q[state][action] };
-            let target = tr.reward + self.config.gamma * future;
-            let q = &mut self.q[s][a];
-            *q += self.config.alpha * (target - *q);
-        }
-        action
-    }
-
-    fn best_action(&self, state: usize) -> usize {
-        crate::tree::argmax(&self.q[state])
-    }
-
-    fn learn(&mut self, state: usize, action: usize, tr: &Transition) {
-        if tr.done {
-            // Terminal: no successor action; update immediately.
-            let q = &mut self.q[state][action];
-            *q += self.config.alpha * (tr.reward - *q);
-            self.pending = None;
-        } else {
-            self.pending = Some((state, action, *tr));
-        }
-    }
-
-    fn end_episode(&mut self) {
-        self.pending = None;
         self.epsilon = (self.epsilon * self.config.epsilon_decay).max(self.config.epsilon_min);
     }
 }
@@ -353,15 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn sarsa_finds_goal() {
-        let mut env = Cliff { n: 7, pos: 0 };
-        let mut agent = Sarsa::new(7, 2, RlConfig::default()).unwrap();
-        train(&mut env, &mut agent, 500, 100);
-        let mean = evaluate(&mut env, &agent, 10, 100);
-        assert!(mean > 0.9, "mean reward {mean}");
-    }
-
-    #[test]
     fn epsilon_decays_to_floor() {
         let cfg = RlConfig {
             epsilon: 1.0,
@@ -387,7 +288,7 @@ mod tests {
             gamma: 1.5,
             ..RlConfig::default()
         };
-        assert!(Sarsa::new(2, 2, bad_gamma).is_err());
+        assert!(QLearning::new(2, 2, bad_gamma).is_err());
         assert!(QLearning::new(0, 2, RlConfig::default()).is_err());
         assert!(QLearning::new(2, 0, RlConfig::default()).is_err());
     }

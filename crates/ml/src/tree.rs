@@ -18,7 +18,6 @@
 use crate::data::Dataset;
 use crate::error::MlError;
 use crate::traits::{Classifier, ProbabilisticClassifier, Regressor};
-use lori_core::Rng;
 
 #[cfg(test)]
 pub(crate) mod oracle;
@@ -30,9 +29,6 @@ pub struct TreeConfig {
     pub max_depth: usize,
     /// Minimum samples required to attempt a split.
     pub min_samples_split: usize,
-    /// If set, the number of random features considered per split (for
-    /// random forests); `None` means all features.
-    pub max_features: Option<usize>,
 }
 
 impl Default for TreeConfig {
@@ -40,7 +36,6 @@ impl Default for TreeConfig {
         TreeConfig {
             max_depth: 8,
             min_samples_split: 2,
-            max_features: None,
         }
     }
 }
@@ -118,16 +113,6 @@ impl DecisionTree {
     /// [`MlError::InvalidHyperparameter`] for a zero `min_samples_split`, or
     /// [`MlError::Numerical`] if a feature value is NaN.
     pub fn fit(ds: &Dataset, config: &TreeConfig) -> Result<Self, MlError> {
-        Self::fit_seeded(ds, config, &mut Rng::from_seed(0))
-    }
-
-    /// Grows a classification tree with an explicit RNG (used by random
-    /// forests for feature sub-sampling).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DecisionTree::fit`].
-    pub fn fit_seeded(ds: &Dataset, config: &TreeConfig, rng: &mut Rng) -> Result<Self, MlError> {
         let _span = lori_obs::span("ml.tree.fit");
         if config.min_samples_split < 2 {
             return Err(MlError::InvalidHyperparameter("min_samples_split"));
@@ -141,7 +126,7 @@ impl DecisionTree {
             ..TreeBuffers::default()
         };
         let task = Task::Classify { n_classes };
-        let root = buffers.grow_tree(ds.features(), ds.targets(), task, config, rng);
+        let root = buffers.grow_tree(ds.features(), ds.targets(), task, config);
         Ok(DecisionTree {
             root,
             n_classes,
@@ -190,15 +175,6 @@ impl RegressionTree {
     /// Returns [`MlError::InvalidHyperparameter`] for a `min_samples_split`
     /// below two, or [`MlError::Numerical`] if a feature value is NaN.
     pub fn fit(ds: &Dataset, config: &TreeConfig) -> Result<Self, MlError> {
-        Self::fit_seeded(ds, config, &mut Rng::from_seed(0))
-    }
-
-    /// Grows a regression tree with an explicit RNG.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RegressionTree::fit`].
-    pub fn fit_seeded(ds: &Dataset, config: &TreeConfig, rng: &mut Rng) -> Result<Self, MlError> {
         let _span = lori_obs::span("ml.tree.fit");
         if config.min_samples_split < 2 {
             return Err(MlError::InvalidHyperparameter("min_samples_split"));
@@ -207,7 +183,7 @@ impl RegressionTree {
             order: Presort::new(ds.features())?.order,
             ..TreeBuffers::default()
         };
-        let root = buffers.grow_tree(ds.features(), ds.targets(), Task::Regress, config, rng);
+        let root = buffers.grow_tree(ds.features(), ds.targets(), Task::Regress, config);
         Ok(RegressionTree {
             root,
             n_features: ds.n_features(),
@@ -227,13 +203,7 @@ impl RegressionTree {
         debug_assert!(config.min_samples_split >= 2);
         buffers.order.clear();
         buffers.order.extend_from_slice(&presort.order);
-        let root = buffers.grow_tree(
-            features,
-            targets,
-            Task::Regress,
-            config,
-            &mut Rng::from_seed(0),
-        );
+        let root = buffers.grow_tree(features, targets, Task::Regress, config);
         RegressionTree {
             root,
             n_features: features.first().map_or(0, Vec::len),
@@ -341,7 +311,6 @@ impl TreeBuffers {
         targets: &[f64],
         task: Task,
         config: &TreeConfig,
-        rng: &mut Rng,
     ) -> Node {
         self.prepare(features, targets, task);
         Grower {
@@ -351,7 +320,7 @@ impl TreeBuffers {
             config,
             buf: self,
         }
-        .grow(0, features.len(), 0, rng)
+        .grow(0, features.len(), 0)
     }
 
     /// Sizes the per-row and per-class buffers for one tree.
@@ -428,7 +397,7 @@ impl Grower<'_> {
         }
     }
 
-    fn grow(&mut self, lo: usize, hi: usize, depth: usize, rng: &mut Rng) -> Node {
+    fn grow(&mut self, lo: usize, hi: usize, depth: usize) -> Node {
         let parent_imp = impurity(self.targets, self.rows(lo, hi), self.task);
         if depth >= self.config.max_depth
             || hi - lo < self.config.min_samples_split
@@ -436,14 +405,9 @@ impl Grower<'_> {
         {
             return self.leaf(lo, hi);
         }
-        let d = self.d();
-        let candidate_features: Vec<usize> = match self.config.max_features {
-            Some(k) if k < d => rng.sample_indices(d, k.max(1)),
-            _ => (0..d).collect(),
-        };
         let best = match self.task {
-            Task::Classify { .. } => self.best_gini_split(&candidate_features, lo, hi),
-            Task::Regress => self.best_variance_split(&candidate_features, lo, hi),
+            Task::Classify { .. } => self.best_gini_split(lo, hi),
+            Task::Regress => self.best_variance_split(lo, hi),
         };
         match best {
             Some(split) if split.score < parent_imp - 1e-12 => {
@@ -451,8 +415,8 @@ impl Grower<'_> {
                 Node::Split {
                     feature: split.feature,
                     threshold: split.threshold,
-                    left: Box::new(self.grow(lo, mid, depth + 1, rng)),
-                    right: Box::new(self.grow(mid, hi, depth + 1, rng)),
+                    left: Box::new(self.grow(lo, mid, depth + 1)),
+                    right: Box::new(self.grow(mid, hi, depth + 1)),
                 }
             }
             _ => self.leaf(lo, hi),
@@ -463,7 +427,7 @@ impl Grower<'_> {
     /// among equals. Class counts are integers in `f64`, so the running
     /// counts give every side exactly the Gini the two-pass [`impurity`]
     /// would.
-    fn best_gini_split(&mut self, feats: &[usize], lo: usize, hi: usize) -> Option<Split> {
+    fn best_gini_split(&mut self, lo: usize, hi: usize) -> Option<Split> {
         let (n, d, m) = (self.n(), self.d(), hi - lo);
         let features = self.features;
         let TreeBuffers {
@@ -479,7 +443,7 @@ impl Grower<'_> {
             node_counts[classes[i]] += 1.0;
         }
         let mut best: Option<Split> = None;
-        for &f in feats {
+        for f in 0..d {
             let sorted = &order[f * n + lo..f * n + hi];
             left_counts.fill(0.0);
             for w in 1..m {
@@ -525,7 +489,7 @@ impl Grower<'_> {
     /// within twice the bound of the lowest can be the two-pass minimum;
     /// they are re-scored with [`impurity`] in scan order under the same
     /// strict `<`. A looser bound costs re-scores, never a different split.
-    fn best_variance_split(&mut self, feats: &[usize], lo: usize, hi: usize) -> Option<Split> {
+    fn best_variance_split(&mut self, lo: usize, hi: usize) -> Option<Split> {
         let (n, d, m) = (self.n(), self.d(), hi - lo);
         let (features, y) = (self.features, self.targets);
         let TreeBuffers {
@@ -551,7 +515,7 @@ impl Grower<'_> {
         let exhaustive = !(margin.is_finite() && t2 <= 1e300);
         candidates.clear();
         let mut min_approx = f64::INFINITY;
-        for &f in feats {
+        for f in 0..d {
             let sorted = &order[f * n + lo..f * n + hi];
             let (mut s1, mut s2) = (0.0f64, 0.0f64);
             for w in 1..m {
@@ -875,15 +839,7 @@ mod tests {
         let nan = MlError::Numerical("NaN feature");
         let cfg = TreeConfig::default();
         assert_eq!(DecisionTree::fit(&ds, &cfg), Err(nan.clone()));
-        assert_eq!(
-            DecisionTree::fit_seeded(&ds, &cfg, &mut Rng::from_seed(1)),
-            Err(nan.clone())
-        );
-        assert_eq!(RegressionTree::fit(&ds, &cfg), Err(nan.clone()));
-        assert_eq!(
-            RegressionTree::fit_seeded(&ds, &cfg, &mut Rng::from_seed(1)),
-            Err(nan)
-        );
+        assert_eq!(RegressionTree::fit(&ds, &cfg), Err(nan));
     }
 
     #[test]
@@ -913,7 +869,7 @@ mod tests {
 
     /// The presorted search's best root split as `(feature, threshold,
     /// score)` bit patterns.
-    fn fast_root_split(ds: &Dataset, task: Task, feats: &[usize]) -> Option<(usize, u64, u64)> {
+    fn fast_root_split(ds: &Dataset, task: Task) -> Option<(usize, u64, u64)> {
         let mut buf = TreeBuffers {
             order: Presort::new(ds.features()).unwrap().order,
             ..TreeBuffers::default()
@@ -927,8 +883,8 @@ mod tests {
             buf: &mut buf,
         };
         let best = match task {
-            Task::Classify { .. } => grower.best_gini_split(feats, 0, ds.len()),
-            Task::Regress => grower.best_variance_split(feats, 0, ds.len()),
+            Task::Classify { .. } => grower.best_gini_split(0, ds.len()),
+            Task::Regress => grower.best_variance_split(0, ds.len()),
         };
         best.map(|s| (s.feature, s.threshold.to_bits(), s.score.to_bits()))
     }
@@ -940,50 +896,43 @@ mod tests {
             let classes = random_classes(&mut rng);
             let ds = oracle::random_dataset(&mut rng, classes);
             let task = task_of(&ds, classes);
-            let d = ds.n_features();
-            let k = 1 + usize::try_from(rng.below(d as u64)).unwrap();
-            let all: Vec<usize> = (0..d).collect();
-            let subset = rng.sample_indices(d, k);
             let idx: Vec<usize> = (0..ds.len()).collect();
-            for feats in [&all, &subset] {
-                let oracle = oracle::quadratic_best_split(&ds, &idx, task, feats)
-                    .map(|(f, t, s)| (f, t.to_bits(), s.to_bits()));
-                assert_eq!(fast_root_split(&ds, task, feats), oracle, "{ds:?}");
-            }
+            let oracle = oracle::quadratic_best_split(&ds, &idx, task)
+                .map(|(f, t, s)| (f, t.to_bits(), s.to_bits()));
+            assert_eq!(fast_root_split(&ds, task), oracle, "{ds:?}");
         }
     }
 
     #[test]
     fn trees_match_quadratic_oracle() {
         let mut rng = Rng::from_seed(42);
-        for trial in 0..TRIALS {
+        for _ in 0..TRIALS {
             let classes = random_classes(&mut rng);
             let ds = oracle::random_dataset(&mut rng, classes);
-            let d = ds.n_features();
             #[allow(clippy::cast_possible_truncation)]
             let config = TreeConfig {
                 max_depth: rng.below(7) as usize,
                 min_samples_split: 2 + rng.below(3) as usize,
-                max_features: rng.bernoulli(0.5).then(|| 1 + rng.below(d as u64) as usize),
             };
-            let boot = ds.bootstrap(&mut rng);
+            // A with-replacement resample repeats rows, so ties between
+            // duplicate rows are covered too.
+            #[allow(clippy::cast_possible_truncation)]
+            let resample: Vec<usize> = (0..ds.len())
+                .map(|_| rng.below(ds.len() as u64) as usize)
+                .collect();
+            let boot = ds.subset(&resample);
             for data in [&ds, &boot] {
                 if classes == 0 {
-                    let fast =
-                        RegressionTree::fit_seeded(data, &config, &mut Rng::from_seed(trial))
-                            .unwrap();
-                    let slow =
-                        RegressionTree::fit_quadratic(data, &config, &mut Rng::from_seed(trial));
+                    let fast = RegressionTree::fit(data, &config).unwrap();
+                    let slow = RegressionTree::fit_quadratic(data, &config);
                     assert_eq!(
                         fast.fingerprint(),
                         slow.fingerprint(),
                         "{config:?} {data:?}"
                     );
                 } else if data.n_classes() >= 2 {
-                    let fast = DecisionTree::fit_seeded(data, &config, &mut Rng::from_seed(trial))
-                        .unwrap();
-                    let slow =
-                        DecisionTree::fit_quadratic(data, &config, &mut Rng::from_seed(trial));
+                    let fast = DecisionTree::fit(data, &config).unwrap();
+                    let slow = DecisionTree::fit_quadratic(data, &config);
                     assert_eq!(
                         fast.fingerprint(),
                         slow.fingerprint(),
@@ -999,7 +948,7 @@ mod tests {
         // No finite error bound exists here, so every threshold is
         // re-scored; the result must still be the quadratic scan's.
         let mut rng = Rng::from_seed(45);
-        for trial in 0..100 {
+        for _ in 0..100 {
             let ds = oracle::random_dataset(&mut rng, 0);
             let mut ys = ds.targets().to_vec();
             let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e200, -1e200];
@@ -1009,9 +958,8 @@ mod tests {
             }
             let data = Dataset::from_rows(ds.features().to_vec(), ys).unwrap();
             let config = TreeConfig::default();
-            let fast =
-                RegressionTree::fit_seeded(&data, &config, &mut Rng::from_seed(trial)).unwrap();
-            let slow = RegressionTree::fit_quadratic(&data, &config, &mut Rng::from_seed(trial));
+            let fast = RegressionTree::fit(&data, &config).unwrap();
+            let slow = RegressionTree::fit_quadratic(&data, &config);
             assert_eq!(fast.fingerprint(), slow.fingerprint(), "{data:?}");
         }
     }

@@ -11,18 +11,17 @@ use super::{impurity, leaf_value, DecisionTree, Node, RegressionTree, Task, Tree
 use crate::data::Dataset;
 use lori_core::Rng;
 
-/// The best `(feature, threshold, weighted impurity)` over `feats`, found
-/// by the quadratic scan.
+/// The best `(feature, threshold, weighted impurity)`, found by the
+/// quadratic scan.
 pub(crate) fn quadratic_best_split(
     ds: &Dataset,
     idx: &[usize],
     task: Task,
-    feats: &[usize],
 ) -> Option<(usize, f64, f64)> {
     #[allow(clippy::cast_precision_loss)]
     let n = idx.len() as f64;
     let mut best: Option<(usize, f64, f64)> = None;
-    for &f in feats {
+    for f in 0..ds.n_features() {
         let mut sorted: Vec<usize> = idx.to_vec();
         sorted.sort_by(|&a, &b| {
             ds.features()[a][f]
@@ -49,26 +48,14 @@ pub(crate) fn quadratic_best_split(
     best
 }
 
-fn grow(
-    ds: &Dataset,
-    idx: &[usize],
-    task: Task,
-    config: &TreeConfig,
-    depth: usize,
-    rng: &mut Rng,
-) -> Node {
+fn grow(ds: &Dataset, idx: &[usize], task: Task, config: &TreeConfig, depth: usize) -> Node {
     let parent_imp = impurity(ds.targets(), idx, task);
     if depth >= config.max_depth || idx.len() < config.min_samples_split || parent_imp < 1e-12 {
         return Node::Leaf {
             value: leaf_value(ds.targets(), idx, task),
         };
     }
-    let d = ds.n_features();
-    let candidate_features: Vec<usize> = match config.max_features {
-        Some(k) if k < d => rng.sample_indices(d, k.max(1)),
-        _ => (0..d).collect(),
-    };
-    match quadratic_best_split(ds, idx, task, &candidate_features) {
+    match quadratic_best_split(ds, idx, task) {
         Some((feature, threshold, weighted)) if weighted < parent_imp - 1e-12 => {
             let (li, ri): (Vec<usize>, Vec<usize>) = idx
                 .iter()
@@ -76,8 +63,8 @@ fn grow(
             Node::Split {
                 feature,
                 threshold,
-                left: Box::new(grow(ds, &li, task, config, depth + 1, rng)),
-                right: Box::new(grow(ds, &ri, task, config, depth + 1, rng)),
+                left: Box::new(grow(ds, &li, task, config, depth + 1)),
+                right: Box::new(grow(ds, &ri, task, config, depth + 1)),
             }
         }
         _ => Node::Leaf {
@@ -87,12 +74,12 @@ fn grow(
 }
 
 impl DecisionTree {
-    /// [`DecisionTree::fit_seeded`] grown by the quadratic scan.
-    pub(crate) fn fit_quadratic(ds: &Dataset, config: &TreeConfig, rng: &mut Rng) -> Self {
+    /// [`DecisionTree::fit`] grown by the quadratic scan.
+    pub(crate) fn fit_quadratic(ds: &Dataset, config: &TreeConfig) -> Self {
         let n_classes = ds.n_classes();
         let idx: Vec<usize> = (0..ds.len()).collect();
         DecisionTree {
-            root: grow(ds, &idx, Task::Classify { n_classes }, config, 0, rng),
+            root: grow(ds, &idx, Task::Classify { n_classes }, config, 0),
             n_classes,
             n_features: ds.n_features(),
         }
@@ -107,11 +94,11 @@ impl DecisionTree {
 }
 
 impl RegressionTree {
-    /// [`RegressionTree::fit_seeded`] grown by the quadratic scan.
-    pub(crate) fn fit_quadratic(ds: &Dataset, config: &TreeConfig, rng: &mut Rng) -> Self {
+    /// [`RegressionTree::fit`] grown by the quadratic scan.
+    pub(crate) fn fit_quadratic(ds: &Dataset, config: &TreeConfig) -> Self {
         let idx: Vec<usize> = (0..ds.len()).collect();
         RegressionTree {
-            root: grow(ds, &idx, Task::Regress, config, 0, rng),
+            root: grow(ds, &idx, Task::Regress, config, 0),
             n_features: ds.n_features(),
         }
     }

@@ -8,9 +8,10 @@
 //!    one relaxed atomic load — safe to leave in Monte Carlo inner loops.
 //!    Spans carry process-unique ids and [`TraceContext`] propagates them
 //!    across worker threads, so recorded trees stay causally connected.
-//! 2. **Metrics** ([`counter`], [`gauge`], [`histogram`]): process-wide
-//!    registry of counters, gauges, and fixed-bucket histograms with
-//!    p50/p95/p99 estimates, keyed by static names.
+//! 2. **Metrics** ([`counter`], [`gauge`]): a process-wide registry of
+//!    counters and gauges keyed by static names, plus the fixed-bucket
+//!    [`Histogram`] with quantile estimates that `lori-report profile`
+//!    uses for span durations.
 //! 3. **Run manifests** ([`RunManifest`]): a JSON document per experiment
 //!    run with seed, config, code version, wall time, per-phase breakdown,
 //!    and a metrics snapshot, written with [`atomic_write`] (temp file,
@@ -45,8 +46,7 @@ pub use fsio::atomic_write;
 pub use json::Value;
 pub use manifest::{version_string, PhaseRecord, RunManifest};
 pub use metrics::{
-    counter, gauge, histogram, registry, Counter, Gauge, Histogram, MetricSnapshot, MetricValue,
-    Registry,
+    counter, gauge, registry, Counter, Gauge, Histogram, MetricSnapshot, MetricValue, Registry,
 };
 pub use recorder::{Event, JsonlRecorder, MemoryRecorder, NullRecorder, Recorder};
 pub use span::{in_span, span, span_with, Span};

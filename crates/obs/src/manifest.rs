@@ -140,19 +140,6 @@ fn metric_member(snap: &MetricSnapshot) -> (String, Value) {
     let value = match snap.value {
         MetricValue::Counter(n) => Value::from(n),
         MetricValue::Gauge(v) => Value::from(v),
-        MetricValue::Histogram {
-            count,
-            sum,
-            p50,
-            p95,
-            p99,
-        } => Value::Obj(vec![
-            ("count".to_owned(), Value::from(count)),
-            ("sum".to_owned(), Value::from(sum)),
-            ("p50".to_owned(), Value::from(p50)),
-            ("p95".to_owned(), Value::from(p95)),
-            ("p99".to_owned(), Value::from(p99)),
-        ]),
     };
     (snap.name.to_owned(), value)
 }

@@ -1,5 +1,6 @@
-//! The metrics registry: counters, gauges, and fixed-bucket histograms
-//! keyed by static names.
+//! The metrics registry of counters and gauges keyed by static names, and
+//! the fixed-bucket [`Histogram`] that `lori-report profile` summarizes span
+//! durations with.
 //!
 //! Metrics are independent of the event recorder: they always aggregate
 //! (lock-free atomics on the hot path; the registry lock is only taken on
@@ -74,7 +75,6 @@ pub struct Histogram {
     edges: Vec<f64>,
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
-    sum_bits: AtomicU64,
 }
 
 impl Histogram {
@@ -95,7 +95,6 @@ impl Histogram {
             edges: edges.to_vec(),
             buckets: (0..=edges.len()).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0f64.to_bits()),
         }
     }
 
@@ -126,21 +125,6 @@ impl Histogram {
         let idx = self.bucket_index(v);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        // CAS loop: contention is rare (hot paths observe thread-locally
-        // infrequent values), so this stays cheap.
-        let mut current = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + v).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => current = actual,
-            }
-        }
     }
 
     /// Bucket index for `v`: 0 is underflow, `edges.len()` is overflow.
@@ -153,12 +137,6 @@ impl Histogram {
     #[must_use]
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of observations.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
     }
 
     /// Estimated quantile `q` in `[0, 1]`; `None` when empty.
@@ -218,19 +196,6 @@ pub enum MetricValue {
     Counter(u64),
     /// Gauge last value.
     Gauge(f64),
-    /// Histogram summary.
-    Histogram {
-        /// Observation count.
-        count: u64,
-        /// Observation sum.
-        sum: f64,
-        /// Estimated median.
-        p50: f64,
-        /// Estimated 95th percentile.
-        p95: f64,
-        /// Estimated 99th percentile.
-        p99: f64,
-    },
 }
 
 /// A named metric reading.
@@ -247,7 +212,6 @@ pub struct MetricSnapshot {
 pub struct Registry {
     counters: RwLock<BTreeMap<&'static str, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<&'static str, Arc<Gauge>>>,
-    histograms: RwLock<BTreeMap<&'static str, Arc<Histogram>>>,
 }
 
 impl Registry {
@@ -289,25 +253,6 @@ impl Registry {
         arc
     }
 
-    /// Gets or creates the histogram `name` with the given bucket `edges`.
-    /// Edges are fixed by whichever call registers first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the registry lock is poisoned or the edges are invalid.
-    pub fn histogram(&self, name: &'static str, edges: &[f64]) -> Arc<Histogram> {
-        if let Some(h) = self.histograms.read().expect("registry poisoned").get(name) {
-            return Arc::clone(h);
-        }
-        Arc::clone(
-            self.histograms
-                .write()
-                .expect("registry poisoned")
-                .entry(name)
-                .or_insert_with(|| Arc::new(Histogram::new(edges))),
-        )
-    }
-
     /// Reads every registered metric, sorted by name within each kind.
     ///
     /// # Panics
@@ -328,18 +273,6 @@ impl Registry {
                 value: MetricValue::Gauge(g.get()),
             });
         }
-        for (name, h) in self.histograms.read().expect("registry poisoned").iter() {
-            out.push(MetricSnapshot {
-                name,
-                value: MetricValue::Histogram {
-                    count: h.count(),
-                    sum: h.sum(),
-                    p50: h.quantile(0.50).unwrap_or(0.0),
-                    p95: h.quantile(0.95).unwrap_or(0.0),
-                    p99: h.quantile(0.99).unwrap_or(0.0),
-                },
-            });
-        }
         out
     }
 
@@ -351,7 +284,6 @@ impl Registry {
     pub fn clear(&self) {
         self.counters.write().expect("registry poisoned").clear();
         self.gauges.write().expect("registry poisoned").clear();
-        self.histograms.write().expect("registry poisoned").clear();
     }
 }
 
@@ -369,11 +301,6 @@ pub fn counter(name: &'static str) -> Arc<Counter> {
 /// Shorthand: the global gauge `name`.
 pub fn gauge(name: &'static str) -> Arc<Gauge> {
     registry().gauge(name)
-}
-
-/// Shorthand: the global histogram `name`.
-pub fn histogram(name: &'static str, edges: &[f64]) -> Arc<Histogram> {
-    registry().histogram(name, edges)
 }
 
 #[cfg(test)]
@@ -413,14 +340,13 @@ mod tests {
     }
 
     #[test]
-    fn histogram_counts_and_sum() {
+    fn histogram_counts() {
         let h = Histogram::new(&[0.0, 1.0, 10.0]);
         for v in [-1.0, 0.5, 0.6, 5.0, 20.0, f64::NAN] {
             h.observe(v);
         }
         assert_eq!(h.count(), 5, "NaN must be dropped");
         assert_eq!(h.bucket_counts(), vec![1, 2, 1, 1]);
-        assert!((h.sum() - 25.1).abs() < 1e-12);
     }
 
     #[test]
@@ -511,15 +437,10 @@ mod tests {
         let r = Registry::default();
         r.counter("unit.c").incr(2);
         r.gauge("unit.g").set(1.5);
-        let h = r.histogram("unit.h", &[0.0, 1.0, 2.0]);
-        h.observe(0.5);
-        h.observe(1.5);
         let snap = r.snapshot();
-        assert_eq!(snap.len(), 3);
-        assert!(matches!(
-            snap.iter().find(|s| s.name == "unit.h").unwrap().value,
-            MetricValue::Histogram { count: 2, .. }
-        ));
+        assert_eq!(snap.len(), 2);
+        assert_eq!(snap[0].value, MetricValue::Counter(2));
+        assert_eq!(snap[1].value, MetricValue::Gauge(1.5));
         r.clear();
         assert!(r.snapshot().is_empty());
     }

@@ -1,6 +1,6 @@
 //! Edge-case coverage for `lori_obs::json::Value::parse` — the parser
-//! `lori-report` trusts to validate event streams, manifests, and BENCH
-//! records, so its failure behavior is part of the analysis contract:
+//! `lori-report` trusts to validate event streams and manifests, so its
+//! failure behavior is part of the analysis contract:
 //! malformed input must produce an error naming a byte offset, never a
 //! panic and never a silently wrong value.
 

@@ -120,15 +120,17 @@ fn concurrent_spans_and_metrics_smoke() {
     const THREADS: usize = 8;
     const SPANS_PER_THREAD: usize = 200;
 
+    let hist = Arc::new(obs::Histogram::new(&[0.0, 50.0, 100.0, 200.0]));
     let events = record(|| {
         let handles: Vec<_> = (0..THREADS)
             .map(|_| {
-                std::thread::spawn(|| {
+                let hist = Arc::clone(&hist);
+                std::thread::spawn(move || {
                     for i in 0..SPANS_PER_THREAD {
                         let _outer = obs::span("mt.outer");
                         let _inner = obs::span("mt.inner");
                         obs::counter("mt.count").incr(1);
-                        obs::histogram("mt.hist", &[0.0, 50.0, 100.0, 200.0]).observe(i as f64);
+                        hist.observe(i as f64);
                     }
                 })
             })
@@ -179,11 +181,10 @@ fn concurrent_spans_and_metrics_smoke() {
         obs::counter("mt.count").get(),
         (THREADS * SPANS_PER_THREAD) as u64
     );
-    let h = obs::histogram("mt.hist", &[0.0, 50.0, 100.0, 200.0]);
-    assert_eq!(h.count(), (THREADS * SPANS_PER_THREAD) as u64);
+    assert_eq!(hist.count(), (THREADS * SPANS_PER_THREAD) as u64);
     // 0..200 uniformly: p50 near 100, p95 near 190.
-    let p50 = h.quantile(0.5).unwrap();
-    let p95 = h.quantile(0.95).unwrap();
+    let p50 = hist.quantile(0.5).unwrap();
+    let p95 = hist.quantile(0.95).unwrap();
     assert!((p50 - 100.0).abs() < 15.0, "p50 {p50}");
     assert!(p95 > 150.0, "p95 {p95}");
 }

@@ -196,29 +196,6 @@ fn check_metrics(manifest: &Value, wall_ms: Option<f64>, report: &mut CheckRepor
                     }
                 }
             }
-            Value::Obj(summary) => {
-                let q = |k: &str| {
-                    summary
-                        .iter()
-                        .find(|(n, _)| n == k)
-                        .and_then(|(_, v)| v.as_f64())
-                };
-                match (q("p50"), q("p95"), q("p99")) {
-                    (Some(p50), Some(p95), Some(p99))
-                        if p50.is_finite() && p95.is_finite() && p99.is_finite() =>
-                    {
-                        if p50 <= p95 && p95 <= p99 {
-                            finite += 1;
-                        } else {
-                            report.fail(format!(
-                                "histogram '{name}' quantiles not ordered: \
-                                 p50 {p50} p95 {p95} p99 {p99}"
-                            ));
-                        }
-                    }
-                    _ => report.fail(format!("histogram '{name}' has non-finite quantiles")),
-                }
-            }
             other => report.fail(format!("metric '{name}' has unexpected shape: {other:?}")),
         }
     }

@@ -11,8 +11,8 @@
 //! - [`thermal`] — a lumped RC thermal network with core-to-core coupling;
 //! - [`ser`] — soft-error rate as a function of supply voltage (lowering
 //!   V-f raises SER — the paper's central DVFS trade-off);
-//! - [`mttf`] — device-level lifetime models (EM, TDDB, TC, NBTI, HCI) and
-//!   their sum-of-failure-rates combination;
+//! - [`mttf`] — device-level lifetime models (EM, TDDB, TC, NBTI, HCI),
+//!   which the simulator combines by summing failure rates;
 //! - [`sched`] — a quantum-based multicore simulator: EDF per core, static
 //!   mapping, DVFS governors, DPM, deadline accounting;
 //! - [`mapping`] — heterogeneous task mapping and the MWTF metric (ref \[2\]);

@@ -130,52 +130,6 @@ pub fn hci_mttf(op: &Operating) -> Seconds {
     Seconds(Seconds::from_years(REF_YEARS).value() / accel.max(1e-12))
 }
 
-/// A full lifetime assessment at one operating condition.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LifetimeReport {
-    /// Electromigration MTTF.
-    pub em: Seconds,
-    /// Dielectric-breakdown MTTF.
-    pub tddb: Seconds,
-    /// Thermal-cycling MTTF.
-    pub tc: Seconds,
-    /// NBTI MTTF.
-    pub nbti: Seconds,
-    /// HCI MTTF.
-    pub hci: Seconds,
-}
-
-impl LifetimeReport {
-    /// Evaluates every mechanism.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SysError::BadParameter`] from the TC model.
-    pub fn evaluate(
-        op: &Operating,
-        tc_amplitude_k: f64,
-        tc_cycles_per_hour: f64,
-    ) -> Result<Self, SysError> {
-        Ok(LifetimeReport {
-            em: em_mttf(op),
-            tddb: tddb_mttf(op),
-            tc: tc_mttf(tc_amplitude_k, tc_cycles_per_hour)?,
-            nbti: nbti_mttf(op),
-            hci: hci_mttf(op),
-        })
-    }
-
-    /// Combined MTTF under the sum-of-failure-rates assumption.
-    #[must_use]
-    pub fn combined(&self) -> Seconds {
-        let rate: f64 = [self.em, self.tddb, self.tc, self.nbti, self.hci]
-            .iter()
-            .map(|m| 1.0 / m.value().max(1e-3))
-            .sum();
-        Seconds(1.0 / rate)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,33 +194,9 @@ mod tests {
     }
 
     #[test]
-    fn combined_is_below_every_mechanism() {
-        let report = LifetimeReport::evaluate(&op(85.0, 0.9, 0.6), 15.0, 5.0).unwrap();
-        let combined = report.combined().value();
-        for m in [report.em, report.tddb, report.tc, report.nbti, report.hci] {
-            assert!(combined <= m.value());
-        }
-        assert!(combined > 0.0);
-    }
-
-    #[test]
     fn operating_validation() {
         assert!(Operating::new(Celsius(80.0), Volts(0.0), 0.5).is_err());
         assert!(Operating::new(Celsius(80.0), Volts(1.0), 1.5).is_err());
         assert!(Operating::new(Celsius(80.0), Volts(1.0), f64::NAN).is_err());
-    }
-
-    #[test]
-    fn dvfs_tradeoff_shape() {
-        // The paper's Sec. IV trade-off: lowering V helps lifetime...
-        let fast = op(90.0, 1.0, 0.7);
-        let slow = op(70.0, 0.7, 0.7); // lower V also runs cooler
-        let fast_life = LifetimeReport::evaluate(&fast, 10.0, 5.0)
-            .unwrap()
-            .combined();
-        let slow_life = LifetimeReport::evaluate(&slow, 10.0, 5.0)
-            .unwrap()
-            .combined();
-        assert!(slow_life.value() > fast_life.value());
     }
 }

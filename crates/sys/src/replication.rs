@@ -11,7 +11,7 @@
 //! target.
 
 use crate::error::SysError;
-use lori_core::units::{Probability, Seconds};
+use lori_core::units::Probability;
 use lori_core::Rng;
 
 /// Reliability of `replicas`-modular redundancy with majority voting, given
@@ -158,25 +158,6 @@ impl ReplicaManager {
     }
 }
 
-/// Mean time between job failures implied by a job failure probability and
-/// a job period.
-///
-/// # Errors
-///
-/// Returns [`SysError::BadParameter`] for a non-positive period.
-pub fn mtbf(job_failure: Probability, period: Seconds) -> Result<Seconds, SysError> {
-    if period.value() <= 0.0 {
-        return Err(SysError::BadParameter {
-            what: "period",
-            value: period.value(),
-        });
-    }
-    if job_failure.value() <= 0.0 {
-        return Ok(Seconds(f64::INFINITY));
-    }
-    Ok(Seconds(period.value() / job_failure.value()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,17 +236,6 @@ mod tests {
             ..ReplicaManagerConfig::default()
         };
         assert!(ReplicaManager::new(bad_prior).is_err());
-    }
-
-    #[test]
-    fn mtbf_conversions() {
-        let m = mtbf(Probability::saturating(0.001), Seconds(10.0)).unwrap();
-        assert!((m.value() - 10_000.0).abs() < 1e-9);
-        assert!(mtbf(Probability::ZERO, Seconds(10.0))
-            .unwrap()
-            .value()
-            .is_infinite());
-        assert!(mtbf(Probability::saturating(0.5), Seconds(0.0)).is_err());
     }
 
     #[test]

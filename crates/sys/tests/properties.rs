@@ -2,7 +2,7 @@
 
 use lori_core::units::{Celsius, Fit, Seconds, Volts, Watts};
 use lori_core::Rng;
-use lori_sys::mttf::{em_mttf, hci_mttf, nbti_mttf, tddb_mttf, LifetimeReport, Operating};
+use lori_sys::mttf::{em_mttf, hci_mttf, nbti_mttf, tddb_mttf, Operating};
 use lori_sys::platform::{Core, CoreKind, PowerState};
 use lori_sys::ser::SerModel;
 use lori_sys::task::{generate_task_set, total_utilization};
@@ -39,17 +39,12 @@ proptest! {
     }
 
     /// Every wear-out mechanism returns a positive, finite MTTF across the
-    /// operating envelope, and the combined MTTF is a lower bound.
+    /// operating envelope.
     #[test]
     fn mttf_domain(t in 20.0f64..130.0, v in 0.5f64..1.2, a in 0.0f64..=1.0) {
         let op = Operating::new(Celsius(t), Volts(v), a).unwrap();
         for mttf in [em_mttf(&op), tddb_mttf(&op), nbti_mttf(&op), hci_mttf(&op)] {
             prop_assert!(mttf.value() > 0.0 && mttf.value().is_finite());
-        }
-        let report = LifetimeReport::evaluate(&op, 10.0, 5.0).unwrap();
-        let combined = report.combined().value();
-        for m in [report.em, report.tddb, report.tc, report.nbti, report.hci] {
-            prop_assert!(combined <= m.value() + 1e-9);
         }
     }
 
