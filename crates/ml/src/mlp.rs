@@ -6,12 +6,13 @@
 //! mapping (ref \[2\]), anomaly detection on intermediate DNN outputs
 //! (ref \[30\]), and WarningNet-style input-perturbation warning (ref \[32\]).
 //!
-//! A fit allocates its working memory once: an activation buffer per
-//! layer, gradient and momentum buffers shaped like the flat row-major
-//! weights, and two delta buffers as wide as the widest layer. Every
-//! floating-point operation runs in the order of a plain fit that
-//! allocates per mini-batch and per sample, so the trained bits equal it
-//! (DESIGN.md §15); that fit is the test oracle in `mlp/oracle.rs`.
+//! Training runs a whole mini-batch through each layer at a time. The
+//! forward pass sums blocks of samples × outputs side by side in
+//! registers, and the backward pass sums each gradient element over the
+//! batch and stores it once. Every floating-point operation keeps the
+//! operands and order of a plain fit that runs one sample at a time, so the
+//! trained bits equal it (DESIGN.md §15); that fit is the test oracle in
+//! `mlp/oracle.rs`. Inference runs rows through the same forward kernel.
 
 use crate::data::Dataset;
 use crate::error::MlError;
@@ -22,6 +23,16 @@ use std::mem;
 
 #[cfg(test)]
 mod oracle;
+
+/// The long side of each kernel's register block, along which its inner
+/// loop vectorizes: samples in the forward pass, inputs in the weight
+/// gradient and in back-propagation, outputs in the bias gradient. Eight
+/// `f64` fill four SSE2 registers.
+const BLOCK: usize = 8;
+/// The short side of the forward and weight-gradient blocks: outputs.
+const OUTPUTS: usize = 2;
+/// Rows per forward pass at inference.
+const PREDICT_ROWS: usize = 64;
 
 /// Activation function for hidden layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,6 +63,31 @@ impl Activation {
                 }
             }
             Activation::Tanh => 1.0 - a * a,
+        }
+    }
+
+    /// Applies the activation to every element of `z`. Each arm calls
+    /// [`apply`](Self::apply) on a constant, so the `match` runs once per
+    /// call rather than once per element.
+    fn apply_all(self, z: &mut [f64]) {
+        match self {
+            Activation::Relu => z.iter_mut().for_each(|v| *v = Activation::Relu.apply(*v)),
+            Activation::Tanh => z.iter_mut().for_each(|v| *v = Activation::Tanh.apply(*v)),
+        }
+    }
+
+    /// Multiplies each back-propagated error by the derivative at the
+    /// matching activation output, with the `match` hoisted as in
+    /// [`apply_all`](Self::apply_all).
+    fn scale_by_derivative(self, errors: &mut [f64], outputs: &[f64]) {
+        let pairs = errors.iter_mut().zip(outputs);
+        match self {
+            Activation::Relu => {
+                pairs.for_each(|(e, &a)| *e *= Activation::Relu.derivative_from_output(a));
+            }
+            Activation::Tanh => {
+                pairs.for_each(|(e, &a)| *e *= Activation::Tanh.derivative_from_output(a));
+            }
         }
     }
 }
@@ -122,6 +158,13 @@ impl MlpConfig {
     }
 }
 
+/// The value an empty `Iterator::sum` of `f64` returns (`-0.0` on rustc
+/// 1.95). The forward sums fold from it, so each equals `Iterator::sum`
+/// bit for bit.
+fn empty_sum() -> f64 {
+    std::iter::empty::<f64>().sum()
+}
+
 /// One dense layer: row-major `weights` (`n_out × n_in`) and a bias per
 /// output.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,53 +189,257 @@ impl Layer {
         }
     }
 
+    fn n_out(&self) -> usize {
+        self.biases.len()
+    }
+
     /// The weights of output `o`.
     fn row(&self, o: usize) -> &[f64] {
         &self.weights[o * self.n_in..(o + 1) * self.n_in]
     }
 
-    /// Writes the pre-activations `b + Σ w·x` into `out`. Training and
-    /// inference share this kernel. `Σ` is `Iterator::sum` in input order
-    /// and the bias is added last; any other order changes the trained
-    /// bits (DESIGN.md §15).
-    fn forward_into(&self, input: &[f64], out: &mut [f64]) {
-        for (o, (z, b)) in out.iter_mut().zip(&self.biases).enumerate() {
-            let row = self.row(o);
-            *z = b + row.iter().zip(input).map(|(w, x)| w * x).sum::<f64>();
+    /// Writes the pre-activations `b + Σ w·x` of `n` samples into `z`
+    /// (sample-major, `n × n_out`), reading the inputs feature-major from
+    /// `xt` (input `i` of sample `s` at `xt[i·n + s]`). Training and
+    /// inference share this kernel.
+    ///
+    /// Each `Σ` folds `w·x` in input order from [`empty_sum`] and the bias
+    /// is added last; any other order changes the trained bits (DESIGN.md
+    /// §15). Blocks of `BLOCK` samples × `OUTPUTS` outputs advance side by
+    /// side, each sum in its own accumulator.
+    fn forward(&self, xt: &[f64], n: usize, z: &mut [f64]) {
+        let xt = &xt[..self.n_in * n];
+        let full = n - n % BLOCK;
+        for s in (0..full).step_by(BLOCK) {
+            self.forward_block::<BLOCK>(xt, n, s, z);
+        }
+        for s in full..n {
+            self.forward_block::<1>(xt, n, s, z);
+        }
+    }
+
+    /// The pre-activations of samples `s0..s0 + S`.
+    fn forward_block<const S: usize>(&self, xt: &[f64], n: usize, s0: usize, z: &mut [f64]) {
+        let n_out = self.n_out();
+        let full = n_out - n_out % OUTPUTS;
+        for o in (0..full).step_by(OUTPUTS) {
+            self.forward_tile::<S, OUTPUTS>(xt, n, s0, o, z);
+        }
+        for o in full..n_out {
+            self.forward_tile::<S, 1>(xt, n, s0, o, z);
+        }
+    }
+
+    /// The `S × O` pre-activations of samples `s0..s0 + S` and outputs
+    /// `o0..o0 + O`.
+    #[inline(always)]
+    fn forward_tile<const S: usize, const O: usize>(
+        &self,
+        xt: &[f64],
+        n: usize,
+        s0: usize,
+        o0: usize,
+        z: &mut [f64],
+    ) {
+        let rows: [&[f64]; O] = std::array::from_fn(|k| self.row(o0 + k));
+        let mut acc = [[empty_sum(); S]; O];
+        for (i, x) in (0..self.n_in).zip(xt.chunks_exact(n)) {
+            let x: &[f64; S] = x[s0..s0 + S].try_into().expect("S samples");
+            for (acc, row) in acc.iter_mut().zip(rows) {
+                let w = row[i];
+                for (a, &x) in acc.iter_mut().zip(x) {
+                    *a += w * x;
+                }
+            }
+        }
+        let n_out = self.n_out();
+        for ((acc, o), b) in acc.iter().zip(o0..).zip(&self.biases[o0..]) {
+            for (a, s) in acc.iter().zip(s0..) {
+                z[s * n_out + o] = b + a;
+            }
+        }
+    }
+
+    /// Writes the batch's weight and bias gradients: `gw[o][i] = Σ d_o·x_i`
+    /// and `gb[o] = Σ d_o`, each summed over the samples in mini-batch
+    /// order from `+0.0`. `x` holds the layer's inputs and `d` its output
+    /// deltas, both sample-major. Blocks of `OUTPUTS` outputs × `BLOCK`
+    /// inputs advance side by side, each sum in its own accumulator.
+    fn gradient(&self, x: &[f64], d: &[f64], gw: &mut [f64], gb: &mut [f64]) {
+        let n_out = self.n_out();
+        let full = n_out - n_out % BLOCK;
+        for o in (0..full).step_by(BLOCK) {
+            gb[o..o + BLOCK].copy_from_slice(&column_sums::<BLOCK>(d, n_out, o));
+        }
+        for (o, g) in gb.iter_mut().enumerate().skip(full) {
+            *g = column_sums::<1>(d, n_out, o)[0];
+        }
+        let full = n_out - n_out % OUTPUTS;
+        for o in (0..full).step_by(OUTPUTS) {
+            self.gradient_rows::<OUTPUTS>(x, d, o, gw);
+        }
+        for o in full..n_out {
+            self.gradient_rows::<1>(x, d, o, gw);
+        }
+    }
+
+    /// The weight gradients of outputs `o0..o0 + O`.
+    fn gradient_rows<const O: usize>(&self, x: &[f64], d: &[f64], o0: usize, gw: &mut [f64]) {
+        let full = self.n_in - self.n_in % BLOCK;
+        for i in (0..full).step_by(BLOCK) {
+            self.gradient_tile::<O, BLOCK>(x, d, o0, i, gw);
+        }
+        for i in full..self.n_in {
+            self.gradient_tile::<O, 1>(x, d, o0, i, gw);
+        }
+    }
+
+    /// The `O × I` weight gradients of outputs `o0..o0 + O` and inputs
+    /// `i0..i0 + I`.
+    #[inline(always)]
+    fn gradient_tile<const O: usize, const I: usize>(
+        &self,
+        x: &[f64],
+        d: &[f64],
+        o0: usize,
+        i0: usize,
+        gw: &mut [f64],
+    ) {
+        let mut acc = [[0.0; I]; O];
+        for (x, d) in x.chunks_exact(self.n_in).zip(d.chunks_exact(self.n_out())) {
+            let x: &[f64; I] = x[i0..i0 + I].try_into().expect("I inputs");
+            for (acc, &d_o) in acc.iter_mut().zip(&d[o0..o0 + O]) {
+                for (a, &x_i) in acc.iter_mut().zip(x) {
+                    *a += d_o * x_i;
+                }
+            }
+        }
+        for (acc, o) in acc.iter().zip(o0..) {
+            gw[o * self.n_in + i0..][..I].copy_from_slice(acc);
+        }
+    }
+
+    /// Writes each sample's back-propagated error `prev[p] = Σ d_o·w[o][p]`
+    /// (before the activation derivative) into `prev`, folding over the
+    /// outputs in ascending order from `+0.0`. `d` and `prev` are
+    /// sample-major. Blocks of `BLOCK` inputs advance side by side, each
+    /// sum in its own accumulator.
+    fn backprop(&self, d: &[f64], prev: &mut [f64]) {
+        let full = self.n_in - self.n_in % BLOCK;
+        for (d, prev) in d
+            .chunks_exact(self.n_out())
+            .zip(prev.chunks_exact_mut(self.n_in))
+        {
+            for p in (0..full).step_by(BLOCK) {
+                self.backprop_tile::<BLOCK>(d, p, prev);
+            }
+            for p in full..self.n_in {
+                self.backprop_tile::<1>(d, p, prev);
+            }
+        }
+    }
+
+    /// One sample's back-propagated errors at inputs `p0..p0 + P`.
+    #[inline(always)]
+    fn backprop_tile<const P: usize>(&self, d: &[f64], p0: usize, prev: &mut [f64]) {
+        let mut acc = [0.0; P];
+        for (&d_o, row) in d.iter().zip(self.weights.chunks_exact(self.n_in)) {
+            let w: &[f64; P] = row[p0..p0 + P].try_into().expect("P inputs");
+            for (a, &w) in acc.iter_mut().zip(w) {
+                *a += d_o * w;
+            }
+        }
+        prev[p0..p0 + P].copy_from_slice(&acc);
+    }
+}
+
+/// Sums columns `c0..c0 + W` of the sample-major matrix `m` (`width`
+/// columns) over its rows in order, each from `+0.0`.
+#[inline(always)]
+fn column_sums<const W: usize>(m: &[f64], width: usize, c0: usize) -> [f64; W] {
+    let mut acc = [0.0; W];
+    for row in m.chunks_exact(width) {
+        let row: &[f64; W] = row[c0..c0 + W].try_into().expect("W columns");
+        for (a, &v) in acc.iter_mut().zip(row) {
+            *a += v;
+        }
+    }
+    acc
+}
+
+/// Copies the `n` sample-major rows in `rows` into `xt` feature-major, the
+/// forward kernel's input layout.
+fn transpose(rows: &[f64], n: usize, xt: &mut [f64]) {
+    let width = rows.len() / n;
+    if width == 0 {
+        return;
+    }
+    for (s, row) in rows.chunks_exact(width).enumerate() {
+        for (column, &v) in xt.chunks_exact_mut(n).zip(row) {
+            column[s] = v;
         }
     }
 }
 
-/// A fit's working memory, allocated once per fit. The per-layer buffers
-/// are shaped like that layer's outputs, weights and biases.
+/// The activations of one batch of up to `rows` samples: what a forward
+/// pass needs.
+struct Activations {
+    /// Sample-major: `values[0]` holds the batch's input rows and
+    /// `values[li + 1]` the output of layer `li`.
+    values: Vec<Vec<f64>>,
+    /// The current layer's input, feature-major.
+    xt: Vec<f64>,
+}
+
+impl Activations {
+    fn new(n_features: usize, layers: &[Layer], rows: usize) -> Activations {
+        let widths = std::iter::once(n_features).chain(layers.iter().map(Layer::n_out));
+        Activations {
+            values: widths.map(|w| vec![0.0; rows * w]).collect(),
+            xt: vec![0.0; rows * layers.iter().map(|l| l.n_in).max().unwrap_or(0)],
+        }
+    }
+
+    /// Copies the batch's rows into `values[0]`.
+    fn load<'a>(&mut self, rows: impl IntoIterator<Item = &'a [f64]>) {
+        let input = &mut self.values[0];
+        input.clear();
+        for row in rows {
+            input.extend_from_slice(row);
+        }
+    }
+}
+
+/// A fit's working memory, allocated once per fit and sized for one
+/// mini-batch.
 struct Workspace {
-    /// Each layer's activations for the current sample.
-    acts: Vec<Vec<f64>>,
-    /// Weight and bias gradients summed over the current mini-batch.
+    acts: Activations,
+    /// Weight and bias gradients of the current mini-batch.
     gw: Vec<Vec<f64>>,
     gb: Vec<Vec<f64>>,
     /// Weight and bias momentum, carried across mini-batches.
     vw: Vec<Vec<f64>>,
     vb: Vec<Vec<f64>>,
-    /// The delta at a layer's output and the one back-propagated to its
-    /// input, each as wide as the widest layer; swapped after each layer.
+    /// Sample-major: the deltas at a layer's outputs and the errors
+    /// back-propagated to its inputs, each as wide as the widest layer;
+    /// swapped after each layer.
     delta: Vec<f64>,
     prev: Vec<f64>,
 }
 
 impl Workspace {
-    fn new(layers: &[Layer]) -> Workspace {
-        let outputs: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.biases.len()]).collect();
+    fn new(n_features: usize, layers: &[Layer], rows: usize) -> Workspace {
+        let outputs: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.n_out()]).collect();
         let weights: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.weights.len()]).collect();
-        let width = layers.iter().map(|l| l.biases.len()).max().unwrap_or(0);
+        let width = layers.iter().map(Layer::n_out).max().unwrap_or(0);
         Workspace {
-            acts: outputs.clone(),
+            acts: Activations::new(n_features, layers, rows),
             gw: weights.clone(),
             gb: outputs.clone(),
             vw: weights,
             vb: outputs,
-            delta: vec![0.0; width],
-            prev: vec![0.0; width],
+            delta: vec![0.0; rows * width],
+            prev: vec![0.0; rows * width],
         }
     }
 }
@@ -265,7 +512,8 @@ impl Mlp {
             n_features: ds.n_features(),
             loss_history: Vec::with_capacity(config.epochs),
         };
-        let mut work = Workspace::new(&mlp.layers);
+        let rows = config.batch_size.min(ds.len());
+        let mut work = Workspace::new(ds.n_features(), &mlp.layers, rows);
         let mut order: Vec<usize> = (0..ds.len()).collect();
 
         let loss_gauge = lori_obs::gauge("ml.train.loss");
@@ -275,15 +523,22 @@ impl Mlp {
             rng.shuffle(&mut order);
             let mut epoch_loss = 0.0;
             for chunk in order.chunks(config.batch_size) {
-                for g in work.gw.iter_mut().chain(&mut work.gb) {
-                    g.fill(0.0);
+                let n = chunk.len();
+                work.acts.load(chunk.iter().map(|&i| ds.sample(i).0));
+                mlp.forward_pass(&mut work.acts, n);
+                // Each sample's loss joins the epoch sum on its own, in
+                // mini-batch order.
+                let out = &work.acts.values[mlp.layers.len()][..n * out_dim];
+                for ((out, delta), &i) in out
+                    .chunks_exact(out_dim)
+                    .zip(work.delta.chunks_exact_mut(out_dim))
+                    .zip(chunk)
+                {
+                    epoch_loss += mlp.output_delta(out, ds.sample(i).1, class_targets[i], delta);
                 }
-                for &i in chunk {
-                    let (x, y) = ds.sample(i);
-                    epoch_loss += mlp.accumulate_gradient(x, y, class_targets[i], &mut work);
-                }
+                mlp.backward(&mut work, n);
                 #[allow(clippy::cast_precision_loss)]
-                let scale = config.learning_rate / chunk.len() as f64;
+                let scale = config.learning_rate / n as f64;
                 for (li, layer) in mlp.layers.iter_mut().enumerate() {
                     let (vw, gw) = (&mut work.vw[li], &work.gw[li]);
                     sgd_step(&mut layer.weights, vw, gw, scale, config.momentum);
@@ -299,41 +554,43 @@ impl Mlp {
         Ok(mlp)
     }
 
-    /// Applies the nonlinearity after a layer in place: softmax after a
-    /// classification head's output layer, none after a regression head's,
-    /// and the hidden activation after every other layer.
-    fn nonlinearity(&self, is_output: bool, z: &mut [f64]) {
-        if !is_output {
-            for v in z {
-                *v = self.activation.apply(*v);
-            }
-        } else if let Head::Classification { .. } = self.head {
-            softmax_in_place(z);
+    /// Width of the network's output.
+    fn out_dim(&self) -> usize {
+        self.layers.last().map_or(0, Layer::n_out)
+    }
+
+    /// Runs the `n` samples in `acts.values[0]` through every layer,
+    /// leaving each layer's output in `acts.values`.
+    fn forward_pass(&self, acts: &mut Activations, n: usize) {
+        let Activations { values, xt } = acts;
+        let last = self.layers.len() - 1;
+        for (li, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = values.split_at_mut(li + 1);
+            transpose(&done[li][..n * layer.n_in], n, xt);
+            let z = &mut rest[0][..n * layer.n_out()];
+            layer.forward(xt, n, z);
+            self.nonlinearity(li == last, z);
         }
     }
 
-    /// Forward and backward pass for one sample: adds its gradient to
-    /// `work.gw`/`work.gb` and returns its loss. `y` is the regression
-    /// target and `class` the class index; each head reads its own.
-    fn accumulate_gradient(&self, x: &[f64], y: f64, class: usize, work: &mut Workspace) -> f64 {
-        let Workspace {
-            acts,
-            gw,
-            gb,
-            delta,
-            prev,
-            ..
-        } = work;
-        let last = self.layers.len() - 1;
-        for (li, layer) in self.layers.iter().enumerate() {
-            let (done, rest) = acts.split_at_mut(li);
-            let out = &mut rest[0];
-            layer.forward_into(done.last().map_or(x, Vec::as_slice), out);
-            self.nonlinearity(li == last, out);
+    /// Applies the nonlinearity after a layer in place: softmax on each
+    /// sample's outputs after a classification head's output layer, none
+    /// after a regression head's, and the hidden activation after every
+    /// other layer.
+    fn nonlinearity(&self, is_output: bool, z: &mut [f64]) {
+        if !is_output {
+            self.activation.apply_all(z);
+        } else if let Head::Classification { n_classes } = self.head {
+            z.chunks_exact_mut(n_classes).for_each(softmax_in_place);
         }
-        // Output delta (dL/dz for the last pre-activation).
-        let out = &acts[last];
-        let loss = match self.head {
+    }
+
+    /// Writes one sample's output delta (dL/dz for the last
+    /// pre-activation) into `delta` and returns its loss. `y` is the
+    /// regression target and `class` the class index; each head reads its
+    /// own.
+    fn output_delta(&self, out: &[f64], y: f64, class: usize, delta: &mut [f64]) -> f64 {
+        match self.head {
             Head::Regression => {
                 let e = out[0] - y;
                 delta[0] = e;
@@ -345,33 +602,32 @@ impl Mlp {
                 }
                 -(out[class].max(1e-12)).ln()
             }
-        };
-        // Backward pass.
+        }
+    }
+
+    /// The backward pass over the `n` samples of the last forward pass:
+    /// writes every layer's gradients into `work.gw`/`work.gb`, starting
+    /// from the output deltas in `work.delta`.
+    fn backward(&self, work: &mut Workspace, n: usize) {
+        let Workspace {
+            acts,
+            gw,
+            gb,
+            delta,
+            prev,
+            ..
+        } = work;
         for (li, layer) in self.layers.iter().enumerate().rev() {
-            let input = if li == 0 { x } else { &acts[li - 1] };
-            let d = &delta[..layer.biases.len()];
-            for (o, (&d_o, gb_o)) in d.iter().zip(&mut gb[li]).enumerate() {
-                *gb_o += d_o;
-                let gw_row = &mut gw[li][o * layer.n_in..(o + 1) * layer.n_in];
-                for (g, &xi) in gw_row.iter_mut().zip(input) {
-                    *g += d_o * xi;
-                }
-            }
+            let input = &acts.values[li][..n * layer.n_in];
+            let d = &delta[..n * layer.n_out()];
+            layer.gradient(input, d, &mut gw[li], &mut gb[li]);
             if li > 0 {
-                let p = &mut prev[..layer.n_in];
-                p.fill(0.0);
-                for (o, &d_o) in d.iter().enumerate() {
-                    for (p, &w) in p.iter_mut().zip(layer.row(o)) {
-                        *p += d_o * w;
-                    }
-                }
-                for (p, &a) in p.iter_mut().zip(input) {
-                    *p *= self.activation.derivative_from_output(a);
-                }
+                let p = &mut prev[..n * layer.n_in];
+                layer.backprop(d, p);
+                self.activation.scale_by_derivative(p, input);
                 mem::swap(delta, prev);
             }
         }
-        loss
     }
 
     /// Raw network output (post-softmax for classification heads).
@@ -382,15 +638,38 @@ impl Mlp {
     #[must_use]
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.n_features, "feature count mismatch");
+        // A batch of one: a single row is its own feature-major layout.
         let last = self.layers.len() - 1;
         let mut a = x.to_vec();
         for (li, layer) in self.layers.iter().enumerate() {
-            let mut z = vec![0.0; layer.biases.len()];
-            layer.forward_into(&a, &mut z);
+            let mut z = vec![0.0; layer.n_out()];
+            layer.forward(&a, 1, &mut z);
             self.nonlinearity(li == last, &mut z);
             a = z;
         }
         a
+    }
+
+    /// The outputs of `rows`, sample-major. Blocks of `PREDICT_ROWS` rows
+    /// run through the training forward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row has the wrong number of features.
+    fn forward_rows(&self, rows: &[Vec<f64>]) -> Vec<f64> {
+        let out_dim = self.out_dim();
+        let block = rows.len().min(PREDICT_ROWS);
+        let mut acts = Activations::new(self.n_features, &self.layers, block);
+        let mut out = Vec::with_capacity(rows.len() * out_dim);
+        for block in rows.chunks(PREDICT_ROWS) {
+            acts.load(block.iter().map(|row| {
+                assert_eq!(row.len(), self.n_features, "feature count mismatch");
+                row.as_slice()
+            }));
+            self.forward_pass(&mut acts, block.len());
+            out.extend_from_slice(&acts.values[self.layers.len()][..block.len() * out_dim]);
+        }
+        out
     }
 
     /// Mean training loss per epoch (useful for convergence tests).
@@ -420,6 +699,20 @@ impl Classifier for Mlp {
         );
         argmax(&self.forward(x))
     }
+
+    /// Runs the rows in blocks through the batch forward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called on a regression-head network.
+    fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<usize> {
+        assert!(
+            matches!(self.head, Head::Classification { .. }),
+            "predict() requires a classification head"
+        );
+        let scores = self.forward_rows(xs);
+        scores.chunks_exact(self.out_dim()).map(argmax).collect()
+    }
 }
 
 impl ProbabilisticClassifier for Mlp {
@@ -438,6 +731,19 @@ impl Regressor for Mlp {
             "predict() requires a regression head"
         );
         self.forward(x)[0]
+    }
+
+    /// Runs the rows in blocks through the batch forward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called on a classification-head network.
+    fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
+        assert!(
+            matches!(self.head, Head::Regression),
+            "predict() requires a regression head"
+        );
+        self.forward_rows(xs)
     }
 }
 
@@ -591,14 +897,17 @@ mod tests {
 
     const ORACLE_CASES: usize = 240;
 
-    /// The workspace fit equals the allocating oracle bit for bit: loss
+    /// The mini-batch fit equals the allocating oracle bit for bit: loss
     /// history, every weight and bias, and the output on every training
-    /// row, over random configs and datasets (`oracle::random_case`).
+    /// row, one row at a time and through the batch forward pass that
+    /// `predict_batch` runs, over random configs and datasets
+    /// (`oracle::random_case`).
     #[test]
     fn fit_matches_allocating_oracle() {
         let mut rng = Rng::from_seed(0x006d_6c70);
         let (mut classes, mut activations, mut hidden, mut batches) =
             (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let (mut features, mut chunks) = (Vec::new(), Vec::new());
         let (mut oversized_batch, mut finite) = (false, 0);
         for case in 0..ORACLE_CASES {
             let (ds, config) = oracle::random_case(&mut rng);
@@ -613,15 +922,31 @@ mod tests {
                 assert_eq!(bits(&layer.weights), bits(&expected.weights.concat()));
                 assert_eq!(bits(&layer.biases), bits(&expected.biases));
             }
-            for row in ds.features() {
-                assert_eq!(bits(&fast.forward(row)), bits(&slow.forward(row)));
+            let expected: Vec<f64> = ds
+                .features()
+                .iter()
+                .flat_map(|row| slow.forward(row))
+                .collect();
+            for (row, expected) in ds
+                .features()
+                .iter()
+                .zip(expected.chunks_exact(fast.out_dim()))
+            {
+                assert_eq!(bits(&fast.forward(row)), bits(expected));
             }
+            assert_eq!(bits(&fast.forward_rows(ds.features())), bits(&expected));
             finite += usize::from(fast.loss_history().iter().all(|l| l.is_finite()));
             classes.push(match config.head {
                 Head::Regression => 0,
                 Head::Classification { n_classes } => n_classes,
             });
             activations.push(config.activation);
+            features.push(ds.n_features());
+            // The mini-batch sizes: full batches and the remainder.
+            chunks.extend([
+                config.batch_size.min(ds.len()),
+                ds.len() % config.batch_size,
+            ]);
             hidden.push(config.hidden);
             batches.push(config.batch_size);
             oversized_batch |= config.batch_size > ds.len();
@@ -639,6 +964,14 @@ mod tests {
             assert!(batches.contains(&b), "batch size {b}");
         }
         assert!(oversized_batch, "a batch larger than n");
+        // ... and the kernel's blocks: two full input blocks, a layer
+        // wider than a block but not a multiple of it, and a mini-batch
+        // with full sample blocks and a partial one.
+        assert!(features.iter().any(|&d| d >= 2 * BLOCK), "{features:?}");
+        let ragged = |w: usize| w > BLOCK && !w.is_multiple_of(BLOCK);
+        assert!(features.iter().any(|&d| ragged(d)));
+        assert!(hidden.iter().flatten().any(|&w| ragged(w)));
+        assert!(chunks.iter().any(|&n| ragged(n)));
         // Bit equality of diverged fits says little; most must stay finite.
         assert!(finite * 10 >= ORACLE_CASES * 9, "{finite} finite fits");
     }

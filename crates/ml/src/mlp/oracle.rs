@@ -1,4 +1,4 @@
-//! The allocating fit, kept as the oracle the workspace fit of
+//! The allocating fit, kept as the oracle the mini-batch fit of
 //! [`Mlp::fit`](super::Mlp::fit) must equal bit for bit, and the random
 //! cases the oracle tests run on.
 //!
@@ -196,8 +196,17 @@ impl OracleMlp {
 }
 
 /// Hidden stacks the random cases draw from: single-unit and three-layer
-/// stacks beside the shapes the experiments use.
-const HIDDEN: [&[usize]; 6] = [&[16, 16], &[3], &[1], &[5, 1, 4], &[8, 8], &[2, 6, 3]];
+/// stacks beside the shapes the experiments use, and `[17, 9]`, whose
+/// widths pass the kernel's 8-wide blocks with a remainder.
+const HIDDEN: [&[usize]; 7] = [
+    &[16, 16],
+    &[3],
+    &[1],
+    &[5, 1, 4],
+    &[8, 8],
+    &[2, 6, 3],
+    &[17, 9],
+];
 
 /// A uniform draw from `0..n`.
 fn below(rng: &mut Rng, n: usize) -> usize {
@@ -211,13 +220,15 @@ fn pick<T: Copy>(rng: &mut Rng, options: &[T]) -> T {
 
 /// A random dataset and a valid config for it.
 ///
+/// Datasets have 1 to 20 features, so the input layer is narrower than
+/// one kernel block in some cases and spans more than two in others.
 /// Feature values mix `-0.0`, `0.0`, small integers and Gaussian draws;
 /// about a fifth of the rows duplicate an earlier row, and a quarter of
 /// the datasets are scaled by 1e3 (with a smaller learning rate, so most
 /// fits stay finite). `n` is never a multiple of a batch size above one,
 /// and one batch size in four exceeds `n`.
 pub(super) fn random_case(rng: &mut Rng) -> (Dataset, MlpConfig) {
-    let d = 1 + below(rng, 6);
+    let d = 1 + below(rng, 20);
     let batch_size = match below(rng, 4) {
         0 => 1,
         1 => 7,

@@ -1,10 +1,12 @@
 //! MLP fits must stay bit-identical across refactors of the training loop.
 //!
 //! The expected bit patterns below were recorded by running this test's
-//! fits at commit ed57f6e, on the fit that allocated its gradients per
-//! mini-batch and its activations and deltas per sample. The dataset has
-//! `-0.0` beside `0.0`, exact zeros and duplicate rows, and the batch size
-//! does not divide the row count, so any change in summation order,
+//! fits before the training loop was batched: the first two at commit
+//! ed57f6e, on the fit that allocated its gradients per mini-batch and its
+//! activations and deltas per sample, and the anomaly-shaped one at
+//! fc641ed, on the per-sample workspace fit. The datasets have `-0.0`
+//! beside `0.0`, exact zeros and duplicate rows, and the batch size does
+//! not divide the row count, so any change in summation order,
 //! initialization order or shuffling shows up here.
 
 use lori::ml::data::Dataset;
@@ -80,6 +82,45 @@ fn bits(values: impl IntoIterator<Item = f64>) -> Vec<u64> {
     values.into_iter().map(f64::to_bits).collect()
 }
 
+/// 75 rows of 17 features, the anomaly detector's shape plus one: `-0.0`
+/// beside `0.0`, an all-zero row, exact zeros in every column, and every
+/// fifth row a duplicate of the one before it. 75 rows in mini-batches of
+/// 32 leave a last batch of 11.
+fn wide_rows() -> Vec<Vec<f64>> {
+    let mut rows: Vec<Vec<f64>> = Vec::new();
+    for i in 0..75u32 {
+        if i % 5 == 4 {
+            let dup = rows[rows.len() - 1].clone();
+            rows.push(dup);
+            continue;
+        }
+        let row = (0..17u32)
+            .map(|j| match (i + j) % 6 {
+                0 => -0.0,
+                1 => 0.0,
+                2 => f64::from((i * 3 + j) % 5) - 2.0,
+                _ => (f64::from(i * 17 + j) * 0.31).sin() * 1.5,
+            })
+            .collect();
+        rows.push(row);
+    }
+    rows[12] = vec![0.0; 17];
+    rows
+}
+
+fn wide_fit() -> Mlp {
+    let xs = wide_rows();
+    let classes = xs
+        .iter()
+        .map(|r| f64::from(u8::from(r[0] + r[8] - r[16] > 0.0)))
+        .collect();
+    // The anomaly detector's config (ReLU 16×16, batch 32) for 4 epochs.
+    let mut config = MlpConfig::classifier(2);
+    config.epochs = 4;
+    config.seed = 13;
+    Mlp::fit(&Dataset::from_rows(xs, classes).expect("valid"), &config).expect("classifier fits")
+}
+
 #[test]
 fn mlp_fits_match_recorded_bits() {
     let (classifier, regressor) = fits();
@@ -135,6 +176,52 @@ fn mlp_fits_match_recorded_bits() {
             0x3fed_2bbe_832b_8681,
             0x3fed_19cd_9453_c131,
             0x3fe7_4706_577d_f4a6,
+        ]
+    );
+}
+
+/// The anomaly detector's shape: 17 inputs fill two 8-wide kernel blocks
+/// and leave one over, and the last mini-batch of 11 rows leaves a
+/// partial sample block. Recorded at fc641ed, on the per-sample fit.
+#[test]
+fn anomaly_shaped_fit_matches_recorded_bits() {
+    let detector = wide_fit();
+    let xs = wide_rows();
+    let qs = [
+        xs[0].clone(),
+        xs[12].clone(),
+        xs[74].clone(),
+        (0..17)
+            .map(|j| {
+                if j % 2 == 0 {
+                    -0.0
+                } else {
+                    f64::from(j) * 0.1 - 0.8
+                }
+            })
+            .collect(),
+    ];
+    assert_eq!(
+        bits(detector.loss_history().iter().copied()),
+        [
+            0x3feb_5c82_add4_7360,
+            0x3fe3_49e1_6092_64d1,
+            0x3fe2_aec8_2f47_8356,
+            0x3fdf_f0ba_aa75_e28c,
+        ]
+    );
+    // Two class probabilities per query.
+    assert_eq!(
+        bits(qs.iter().flat_map(|q| detector.forward(q))),
+        [
+            0x3fbf_30c4_82dc_6f4f,
+            0x3fec_19e7_6fa4_7217,
+            0x3fdb_ebbd_389b_d006,
+            0x3fe2_0a21_63b2_17fd,
+            0x3fe5_1086_aeda_a5c9,
+            0x3fd5_def2_a24a_b46e,
+            0x3fd9_be40_09f0_1507,
+            0x3fe3_20df_fb07_f57d,
         ]
     );
 }
