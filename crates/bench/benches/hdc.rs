@@ -1,10 +1,13 @@
 //! Hypervector algebra throughput, including the bit-packed-vs-bipolar
-//! ablation called out in DESIGN.md.
+//! ablation called out in DESIGN.md, and the two per-row kernels of E5's
+//! noise sweep and E6's fit (record encoding and noise flips, DESIGN §16).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lori_core::Rng;
 use lori_hdc::classifier::{HdcClassifier, HdcClassifierConfig};
+use lori_hdc::encoder::RecordEncoder;
 use lori_hdc::hypervector::{BinaryHv, BipolarHv};
+use lori_hdc::noise::flip_components;
 use std::hint::black_box;
 
 fn bench_hdc(c: &mut Criterion) {
@@ -35,6 +38,32 @@ fn bench_hdc(c: &mut Criterion) {
             },
         );
     }
+
+    // E5 encodes 3 features and E6 4, both at dim 8192; 4 features reach
+    // the tie-break.
+    let dim = 8192;
+    for n_features in [3usize, 4] {
+        let ranges = vec![(0.0, 1.0); n_features];
+        let enc = RecordEncoder::new(dim, &ranges, 32, 3).expect("valid encoder");
+        let row: Vec<f64> = (0..n_features).map(|_| rng.uniform()).collect();
+        c.bench_with_input(
+            BenchmarkId::new("record_encode", n_features),
+            &n_features,
+            |bench, _| {
+                bench.iter(|| enc.encode(black_box(&row)));
+            },
+        );
+    }
+    // E5's 40% error rate: one Bernoulli draw per component.
+    let hv = BinaryHv::random(dim, &mut rng);
+    let mut noise = Rng::from_seed(4);
+    c.bench_with_input(
+        BenchmarkId::new("flip_components", dim),
+        &dim,
+        |bench, _| {
+            bench.iter(|| flip_components(black_box(&hv), black_box(0.4), &mut noise));
+        },
+    );
 
     // End-to-end classification query.
     let mut rng = Rng::from_seed(2);

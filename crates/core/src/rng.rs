@@ -43,12 +43,14 @@ impl Rng {
     }
 
     /// Next raw 64-bit value.
+    #[inline]
     #[must_use]
     pub fn next_u64(&mut self) -> u64 {
         self.inner.next_u64()
     }
 
     /// Uniform in `[0, 1)`.
+    #[inline]
     #[must_use]
     pub fn uniform(&mut self) -> f64 {
         self.inner.gen::<f64>()
@@ -88,6 +90,7 @@ impl Rng {
     }
 
     /// A Bernoulli trial with success probability `p` (clamped to `[0,1]`).
+    #[inline]
     #[must_use]
     pub fn bernoulli(&mut self, p: f64) -> bool {
         self.uniform() < p.clamp(0.0, 1.0)

@@ -5,7 +5,7 @@
 //! prototype to the right one (the standard "retraining" refinement from the
 //! HDC classification literature the paper surveys, e.g. refs \[13\]\[15\]).
 
-use crate::encoder::RecordEncoder;
+use crate::encoder::{check_rows, RecordEncoder};
 use crate::error::HdcError;
 use crate::hypervector::{BinaryHv, BundleAccumulator};
 use lori_core::Rng;
@@ -49,8 +49,10 @@ impl HdcClassifier {
     /// # Errors
     ///
     /// Returns [`HdcError::EmptyTrainingSet`] for empty input,
-    /// [`HdcError::SingleClass`] if fewer than two classes appear, or
-    /// encoder-configuration errors.
+    /// [`HdcError::DimensionMismatch`] for a row whose length differs from
+    /// the first row's, [`HdcError::InvalidEncoder`] for a NaN or infinite
+    /// feature, [`HdcError::SingleClass`] if fewer than two classes appear,
+    /// or encoder-configuration errors.
     pub fn fit(
         xs: &[Vec<f64>],
         ys: &[usize],
@@ -59,6 +61,7 @@ impl HdcClassifier {
         if xs.is_empty() || xs.len() != ys.len() {
             return Err(HdcError::EmptyTrainingSet);
         }
+        check_rows(xs)?;
         let n_classes = ys.iter().max().map_or(0, |m| m + 1);
         if n_classes < 2 {
             return Err(HdcError::SingleClass);
@@ -257,6 +260,27 @@ mod tests {
             HdcClassifier::fit(&xs, &[0, 0], &HdcClassifierConfig::default()),
             Err(HdcError::SingleClass)
         ));
+    }
+
+    #[test]
+    fn ragged_row_is_a_dimension_mismatch() {
+        let xs = vec![vec![0.0, 1.0], vec![1.0], vec![2.0, 0.0]];
+        assert_eq!(
+            HdcClassifier::fit(&xs, &[0, 1, 0], &HdcClassifierConfig::default()).unwrap_err(),
+            HdcError::DimensionMismatch { left: 2, right: 1 }
+        );
+    }
+
+    #[test]
+    fn non_finite_feature_rejected() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let xs = vec![vec![0.0, 1.0], vec![1.0, bad], vec![2.0, 0.0]];
+            assert_eq!(
+                HdcClassifier::fit(&xs, &[0, 1, 0], &HdcClassifierConfig::default()).unwrap_err(),
+                HdcError::InvalidEncoder("non-finite feature"),
+                "feature {bad}"
+            );
+        }
     }
 
     #[test]

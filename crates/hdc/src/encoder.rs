@@ -8,7 +8,7 @@
 //!   the standard "record" encoding used by HDC classifiers.
 
 use crate::error::HdcError;
-use crate::hypervector::{BinaryHv, BundleAccumulator};
+use crate::hypervector::BinaryHv;
 use lori_core::Rng;
 use lori_par::Parallelism;
 
@@ -35,7 +35,8 @@ impl LevelEncoder {
     /// # Errors
     ///
     /// Returns [`HdcError::ZeroDimension`] for `dim == 0` or
-    /// [`HdcError::InvalidEncoder`] if `low >= high` or `levels < 2`.
+    /// [`HdcError::InvalidEncoder`] if a bound is NaN or infinite, the
+    /// range's width overflows, `low >= high` or `levels < 2`.
     pub fn new(
         dim: usize,
         low: f64,
@@ -46,7 +47,12 @@ impl LevelEncoder {
         if dim == 0 {
             return Err(HdcError::ZeroDimension);
         }
-        if low.is_nan() || high.is_nan() || low >= high {
+        // NaN or infinite bounds, and finite bounds too far apart to
+        // subtract, would put every value on level 0.
+        if !(high - low).is_finite() {
+            return Err(HdcError::InvalidEncoder("range must be finite"));
+        }
+        if low >= high {
             return Err(HdcError::InvalidEncoder("low must be below high"));
         }
         if levels < 2 {
@@ -114,12 +120,37 @@ impl LevelEncoder {
     }
 }
 
+/// Checks that training rows all have the first row's length and hold only
+/// finite values, so a fit fails with a typed error before encoding: a NaN
+/// would encode as level 0, and an infinite value would stretch its level
+/// encoder's range until every row fell on level 0.
+///
+/// # Errors
+///
+/// Returns [`HdcError::DimensionMismatch`] for a ragged row or
+/// [`HdcError::InvalidEncoder`] for a NaN or infinite feature.
+pub(crate) fn check_rows(xs: &[Vec<f64>]) -> Result<(), HdcError> {
+    let d = xs.first().map_or(0, Vec::len);
+    for row in xs {
+        if row.len() != d {
+            return Err(HdcError::DimensionMismatch {
+                left: d,
+                right: row.len(),
+            });
+        }
+        if row.iter().any(|v| !v.is_finite()) {
+            return Err(HdcError::InvalidEncoder("non-finite feature"));
+        }
+    }
+    Ok(())
+}
+
 /// Encodes dense feature rows: `H(x) = majority_j( id_j ⊕ level_j(x_j) )`.
 #[derive(Debug, Clone)]
 pub struct RecordEncoder {
-    ids: Vec<BinaryHv>,
-    levels: Vec<LevelEncoder>,
-    tie_break: BinaryHv,
+    pub(crate) ids: Vec<BinaryHv>,
+    pub(crate) levels: Vec<LevelEncoder>,
+    pub(crate) tie_break: BinaryHv,
 }
 
 impl RecordEncoder {
@@ -169,32 +200,58 @@ impl RecordEncoder {
 
     /// Encodes one feature row.
     ///
+    /// Each output word is computed from the matching word of the `n`
+    /// bound vectors `id_j ⊕ level_j(x_j)` with a bit-sliced counter:
+    /// counter plane `k` holds bit `k` of every lane's count of ones. A
+    /// component is 1 where its count exceeds `n / 2`; where the count
+    /// equals `n / 2` (even `n` only) it takes the tie-break bit. That is
+    /// the sign of an `i32` majority accumulator of `±1` votes.
+    ///
     /// # Panics
     ///
     /// Panics if `x.len()` differs from [`RecordEncoder::n_features`].
     #[must_use]
     pub fn encode(&self, x: &[f64]) -> BinaryHv {
-        let mut acc = BundleAccumulator::new(self.dim());
-        self.encode_into(x, &mut acc)
-    }
-
-    /// Encodes one feature row into a caller-supplied scratch accumulator
-    /// (reset on entry), so hot batch loops reuse one allocation per chunk
-    /// instead of one per row. Output is identical to
-    /// [`RecordEncoder::encode`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` differs from [`RecordEncoder::n_features`] or on
-    /// accumulator dimension mismatch.
-    #[must_use]
-    pub fn encode_into(&self, x: &[f64], acc: &mut BundleAccumulator) -> BinaryHv {
         assert_eq!(x.len(), self.ids.len(), "feature count mismatch");
-        acc.reset();
-        for ((id, lvl), &v) in self.ids.iter().zip(&self.levels).zip(x) {
-            acc.add(&id.bind(lvl.encode(v)));
+        let bound: Vec<(&[u64], &[u64])> = self
+            .ids
+            .iter()
+            .zip(&self.levels)
+            .zip(x)
+            .map(|((id, lvl), &v)| (id.words(), lvl.encode(v).words()))
+            .collect();
+        let n = bound.len();
+        // Enough planes to hold a count of `n`.
+        let planes = (usize::BITS - n.leading_zeros()) as usize;
+        let half = n / 2;
+        let tie_lanes = if n.is_multiple_of(2) { u64::MAX } else { 0 };
+        let mut count = [0u64; usize::BITS as usize];
+        let count = &mut count[..planes];
+        let mut hv = BinaryHv::zeros(self.dim());
+        let words = hv.words_mut().iter_mut().zip(self.tie_break.words());
+        for (w, (out, &tie)) in words.enumerate() {
+            count.fill(0);
+            for &(id, level) in &bound {
+                // Ripple-carry add of one bit per lane.
+                let mut carry = id[w] ^ level[w];
+                for plane in count.iter_mut() {
+                    let next = *plane & carry;
+                    *plane ^= carry;
+                    carry = next;
+                }
+            }
+            // Compare each lane's count with `half`, top plane first.
+            let (mut above, mut equal) = (0u64, u64::MAX);
+            for (k, &plane) in count.iter().enumerate().rev() {
+                if (half >> k) & 1 == 1 {
+                    equal &= plane;
+                } else {
+                    above |= equal & plane;
+                    equal &= !plane;
+                }
+            }
+            *out = above | (equal & tie & tie_lanes);
         }
-        let mut hv = acc.majority(&self.tie_break);
         // `bitflip@hdc.encoder` models an upset in the encoded
         // hypervector. HDC's holographic redundancy is the recovery story
         // here: downstream similarity queries tolerate flipped bits, which
@@ -218,12 +275,7 @@ impl RecordEncoder {
     pub fn encode_batch(&self, rows: &[Vec<f64>], par: Parallelism) -> Vec<BinaryHv> {
         let _span = lori_obs::span("hdc.encode_batch");
         let chunks = lori_par::par_chunks(par, rows, ENCODE_CHUNK, |_, chunk| {
-            // One scratch accumulator per chunk, reset per row.
-            let mut acc = BundleAccumulator::new(self.dim());
-            chunk
-                .iter()
-                .map(|row| self.encode_into(row, &mut acc))
-                .collect::<Vec<_>>()
+            chunk.iter().map(|row| self.encode(row)).collect::<Vec<_>>()
         });
         chunks.into_iter().flatten().collect()
     }
@@ -268,6 +320,19 @@ mod tests {
         assert!(LevelEncoder::new(0, 0.0, 1.0, 4, &mut rng).is_err());
         assert!(LevelEncoder::new(DIM, 1.0, 1.0, 4, &mut rng).is_err());
         assert!(LevelEncoder::new(DIM, 0.0, 1.0, 1, &mut rng).is_err());
+        for (lo, hi) in [
+            (f64::NAN, 1.0),
+            (0.0, f64::NAN),
+            (f64::NEG_INFINITY, 1.0),
+            (0.0, f64::INFINITY),
+            (-1e308, 1e308),
+        ] {
+            assert_eq!(
+                LevelEncoder::new(DIM, lo, hi, 4, &mut rng).unwrap_err(),
+                HdcError::InvalidEncoder("range must be finite"),
+                "({lo}, {hi})"
+            );
+        }
     }
 
     #[test]
@@ -306,17 +371,6 @@ mod tests {
             assert_eq!(batch, expected, "worker count {workers}");
         }
         assert!(enc.encode_batch(&[], Parallelism::new(4)).is_empty());
-    }
-
-    #[test]
-    fn encode_into_reused_accumulator_matches_encode() {
-        let enc = RecordEncoder::new(DIM, &[(0.0, 1.0), (-2.0, 2.0)], 12, 5).unwrap();
-        let mut rng = Rng::from_seed(33);
-        let mut acc = BundleAccumulator::new(enc.dim());
-        for _ in 0..20 {
-            let row = vec![rng.uniform(), rng.uniform_in(-2.0, 2.0)];
-            assert_eq!(enc.encode_into(&row, &mut acc), enc.encode(&row));
-        }
     }
 
     #[test]

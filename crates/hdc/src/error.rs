@@ -7,7 +7,8 @@ use std::fmt;
 pub enum HdcError {
     /// Hypervector dimensionality must be positive.
     ZeroDimension,
-    /// Two hypervectors had different dimensionalities.
+    /// Two hypervectors had different dimensionalities, or a training row's
+    /// length differs from the first row's.
     DimensionMismatch {
         /// Dimension of the left operand.
         left: usize,

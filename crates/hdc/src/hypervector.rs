@@ -98,6 +98,12 @@ impl BinaryHv {
         self.words[i / 64] ^= 1u64 << (i % 64);
     }
 
+    /// The packed words: component `i` is bit `i % 64` of word `i / 64`,
+    /// and the bits at or above `dim` in the last word are zero.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Mutable access to the packed words, for crate-internal bulk bit
     /// operations. Callers must not set bits at or above `dim` in the last
     /// word (the tail is kept zero as an invariant).
@@ -182,12 +188,13 @@ impl BinaryHv {
 ///
 /// Bundling `n` vectors takes each component to the majority value; ties
 /// (even `n`) are broken by a caller-supplied tie-break vector so the result
-/// stays deterministic.
+/// stays deterministic. Counts are signed (`+1` per one, `−1` per zero), so
+/// classifier retraining can subtract a vector it added.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BundleAccumulator {
-    dim: usize,
-    counts: Vec<i32>,
-    n: usize,
+    pub(crate) dim: usize,
+    pub(crate) counts: Vec<i32>,
+    pub(crate) n: usize,
 }
 
 impl BundleAccumulator {
@@ -213,9 +220,7 @@ impl BundleAccumulator {
     /// Panics on dimension mismatch.
     pub fn add(&mut self, hv: &BinaryHv) {
         assert_eq!(self.dim, hv.dim(), "hypervector dimensions differ");
-        for (i, c) in self.counts.iter_mut().enumerate() {
-            *c += if hv.bit(i) { 1 } else { -1 };
-        }
+        self.accumulate(hv, 1);
         self.n += 1;
     }
 
@@ -227,10 +232,20 @@ impl BundleAccumulator {
     pub fn subtract(&mut self, hv: &BinaryHv) {
         assert_eq!(self.dim, hv.dim(), "hypervector dimensions differ");
         assert!(self.n > 0, "cannot subtract from an empty bundle");
-        for (i, c) in self.counts.iter_mut().enumerate() {
-            *c -= if hv.bit(i) { 1 } else { -1 };
-        }
+        self.accumulate(hv, -1);
         self.n -= 1;
+    }
+
+    /// Adds `sign` to each count whose component in `hv` is 1 and
+    /// subtracts it where the component is 0, one packed word (64 counts)
+    /// at a time.
+    fn accumulate(&mut self, hv: &BinaryHv, sign: i32) {
+        for (counts, &word) in self.counts.chunks_mut(64).zip(hv.words()) {
+            for (b, c) in counts.iter_mut().enumerate() {
+                let vote = 2 * i32::from((word >> b) & 1 == 1) - 1;
+                *c += sign * vote;
+            }
+        }
     }
 
     /// Number of vectors currently bundled.
@@ -245,13 +260,6 @@ impl BundleAccumulator {
         self.n == 0
     }
 
-    /// Empties the accumulator in place, keeping its allocation, so batch
-    /// encoders can reuse one scratch accumulator across rows.
-    pub fn reset(&mut self) {
-        self.counts.fill(0);
-        self.n = 0;
-    }
-
     /// Majority-vote readout. Zero counts (ties) take the corresponding bit
     /// of `tie_break`.
     ///
@@ -262,13 +270,12 @@ impl BundleAccumulator {
     pub fn majority(&self, tie_break: &BinaryHv) -> BinaryHv {
         assert_eq!(self.dim, tie_break.dim(), "hypervector dimensions differ");
         let mut out = BinaryHv::zeros(self.dim);
-        for (i, &c) in self.counts.iter().enumerate() {
-            let bit = match c.cmp(&0) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Less => false,
-                std::cmp::Ordering::Equal => tie_break.bit(i),
-            };
-            out.set_bit(i, bit);
+        let lanes = self.counts.chunks(64).zip(tie_break.words());
+        for (word, (counts, &tie)) in out.words_mut().iter_mut().zip(lanes) {
+            for (b, &c) in counts.iter().enumerate() {
+                let bit = c > 0 || (c == 0 && (tie >> b) & 1 == 1);
+                *word |= u64::from(bit) << b;
+            }
         }
         out
     }

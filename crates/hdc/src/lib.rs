@@ -42,6 +42,8 @@ pub mod encoder;
 pub mod error;
 pub mod hypervector;
 pub mod noise;
+#[cfg(test)]
+mod oracle;
 pub mod regressor;
 
 pub use error::HdcError;

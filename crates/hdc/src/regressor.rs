@@ -10,7 +10,7 @@
 //! the encodings of all training samples that fall in each bucket, and
 //! predicts by similarity-weighted averaging over bucket centers.
 
-use crate::encoder::RecordEncoder;
+use crate::encoder::{check_rows, RecordEncoder};
 use crate::error::HdcError;
 use crate::hypervector::{BinaryHv, BundleAccumulator};
 use lori_core::Rng;
@@ -57,8 +57,10 @@ impl HdcRegressor {
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::EmptyTrainingSet`] for empty/mismatched input or
-    /// [`HdcError::InvalidEncoder`] for degenerate configurations (zero
+    /// Returns [`HdcError::EmptyTrainingSet`] for empty/mismatched input,
+    /// [`HdcError::DimensionMismatch`] for a row whose length differs from
+    /// the first row's, or [`HdcError::InvalidEncoder`] for a NaN or
+    /// infinite feature or target and for degenerate configurations (zero
     /// buckets, constant targets are handled by widening the range).
     pub fn fit(xs: &[Vec<f64>], ys: &[f64], config: &HdcRegressorConfig) -> Result<Self, HdcError> {
         if xs.is_empty() || xs.len() != ys.len() {
@@ -66,6 +68,10 @@ impl HdcRegressor {
         }
         if config.buckets == 0 || config.sharpness.is_nan() || config.sharpness <= 0.0 {
             return Err(HdcError::InvalidEncoder("buckets/sharpness"));
+        }
+        check_rows(xs)?;
+        if ys.iter().any(|y| !y.is_finite()) {
+            return Err(HdcError::InvalidEncoder("non-finite target"));
         }
         let d = xs[0].len();
         let mut ranges = vec![(f64::INFINITY, f64::NEG_INFINITY); d];
@@ -217,6 +223,51 @@ mod tests {
             ..HdcRegressorConfig::default()
         };
         assert!(HdcRegressor::fit(&xs, &ys, &bad).is_err());
+    }
+
+    #[test]
+    fn non_finite_target_rejected() {
+        let xs = vec![vec![0.0], vec![0.5], vec![1.0]];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                HdcRegressor::fit(&xs, &[0.0, bad, 1.0], &HdcRegressorConfig::default())
+                    .unwrap_err(),
+                HdcError::InvalidEncoder("non-finite target"),
+                "target {bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_feature_rejected() {
+        let ys = vec![0.0, 0.5, 1.0];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let xs = vec![vec![0.0], vec![bad], vec![1.0]];
+            assert_eq!(
+                HdcRegressor::fit(&xs, &ys, &HdcRegressorConfig::default()).unwrap_err(),
+                HdcError::InvalidEncoder("non-finite feature"),
+                "feature {bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn overflowing_feature_range_rejected() {
+        // Both ends are finite, but the range's width is not.
+        let xs = vec![vec![-1e308], vec![0.0], vec![1e308]];
+        assert_eq!(
+            HdcRegressor::fit(&xs, &[0.0, 0.5, 1.0], &HdcRegressorConfig::default()).unwrap_err(),
+            HdcError::InvalidEncoder("range must be finite")
+        );
+    }
+
+    #[test]
+    fn ragged_row_is_a_dimension_mismatch() {
+        let xs = vec![vec![0.0, 1.0], vec![0.5, 0.5], vec![1.0, 0.0, 2.0]];
+        assert_eq!(
+            HdcRegressor::fit(&xs, &[0.0, 0.5, 1.0], &HdcRegressorConfig::default()).unwrap_err(),
+            HdcError::DimensionMismatch { left: 2, right: 3 }
+        );
     }
 
     #[test]
