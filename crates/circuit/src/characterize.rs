@@ -14,7 +14,7 @@ use crate::cell::{cell_name, CellKind, Library, StandardCell, DRIVE_STRENGTHS};
 use crate::error::CircuitError;
 use crate::lut::Lut2d;
 use crate::she::SheModel;
-use crate::spicelike::{GoldenSimulator, OperatingPoint};
+use crate::spicelike::{ArcTiming, GoldenSimulator, OperatingPoint};
 use lori_core::units::{Celsius, Volts};
 use lori_par::Parallelism;
 
@@ -61,19 +61,7 @@ fn characterize_cell(
                 delta_vth: corner.delta_vth,
             };
             let t = sim.characterize(kind, drive, &op);
-            if !t.delay_ps.is_finite() {
-                return Err(CircuitError::InvalidParameter {
-                    what: "corner produced non-switching cell",
-                    value: corner.delta_vth.value(),
-                });
-            }
-            if !t.out_slew_ps.is_finite() {
-                lori_fault::detected("circuit.characterize");
-                return Err(CircuitError::NonFinite {
-                    site: "circuit.characterize",
-                    what: "out_slew_ps",
-                });
-            }
+            check_grid_point(&t, corner)?;
             delay[i][j] = t.delay_ps;
             out_slew[i][j] = t.out_slew_ps;
         }
@@ -86,6 +74,27 @@ fn characterize_cell(
         delay: Lut2d::new(slews.clone(), loads.clone(), delay)?,
         out_slew: Lut2d::new(slews, loads, out_slew)?,
     })
+}
+
+/// The `circuit.characterize` guard on one golden grid point. A cell that
+/// does not switch (non-finite delay) means the corner is outside the
+/// model's domain; a non-finite output slew of a switching cell is a typed
+/// error instead of a NaN in the library.
+fn check_grid_point(t: &ArcTiming, corner: &Corner) -> Result<(), CircuitError> {
+    if !t.delay_ps.is_finite() {
+        return Err(CircuitError::InvalidParameter {
+            what: "corner produced non-switching cell",
+            value: corner.delta_vth.value(),
+        });
+    }
+    if !t.out_slew_ps.is_finite() {
+        lori_obs::counter("fault.detected").incr(1);
+        return Err(CircuitError::NonFinite {
+            site: "circuit.characterize",
+            what: "out_slew_ps",
+        });
+    }
+    Ok(())
 }
 
 /// Characterizes the full built-in catalog (12 kinds × 5 drives = 60 cells)
@@ -131,12 +140,7 @@ fn build_library(
         .flat_map(|kind| DRIVE_STRENGTHS.into_iter().map(move |drive| (kind, drive)))
         .collect();
     let _span = lori_obs::span("circuit.characterize_library");
-    // `panic@circuit.characterize:<N>` faults the N-th catalog cell; the
-    // index is the deterministic catalog position, so the same cell faults
-    // under any worker count.
-    let cells = lori_par::par_map(par, &catalog, |ci, &(kind, drive)| {
-        #[allow(clippy::cast_possible_truncation)]
-        lori_fault::check_panic("circuit.characterize", ci as u64);
+    let cells = lori_par::par_map(par, &catalog, |_, &(kind, drive)| {
         characterize_cell(sim, kind, drive, corner)
     });
     let mut lib = Library::new();
@@ -267,5 +271,33 @@ mod tests {
         // Full-struct equality: identical cell order (CellIds), names, and
         // bit-identical LUT contents.
         assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn non_finite_grid_point_is_a_typed_error() {
+        let corner = Corner::default();
+        let point = |delay_ps, out_slew_ps| ArcTiming {
+            delay_ps,
+            out_slew_ps,
+        };
+        assert_eq!(check_grid_point(&point(12.0, 8.0), &corner), Ok(()));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                check_grid_point(&point(bad, 8.0), &corner),
+                Err(CircuitError::InvalidParameter {
+                    what: "corner produced non-switching cell",
+                    value: corner.delta_vth.value(),
+                }),
+                "delay {bad}"
+            );
+            assert_eq!(
+                check_grid_point(&point(12.0, bad), &corner),
+                Err(CircuitError::NonFinite {
+                    site: "circuit.characterize",
+                    what: "out_slew_ps",
+                }),
+                "out_slew {bad}"
+            );
+        }
     }
 }

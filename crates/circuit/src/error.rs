@@ -31,8 +31,9 @@ pub enum CircuitError {
     FloatingNet(usize),
     /// The ML characterization model failed to train.
     Training(String),
-    /// A computation produced a non-finite value (possibly an injected
-    /// fault) that a layer-boundary guard caught.
+    /// A computation produced a non-finite value that a layer-boundary
+    /// guard caught: `circuit.lut` in STA, `circuit.characterize` in
+    /// library characterization or `circuit.mlchar` in ML training.
     NonFinite {
         /// Guard site that caught the value.
         site: &'static str,

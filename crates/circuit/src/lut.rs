@@ -77,11 +77,10 @@ impl Lut2d {
     /// edge of [`DEFAULT_SLEWS`](crate::characterize::DEFAULT_SLEWS), and its
     /// LUT critical path comes out about 40% below the golden engine's.
     ///
-    /// This is the `circuit.lut` fault-injection site: an armed
-    /// `nan@circuit.lut` directive poisons the interpolated value at its
-    /// configured rate, modelling a corrupted library read. Downstream
-    /// consumers (STA, characterization) are expected to catch the NaN at
-    /// their boundary and return a typed error.
+    /// [`Lut2d::new`] rejects non-finite grid values, but a NaN query can
+    /// still read NaN. STA checks every delay and slew it consumes, from a
+    /// table or a per-instance override, at its `circuit.lut` guard and
+    /// returns [`CircuitError::NonFinite`] instead of a NaN arrival.
     #[must_use]
     pub fn lookup(&self, slew: f64, load: f64) -> f64 {
         let (i0, i1, ti) = bracket(&self.slews, slew);
@@ -92,7 +91,7 @@ impl Lut2d {
         let v11 = self.values[i1][j1];
         let a = v00 + (v01 - v00) * tj;
         let b = v10 + (v11 - v10) * tj;
-        lori_fault::poison_f64("circuit.lut", a + (b - a) * ti)
+        a + (b - a) * ti
     }
 }
 

@@ -187,18 +187,10 @@ impl MlCharacterizer {
                     continue; // dead corner sample; skip
                 }
                 xs.push(vec![slew, load, dt, dvth]);
-                // `nan@circuit.mlchar` poisons golden training targets;
-                // the guard below refuses to fit on corrupted data.
-                delays.push(lori_fault::poison_f64("circuit.mlchar", t.delay_ps));
-                slews.push(lori_fault::poison_f64("circuit.mlchar", t.out_slew_ps));
+                delays.push(t.delay_ps);
+                slews.push(t.out_slew_ps);
             }
-            if delays.iter().chain(&slews).any(|v| !v.is_finite()) {
-                lori_fault::detected("circuit.mlchar");
-                return Err(CircuitError::NonFinite {
-                    site: "circuit.mlchar",
-                    what: "training target",
-                });
-            }
+            check_targets(&delays, &slews)?;
             let delay_ds = Dataset::from_rows(xs.clone(), delays)
                 .map_err(|e| CircuitError::Training(e.to_string()))?;
             let slew_ds =
@@ -322,6 +314,19 @@ impl MlCharacterizer {
             })
             .collect()
     }
+}
+
+/// The `circuit.mlchar` guard: refuses to fit a cell's models on a
+/// non-finite golden delay or output-slew target.
+fn check_targets(delays: &[f64], slews: &[f64]) -> Result<(), CircuitError> {
+    if delays.iter().chain(slews).any(|v| !v.is_finite()) {
+        lori_obs::counter("fault.detected").incr(1);
+        return Err(CircuitError::NonFinite {
+            site: "circuit.mlchar",
+            what: "training target",
+        });
+    }
+    Ok(())
 }
 
 /// The per-instance operating context an instance-specific library is built
@@ -491,5 +496,23 @@ mod tests {
             ..small_config()
         };
         assert!(MlCharacterizer::train(sim, lib, &[inv], &bad_range).is_err());
+    }
+
+    #[test]
+    fn non_finite_training_target_is_a_typed_error() {
+        let finite = [10.0, 12.5, 9.0];
+        assert_eq!(check_targets(&finite, &finite), Ok(()));
+        let expected = Err(CircuitError::NonFinite {
+            site: "circuit.mlchar",
+            what: "training target",
+        });
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in 0..finite.len() {
+                let mut poisoned = finite;
+                poisoned[at] = bad;
+                assert_eq!(check_targets(&poisoned, &finite), expected, "delay {bad}");
+                assert_eq!(check_targets(&finite, &poisoned), expected, "slew {bad}");
+            }
+        }
     }
 }

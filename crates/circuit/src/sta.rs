@@ -192,11 +192,11 @@ fn eval_instance(
         Some(t) => (t.delay_ps, t.out_slew_ps),
         None => lib.cell(inst.cell).timing(in_slew, load),
     };
-    // Layer-boundary NaN guard: a corrupted library read (real, or an
-    // injected nan@circuit.lut) must surface as a typed error here,
-    // not silently propagate NaN arrivals into timing reports.
+    // Layer-boundary NaN guard: a non-finite library read or override
+    // must surface as a typed error here, not silently propagate NaN
+    // arrivals into timing reports.
     if !delay.is_finite() || !out_slew.is_finite() {
-        lori_fault::detected("circuit.lut");
+        lori_obs::counter("fault.detected").incr(1);
         return Err(CircuitError::NonFinite {
             site: "circuit.lut",
             what: if delay.is_finite() {
@@ -425,7 +425,7 @@ mod tests {
         assert!(run_sta_with_overrides(&nl, lib(), &StaConfig::default(), &[]).is_err());
     }
 
-    /// A NaN override becomes a typed error naming the bad quantity.
+    /// A non-finite override becomes a typed error naming the bad quantity.
     fn nan_override_error(bad: InstanceTiming) -> CircuitError {
         let nl = ripple_carry_adder(lib(), 4).unwrap();
         let mut overrides = vec![
@@ -441,32 +441,38 @@ mod tests {
 
     #[test]
     fn nan_override_delay_is_a_typed_error() {
-        let err = nan_override_error(InstanceTiming {
-            delay_ps: f64::NAN,
-            out_slew_ps: 5.0,
-        });
-        assert_eq!(
-            err,
-            CircuitError::NonFinite {
-                site: "circuit.lut",
-                what: "delay"
-            }
-        );
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = nan_override_error(InstanceTiming {
+                delay_ps: bad,
+                out_slew_ps: 5.0,
+            });
+            assert_eq!(
+                err,
+                CircuitError::NonFinite {
+                    site: "circuit.lut",
+                    what: "delay"
+                },
+                "delay {bad}"
+            );
+        }
     }
 
     #[test]
     fn nan_override_out_slew_is_a_typed_error() {
-        let err = nan_override_error(InstanceTiming {
-            delay_ps: 10.0,
-            out_slew_ps: f64::NAN,
-        });
-        assert_eq!(
-            err,
-            CircuitError::NonFinite {
-                site: "circuit.lut",
-                what: "out_slew"
-            }
-        );
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = nan_override_error(InstanceTiming {
+                delay_ps: 10.0,
+                out_slew_ps: bad,
+            });
+            assert_eq!(
+                err,
+                CircuitError::NonFinite {
+                    site: "circuit.lut",
+                    what: "out_slew"
+                },
+                "out_slew {bad}"
+            );
+        }
     }
 
     #[test]

@@ -200,93 +200,6 @@ impl SegmentPlan {
     }
 }
 
-/// Magic prefix of a serialized [`CheckpointState`].
-const CHECKPOINT_MAGIC: &[u8; 4] = b"LCKP";
-
-/// A serializable snapshot of execution progress — the thing the
-/// 100-cycle checkpoint routine would persist. The wire format is
-/// `"LCKP"` + four little-endian `u64` fields + an FNV-1a-64 checksum
-/// over everything before it, so restore can tell silent corruption (a
-/// radiation upset in checkpoint storage, or an injected
-/// `bitflip@checkpoint.state`) from valid state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointState {
-    /// Index of the segment the checkpoint was taken in.
-    pub segment: u64,
-    /// Cycles completed up to the checkpoint.
-    pub completed_cycles: u64,
-    /// Rollbacks observed so far.
-    pub rollbacks: u64,
-    /// RNG stream position to resume from.
-    pub rng_seed: u64,
-}
-
-impl CheckpointState {
-    /// Serialized size in bytes: magic + 4 fields + checksum.
-    pub const WIRE_SIZE: usize = 4 + 4 * 8 + 8;
-
-    /// Serializes the state with its checksum appended. This is the
-    /// `checkpoint.state` injection site: an armed
-    /// `bitflip@checkpoint.state` directive flips one seed-deterministic
-    /// bit of the output, which [`CheckpointState::from_bytes`] must then
-    /// detect.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(Self::WIRE_SIZE);
-        bytes.extend_from_slice(CHECKPOINT_MAGIC);
-        for field in [
-            self.segment,
-            self.completed_cycles,
-            self.rollbacks,
-            self.rng_seed,
-        ] {
-            bytes.extend_from_slice(&field.to_le_bytes());
-        }
-        let crc = lori_fault::fnv64(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        lori_fault::corrupt_bytes("checkpoint.state", &mut bytes);
-        bytes
-    }
-
-    /// Deserializes and validates a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`FtError::CorruptCheckpoint`] when the buffer is truncated, the
-    /// magic is wrong, or the checksum does not match. Detections are
-    /// counted under the `fault.detected` metric.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, FtError> {
-        let corrupt = |reason| {
-            lori_fault::detected("checkpoint.state");
-            Err(FtError::CorruptCheckpoint { reason })
-        };
-        if bytes.len() != Self::WIRE_SIZE {
-            return corrupt("truncated");
-        }
-        if &bytes[..4] != CHECKPOINT_MAGIC {
-            return corrupt("bad magic");
-        }
-        let payload = &bytes[..Self::WIRE_SIZE - 8];
-        let stored = u64::from_le_bytes(bytes[Self::WIRE_SIZE - 8..].try_into().expect("8 bytes"));
-        if lori_fault::fnv64(payload) != stored {
-            return corrupt("checksum mismatch");
-        }
-        let field = |i: usize| {
-            u64::from_le_bytes(
-                bytes[4 + 8 * i..4 + 8 * (i + 1)]
-                    .try_into()
-                    .expect("8 bytes"),
-            )
-        };
-        Ok(CheckpointState {
-            segment: field(0),
-            completed_cycles: field(1),
-            rollbacks: field(2),
-            rng_seed: field(3),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,70 +335,5 @@ mod tests {
         };
         assert!(bad.validate().is_err());
         assert!(CheckpointSystem::default().validate().is_ok());
-    }
-
-    fn sample_state() -> CheckpointState {
-        CheckpointState {
-            segment: 42,
-            completed_cycles: 1_234_567,
-            rollbacks: 3,
-            rng_seed: 0xDEAD_BEEF,
-        }
-    }
-
-    /// Serialization must run clean here; holding an inert plan takes the
-    /// process-wide activation lock so a concurrently running injection
-    /// test cannot corrupt these bytes.
-    fn inert_guard() -> lori_fault::PlanGuard {
-        lori_fault::activate(&lori_fault::FaultPlan::parse("panic@checkpoint.state:0").unwrap())
-    }
-
-    #[test]
-    fn checkpoint_state_round_trips() {
-        let _guard = inert_guard();
-        let state = sample_state();
-        let bytes = state.to_bytes();
-        assert_eq!(bytes.len(), CheckpointState::WIRE_SIZE);
-        assert_eq!(CheckpointState::from_bytes(&bytes).unwrap(), state);
-    }
-
-    #[test]
-    fn checkpoint_state_detects_any_single_bit_flip() {
-        let _guard = inert_guard();
-        let bytes = sample_state().to_bytes();
-        for bit in 0..bytes.len() * 8 {
-            let mut corrupted = bytes.clone();
-            corrupted[bit / 8] ^= 1 << (bit % 8);
-            let err = CheckpointState::from_bytes(&corrupted).expect_err("flip must be detected");
-            assert!(
-                matches!(err, FtError::CorruptCheckpoint { .. }),
-                "bit {bit}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn checkpoint_state_detects_truncation() {
-        let _guard = inert_guard();
-        let bytes = sample_state().to_bytes();
-        let err = CheckpointState::from_bytes(&bytes[..bytes.len() - 1]).unwrap_err();
-        assert_eq!(
-            err,
-            FtError::CorruptCheckpoint {
-                reason: "truncated"
-            }
-        );
-    }
-
-    #[test]
-    fn injected_bitflip_is_detected_on_restore() {
-        // An armed bitflip@checkpoint.state corrupts exactly the
-        // serialization path; restore must convert it into a typed error,
-        // never silently resume from bad state.
-        let plan = lori_fault::FaultPlan::parse("bitflip@checkpoint.state:seed=9").unwrap();
-        let _guard = lori_fault::activate(&plan);
-        let bytes = sample_state().to_bytes();
-        let err = CheckpointState::from_bytes(&bytes).expect_err("corruption must be caught");
-        assert!(matches!(err, FtError::CorruptCheckpoint { .. }));
     }
 }

@@ -18,18 +18,14 @@ pub enum FtError {
     EmptyTrace,
     /// A sweep was configured with no probability points or zero runs.
     EmptySweep(&'static str),
-    /// A computation produced a non-finite value. `site` names the
-    /// injection/guard site (e.g. `sweep.point`) and `what` the quantity.
+    /// A computation produced a non-finite value. `site` names the guard
+    /// that caught it (`sweep.point`, the Monte Carlo sweep's per-point
+    /// statistics) and `what` the quantity.
     NonFinite {
         /// Guard site that caught the value.
         site: &'static str,
         /// Name of the non-finite quantity.
         what: &'static str,
-    },
-    /// A serialized checkpoint failed validation on restore.
-    CorruptCheckpoint {
-        /// What failed: truncation, magic, or checksum.
-        reason: &'static str,
     },
 }
 
@@ -44,9 +40,6 @@ impl fmt::Display for FtError {
             FtError::EmptySweep(what) => write!(f, "sweep needs at least one {what}"),
             FtError::NonFinite { site, what } => {
                 write!(f, "non-finite {what} detected at {site}")
-            }
-            FtError::CorruptCheckpoint { reason } => {
-                write!(f, "corrupt checkpoint state: {reason}")
             }
         }
     }

@@ -143,14 +143,12 @@ pub fn sweep_with(
         .collect()
 }
 
-/// One probability point's unit of work: its index on the axis, its
-/// probability, and the RNG stream that was split off the sweep root for
-/// it. Tasks are produced by [`point_tasks`] and executed by
-/// [`run_point`] in any order without changing results.
+/// One probability point's unit of work: its probability and the RNG
+/// stream that was split off the sweep root for it. Tasks are produced by
+/// [`point_tasks`] and executed by [`run_point`] in any order without
+/// changing results.
 #[derive(Debug, Clone)]
 struct PointTask {
-    /// Index of this point on the probability axis.
-    index: usize,
     /// The per-cycle error probability.
     p: f64,
     errors: ErrorModel,
@@ -179,7 +177,6 @@ fn point_tasks(
             #[allow(clippy::cast_possible_truncation)]
             let rng = root.split(pi as u64);
             Ok(PointTask {
-                index: pi,
                 p,
                 errors: ErrorModel::new(p)?,
                 rng,
@@ -265,23 +262,15 @@ pub fn observable_rollback_caps(trace: &[Cycles], config: &SweepConfig) -> Vec<u
 /// [`observable_rollback_caps`]); the returned [`SweepPoint`] statistics
 /// keep the raw Eq. (2) samples.
 ///
-/// This is also a fault-injection site: `panic@sweep.point:<index>` panics
-/// when this task's index matches, and `nan@sweep.point` poisons the
-/// accumulated cycle total, which the non-finite guard below converts into
-/// a typed [`FtError::NonFinite`] instead of letting NaN leak into
-/// artifacts.
-///
 /// # Errors
 ///
 /// [`FtError::NonFinite`] when a per-point statistic comes out non-finite
-/// (injected or real).
+/// (see [`check_point`]), so NaN never reaches an artifact.
 fn run_point(
     task: &PointTask,
     trace: &[Cycles],
     config: &SweepConfig,
 ) -> Result<SweepPoint, FtError> {
-    #[allow(clippy::cast_possible_truncation)]
-    lori_fault::check_panic("sweep.point", task.index as u64);
     let _point_span = lori_obs::span_with("ftsched.sweep.point", task.p);
     let wcet_work = trace.iter().copied().max().ok_or(FtError::EmptyTrace)?;
     let systems: Vec<MitigationSystem> = BudgetAlgorithm::ALL
@@ -339,7 +328,6 @@ fn run_point(
         #[allow(clippy::cast_precision_loss)]
         rollback_runs.push(run_rollbacks as f64 / trace.len() as f64);
     }
-    cycles_actual = lori_fault::poison_f64("sweep.point", cycles_actual);
     lori_obs::counter("ftsched.rollbacks").incr(point_rollbacks);
     lori_obs::counter("ftsched.deadline_misses")
         .incr(4 * segments_total - hits.iter().sum::<u64>());
@@ -359,13 +347,21 @@ fn run_point(
         hit_rate,
         cycle_overhead: cycles_actual / cycles_fault_free - 1.0,
     };
+    check_point(&point)?;
+    Ok(point)
+}
+
+/// The `sweep.point` guard: a point whose statistics are not all finite
+/// becomes [`FtError::NonFinite`] naming the bad statistic, instead of a
+/// NaN in `points.json`.
+fn check_point(point: &SweepPoint) -> Result<(), FtError> {
     for (what, v) in [
         ("avg_rollbacks_per_segment", point.avg_rollbacks_per_segment),
         ("rollbacks_std", point.rollbacks_std),
         ("cycle_overhead", point.cycle_overhead),
     ] {
         if !v.is_finite() {
-            lori_fault::detected("sweep.point");
+            lori_obs::counter("fault.detected").incr(1);
             return Err(FtError::NonFinite {
                 site: "sweep.point",
                 what,
@@ -373,13 +369,13 @@ fn run_point(
         }
     }
     if point.hit_rate.iter().any(|h| !h.is_finite()) {
-        lori_fault::detected("sweep.point");
+        lori_obs::counter("fault.detected").incr(1);
         return Err(FtError::NonFinite {
             site: "sweep.point",
             what: "hit_rate",
         });
     }
-    Ok(point)
+    Ok(())
 }
 
 /// The paper's Fig. 5/6 probability axis: log-spaced points from 1e-8 to
@@ -574,6 +570,50 @@ mod tests {
         assert!(axis.last().unwrap() >= &1e-4);
         for w in axis.windows(2) {
             assert!(w[1] > w[0]);
+        }
+    }
+
+    #[test]
+    fn non_finite_point_statistic_is_a_typed_error() {
+        let finite = SweepPoint {
+            p: 1e-6,
+            avg_rollbacks_per_segment: 0.25,
+            rollbacks_std: 0.05,
+            hit_rate: [1.0, 0.98, 0.97, 0.9],
+            cycle_overhead: 0.01,
+        };
+        assert_eq!(check_point(&finite), Ok(()));
+        // Every checked field, as (index into `poison`'s match, name).
+        let fields = [
+            (0, "avg_rollbacks_per_segment"),
+            (1, "rollbacks_std"),
+            (2, "cycle_overhead"),
+            (3, "hit_rate"),
+            (4, "hit_rate"),
+            (5, "hit_rate"),
+            (6, "hit_rate"),
+        ];
+        let poison = |field: usize, v: f64| {
+            let mut point = finite.clone();
+            match field {
+                0 => point.avg_rollbacks_per_segment = v,
+                1 => point.rollbacks_std = v,
+                2 => point.cycle_overhead = v,
+                k => point.hit_rate[k - 3] = v,
+            }
+            point
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (field, what) in fields {
+                assert_eq!(
+                    check_point(&poison(field, bad)),
+                    Err(FtError::NonFinite {
+                        site: "sweep.point",
+                        what
+                    }),
+                    "{what} = {bad}"
+                );
+            }
         }
     }
 }

@@ -252,13 +252,6 @@ impl RecordEncoder {
             }
             *out = above | (equal & tie & tie_lanes);
         }
-        // `bitflip@hdc.encoder` models an upset in the encoded
-        // hypervector. HDC's holographic redundancy is the recovery story
-        // here: downstream similarity queries tolerate flipped bits, which
-        // exp-hdc-robustness quantifies.
-        if let Some(bit) = lori_fault::flip_bit("hdc.encoder", hv.dim()) {
-            hv.flip_bit(bit);
-        }
         hv
     }
 

@@ -87,17 +87,6 @@ impl BinaryHv {
         }
     }
 
-    /// Toggles the component at `i` with a single XOR on its word — the
-    /// in-place fast path for noise injection and fault flips.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= dim`.
-    pub fn flip_bit(&mut self, i: usize) {
-        assert!(i < self.dim, "component index out of range");
-        self.words[i / 64] ^= 1u64 << (i % 64);
-    }
-
     /// The packed words: component `i` is bit `i % 64` of word `i / 64`,
     /// and the bits at or above `dim` in the last word are zero.
     pub(crate) fn words(&self) -> &[u64] {

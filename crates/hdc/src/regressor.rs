@@ -60,8 +60,10 @@ impl HdcRegressor {
     /// Returns [`HdcError::EmptyTrainingSet`] for empty/mismatched input,
     /// [`HdcError::DimensionMismatch`] for a row whose length differs from
     /// the first row's, or [`HdcError::InvalidEncoder`] for a NaN or
-    /// infinite feature or target and for degenerate configurations (zero
-    /// buckets, constant targets are handled by widening the range).
+    /// infinite feature or target, for a feature or target range whose
+    /// width overflows, for a bucket whose target sum overflows (so its
+    /// center would not be finite), and for degenerate configurations (zero
+    /// buckets; constant targets are handled by widening the range).
     pub fn fit(xs: &[Vec<f64>], ys: &[f64], config: &HdcRegressorConfig) -> Result<Self, HdcError> {
         if xs.is_empty() || xs.len() != ys.len() {
             return Err(HdcError::EmptyTrainingSet);
@@ -96,6 +98,9 @@ impl HdcRegressor {
             .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &y| {
                 (lo.min(y), hi.max(y))
             });
+        if !(y_hi - y_lo).is_finite() {
+            return Err(HdcError::InvalidEncoder("target range must be finite"));
+        }
         if y_hi - y_lo < 1e-12 {
             y_lo -= 0.5;
             y_hi += 0.5;
@@ -115,6 +120,11 @@ impl HdcRegressor {
             accs[bucket].add(&encoder.encode(row));
             sums[bucket] += y;
             counts[bucket] += 1;
+        }
+        // A finite range can still overflow a bucket's sum, and with it the
+        // bucket's center.
+        if sums.iter().any(|s| !s.is_finite()) {
+            return Err(HdcError::InvalidEncoder("bucket center must be finite"));
         }
         let mut prototypes = Vec::new();
         let mut bucket_centers = Vec::new();
@@ -258,6 +268,28 @@ mod tests {
         assert_eq!(
             HdcRegressor::fit(&xs, &[0.0, 0.5, 1.0], &HdcRegressorConfig::default()).unwrap_err(),
             HdcError::InvalidEncoder("range must be finite")
+        );
+    }
+
+    #[test]
+    fn overflowing_target_range_rejected() {
+        // Both ends are finite, but the range's width is not.
+        let xs = vec![vec![0.0], vec![0.5], vec![1.0]];
+        assert_eq!(
+            HdcRegressor::fit(&xs, &[-1e308, 0.0, 1e308], &HdcRegressorConfig::default())
+                .unwrap_err(),
+            HdcError::InvalidEncoder("target range must be finite")
+        );
+    }
+
+    #[test]
+    fn overflowing_bucket_sum_rejected() {
+        // A zero-width target range, but 200 × 1e307 overflows the one
+        // bucket's sum.
+        let xs: Vec<Vec<f64>> = (0..200).map(|i| vec![f64::from(i)]).collect();
+        assert_eq!(
+            HdcRegressor::fit(&xs, &[1e307; 200], &HdcRegressorConfig::default()).unwrap_err(),
+            HdcError::InvalidEncoder("bucket center must be finite")
         );
     }
 
