@@ -27,20 +27,27 @@ fn main() {
         "SHE flow: ML-based instance-specific characterization",
     );
     let sim = GoldenSimulator::new(TechParams::default()).expect("valid tech");
+    // Golden work is counted in integration steps, which repeat exactly at
+    // any thread count and on any host, unlike the timing rows below.
+    let golden_steps = lori_obs::counter("circuit.transient.steps");
+    let steps_before = golden_steps.get();
     let lib = h.phase("characterize_library", || {
         characterize_library(&sim, &Corner::default()).expect("library")
     });
+    let library_steps = golden_steps.get() - steps_before;
     let netlist = processor_datapath(&lib, 12, 7).expect("netlist");
     h.seed(7);
     h.config("instances", netlist.instance_count() as u64);
     println!("netlist: {} instances", netlist.instance_count());
 
     // Train the ML characterizer on the cells the netlist uses.
+    let ml_config = MlCharConfig::default();
     let t0 = Instant::now();
+    let steps_before = golden_steps.get();
     let ml = h.phase("ml_training", || {
-        MlCharacterizer::train_for_netlist(&sim, &lib, &netlist, &MlCharConfig::default())
-            .expect("training")
+        MlCharacterizer::train_for_netlist(&sim, &lib, &netlist, &ml_config).expect("training")
     });
+    let train_steps = golden_steps.get() - steps_before;
     let train_time = t0.elapsed();
     println!(
         "ML training: {} cell models in {:.2} s (one-time, per library)",
@@ -60,9 +67,11 @@ fn main() {
 
     // Golden path (what SPICE would have to do).
     let t0 = Instant::now();
+    let steps_before = golden_steps.get();
     let golden = h.phase("golden_library", || {
         golden_instance_library(&sim, &lib, &netlist, &contexts, Celsius(65.0))
     });
+    let instance_steps = golden_steps.get() - steps_before;
     let golden_time = t0.elapsed();
 
     // ML path.
@@ -103,6 +112,14 @@ fn main() {
         )
     );
     println!("instance-library generation speedup: {:.0}x", speedup);
+    println!(
+        "golden work: library characterization {library_steps} steps; ML training \
+         {train_steps} steps ({} calls); one golden instance library {instance_steps} steps \
+         ({} calls); training pays for itself after {:.1} instance libraries",
+        ml.model_count() * ml_config.samples_per_cell,
+        netlist.instance_count(),
+        train_steps as f64 / instance_steps as f64
+    );
     h.check("ML path is faster than the golden path", speedup > 1.0);
 
     // Full flow: guardbands.

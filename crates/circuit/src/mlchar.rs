@@ -90,7 +90,8 @@ impl MlCharacterizer {
     /// # Errors
     ///
     /// Returns [`CircuitError::Training`] if model fitting fails or
-    /// [`CircuitError::InvalidParameter`] for degenerate ranges.
+    /// [`CircuitError::InvalidParameter`] for degenerate ranges: a NaN or
+    /// infinite bound, or `lo > hi`.
     pub fn train(
         sim: &GoldenSimulator,
         lib: &Library,
@@ -124,10 +125,11 @@ impl MlCharacterizer {
             config.delta_t_range,
             config.delta_vth_range,
         ] {
-            if lo.is_nan() || hi.is_nan() || lo > hi {
+            let non_finite = [lo, hi].into_iter().find(|x| !x.is_finite());
+            if non_finite.is_some() || lo > hi {
                 return Err(CircuitError::InvalidParameter {
                     what: "sample range",
-                    value: lo,
+                    value: non_finite.unwrap_or(lo),
                 });
             }
         }
@@ -496,6 +498,49 @@ mod tests {
             ..small_config()
         };
         assert!(MlCharacterizer::train(sim, lib, &[inv], &bad_range).is_err());
+    }
+
+    /// Training with `range` written into one sample-range field of the
+    /// config must fail before any golden call, naming the bad bound.
+    fn assert_range_rejected(set: fn(&mut MlCharConfig, (f64, f64))) {
+        let (sim, lib) = setup();
+        let inv = lib.find("INV_X1").unwrap();
+        for (range, bad) in [
+            ((5.0, f64::INFINITY), f64::INFINITY),
+            ((f64::NEG_INFINITY, 5.0), f64::NEG_INFINITY),
+            ((f64::NEG_INFINITY, f64::INFINITY), f64::NEG_INFINITY),
+        ] {
+            let mut config = small_config();
+            set(&mut config, range);
+            assert_eq!(
+                MlCharacterizer::train(sim, lib, &[inv], &config),
+                Err(CircuitError::InvalidParameter {
+                    what: "sample range",
+                    value: bad,
+                }),
+                "{range:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn infinite_slew_range_is_rejected() {
+        assert_range_rejected(|c, r| c.slew_range = r);
+    }
+
+    #[test]
+    fn infinite_load_range_is_rejected() {
+        assert_range_rejected(|c, r| c.load_range = r);
+    }
+
+    #[test]
+    fn infinite_delta_t_range_is_rejected() {
+        assert_range_rejected(|c, r| c.delta_t_range = r);
+    }
+
+    #[test]
+    fn infinite_delta_vth_range_is_rejected() {
+        assert_range_rejected(|c, r| c.delta_vth_range = r);
     }
 
     #[test]

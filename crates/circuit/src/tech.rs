@@ -111,10 +111,13 @@ impl TechParams {
         if overdrive <= 0.0 {
             return 0.0;
         }
-        let t_k = t.as_absolute_kelvin();
-        let t_ref_k = self.t_ref.as_absolute_kelvin();
-        let mobility_factor = (t_k / t_ref_k).powf(-self.mobility_exponent);
-        self.unit_current_ua * width * mobility_factor * overdrive.powf(self.alpha)
+        self.unit_current_ua * width * self.mobility_factor(t) * overdrive.powf(self.alpha)
+    }
+
+    /// Carrier-mobility scale at temperature `t` relative to `t_ref`:
+    /// `(T/T_ref)^(−m)` in kelvin.
+    pub(crate) fn mobility_factor(&self, t: Celsius) -> f64 {
+        (t.as_absolute_kelvin() / self.t_ref.as_absolute_kelvin()).powf(-self.mobility_exponent)
     }
 
     /// First-order gate delay (ps) of a stage driving `load_ff` femtofarads
