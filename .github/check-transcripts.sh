@@ -10,8 +10,12 @@
 #     where that file is committed.
 #  3. Golden work. fig3's manifest counts 283754365 golden transient steps
 #     at both thread counts, so the golden engine still takes every step.
+#  4. Run records. `lori-report check` passes on every run's manifest and
+#     event stream, and `lori-report profile` reads every stream. Profiles
+#     hold timings, so they stay out of step 2's comparison.
 #
-# Run it from the repository root after `cargo build --release -p lori-bench`:
+# Run it from the repository root after
+# `cargo build --release -p lori-bench -p lori-report`:
 #
 #   .github/check-transcripts.sh [OUT_DIR]
 #
@@ -44,6 +48,10 @@ for threads in 1 4; do
         LORI_THREADS=$threads LORI_RESULTS_DIR="$dir" "$bin/$exp" > "$dir/$exp.txt"
         diff <(grep -vE "$filter" "results/$exp.txt") <(grep -vE "$filter" "$dir/$exp.txt") \
             || fail "$exp stdout differs from results/$exp.txt at LORI_THREADS=$threads"
+        "$bin/lori-report" check "$exp" --results-dir "$dir" > "$dir/$exp.check.txt" \
+            || fail "lori-report check fails on $exp at LORI_THREADS=$threads: $dir/$exp.check.txt"
+        "$bin/lori-report" profile "$exp" --results-dir "$dir" > "$dir/$exp.profile.txt" \
+            || fail "lori-report profile fails on $exp at LORI_THREADS=$threads"
     done
     steps=$(grep -oE '"circuit\.transient\.steps":[0-9]+' "$dir/exp-fig3-flow.manifest.json" \
         | cut -d: -f2)
@@ -51,7 +59,7 @@ for threads in 1 4; do
         || fail "exp-fig3-flow took ${steps:-no} golden steps at LORI_THREADS=$threads, not $fig3_steps"
 done
 
-artifacts=$(cd "$out/T1" && ls *.json | grep -v '\.manifest\.json$')
+artifacts=$(cd "$out/T1" && ls *.json | grep -vE '\.(manifest|profile)\.json$')
 for f in $artifacts; do
     cmp "$out/T1/$f" "$out/T4/$f" || fail "$f differs between LORI_THREADS=1 and 4"
 done
@@ -60,6 +68,6 @@ for committed in results/*.json; do
     cmp "$committed" "$out/T1/$f" || fail "$f differs from results/$f"
 done
 
-echo "checked $(echo "$exps" | wc -l) transcripts at LORI_THREADS=1 and 4," \
+echo "checked $(echo "$exps" | wc -l) transcripts and run records at LORI_THREADS=1 and 4," \
     "$(echo "$artifacts" | wc -w) JSON artifacts, and fig3's golden step count"
 exit "$failed"

@@ -1,6 +1,6 @@
 //! Parallel-executor speedup: the Fig. 5/6 Monte Carlo sweep and the
-//! 60-cell library characterization at 1 worker vs `LORI_THREADS` (or all
-//! cores).
+//! 60-cell library characterization at 1 worker vs the process default
+//! (every available core).
 //!
 //! Determinism is asserted, not assumed: before timing, both kernels are
 //! run serially and in parallel and the results compared `==`.
@@ -14,8 +14,8 @@ use lori_ftsched::workload::adpcm_reference_trace;
 use lori_par::Parallelism;
 use std::time::Duration;
 
-/// The parallel side of every comparison: `LORI_THREADS` if set, all
-/// cores otherwise, but at least 2 so the comparison is meaningful even
+/// The parallel side of every comparison: the process default, every
+/// available core, but at least 2 so the comparison is meaningful even
 /// where `available_parallelism` reports 1.
 fn parallel_workers() -> Parallelism {
     Parallelism::new(lori_par::global().threads().max(2))

@@ -22,10 +22,6 @@ fn main() {
     h.config("runs_per_point", config.runs as u64);
     h.config("trace_segments", trace.len() as u64);
     h.config("probability_points", axis.len() as u64);
-    // The sweep fans probability points out over LORI_THREADS workers;
-    // results are bit-identical to the serial flow. The manifest's
-    // `phases[].wall_ms` records the parallel wall time.
-    h.config("threads", lori_par::global().threads() as u64);
 
     let points = h
         .phase("sweep", || sweep(&axis, &trace, &config))

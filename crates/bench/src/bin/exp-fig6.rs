@@ -23,8 +23,6 @@ fn main() {
     config.validate(&axis, &trace).expect("valid sweep config");
     h.seed(config.seed);
     h.config("runs_per_point", config.runs as u64);
-    // Parallel by default (LORI_THREADS workers), bit-identical to serial.
-    h.config("threads", lori_par::global().threads() as u64);
     let points = h
         .phase("sweep", || sweep(&axis, &trace, &config))
         .unwrap_or_else(|err| {

@@ -29,8 +29,6 @@ fn main() {
         .expect("valid sweep config");
     h.seed(config.seed);
     h.config("runs_per_point", config.runs as u64);
-    // Threads recorded so manifest wall times are comparable across runs.
-    h.config("threads", lori_par::global().threads() as u64);
     println!("bisecting the p where each algorithm's hit rate crosses 50 %...");
     let rows = h.phase("bisect", || {
         wall_sensitivity(&trace, &config, &[1.1, 1.3, 1.6, 2.0], &[1, 2, 4, 8])

@@ -4,12 +4,19 @@
 //! banner, installs a [`lori_obs::JsonlRecorder`] streaming to
 //! `results/<name>.events.jsonl`, times each [`Harness::phase`], and on
 //! [`Harness::finish`] writes a [`lori_obs::RunManifest`] to
-//! `results/<name>.manifest.json` with the seed, config summary, code
-//! version, per-phase wall times, shape-check outcomes, and a snapshot of
-//! every metric the instrumented layers aggregated during the run.
+//! `results/<name>.manifest.json` with the seed, config summary (the
+//! worker count included), code version, per-phase wall times, shape-check
+//! outcomes, and a snapshot of every metric the instrumented layers
+//! aggregated during the run.
+//!
+//! The harness is where a run reads its environment, once:
+//! `LORI_RESULTS_DIR` names the results directory (default `results`), and
+//! `LORI_THREADS` the worker count it installs as `lori-par`'s process
+//! default (unset, blank or `0`: every available core). No library reads
+//! either.
 //!
 //! The harness never aborts a run over results plumbing: an uncreatable
-//! results directory degrades to a [`lori_obs::NullRecorder`] with a
+//! results directory leaves the run with no recorder installed and a
 //! stderr warning, and manifest-write failures are returned from
 //! [`Harness::finish`] for the binary to report. All file artifacts are
 //! written atomically (temp file + rename), so a killed run never leaves a
@@ -25,22 +32,19 @@
 //! integer, makes the binary exit with status 2 and name the variable.
 
 use lori_obs as obs;
+use lori_par::Parallelism;
 use obs::Value;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Directory experiment outputs land in, honoring `LORI_RESULTS_DIR`.
-fn results_dir() -> PathBuf {
-    std::env::var_os("LORI_RESULTS_DIR").map_or_else(|| PathBuf::from("results"), PathBuf::from)
-}
-
 /// Every `LORI_*` environment variable the workspace reads.
 const KNOWN_VARS: [&str; 2] = ["LORI_RESULTS_DIR", "LORI_THREADS"];
 
-/// Rejects `LORI_*` names outside [`KNOWN_VARS`] and a `LORI_THREADS` that
-/// [`lori_par::Parallelism::parse`] refuses.
-fn check_env() -> Result<(), String> {
+/// Reads the run's environment: the results directory and the worker
+/// count. Rejects `LORI_*` names outside [`KNOWN_VARS`] and a
+/// `LORI_THREADS` that [`parse_threads`] refuses.
+fn read_env() -> Result<(PathBuf, Parallelism), String> {
     let mut unknown: Vec<String> = std::env::vars_os()
         .map(|(key, _)| key.to_string_lossy().into_owned())
         .filter(|key| key.starts_with("LORI_") && !KNOWN_VARS.contains(&key.as_str()))
@@ -53,12 +57,30 @@ fn check_env() -> Result<(), String> {
             KNOWN_VARS.join(", ")
         ));
     }
-    match std::env::var("LORI_THREADS") {
-        Ok(value) => lori_par::Parallelism::parse(&value)
-            .map(drop)
-            .map_err(|err| err.to_string()),
-        Err(std::env::VarError::NotPresent) => Ok(()),
-        Err(err) => Err(format!("invalid LORI_THREADS: {err}")),
+    let threads = match std::env::var("LORI_THREADS") {
+        Ok(value) => parse_threads(&value)?,
+        Err(std::env::VarError::NotPresent) => Parallelism::available(),
+        Err(err) => return Err(format!("invalid LORI_THREADS: {err}")),
+    };
+    let dir = std::env::var_os("LORI_RESULTS_DIR")
+        .map_or_else(|| PathBuf::from("results"), PathBuf::from);
+    Ok((dir, threads))
+}
+
+/// Parses a `LORI_THREADS` value: a non-negative integer worker count,
+/// where `0` (or a blank value) means every available core and `1` the
+/// serial fast path.
+fn parse_threads(value: &str) -> Result<Parallelism, String> {
+    let t = value.trim();
+    if t.is_empty() {
+        return Ok(Parallelism::available());
+    }
+    match t.parse::<usize>() {
+        Ok(0) => Ok(Parallelism::available()),
+        Ok(n) => Ok(Parallelism::new(n)),
+        Err(_) => Err(format!(
+            "invalid LORI_THREADS value {value:?}: expected a non-negative integer (0 = all cores)"
+        )),
     }
 }
 
@@ -80,23 +102,30 @@ impl Harness {
     /// `results/<name>.manifest.json`); `id` and `title` feed the banner.
     ///
     /// Never panics over results plumbing: if the results directory cannot
-    /// be created, the run continues with a [`obs::NullRecorder`] and a
+    /// be created, the run continues with no recorder installed and a
     /// stderr warning, and the write failure surfaces again from
     /// [`Harness::finish`]. Exits the process with status 2 when the
     /// environment holds an unknown `LORI_*` name or a malformed
     /// `LORI_THREADS`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when called after the process default worker count was
+    /// fixed, by an earlier `Harness::new` or a parallel region: the
+    /// harness must be the run's first step.
     #[must_use]
     pub fn new(name: &str, id: &str, title: &str) -> Self {
         crate::banner(id, title);
-        if let Err(err) = check_env() {
+        let (dir, threads) = read_env().unwrap_or_else(|err| {
             eprintln!("error: {err}");
             std::process::exit(2)
-        }
-        Self::in_dir(name, results_dir())
+        });
+        lori_par::init(threads).expect("the harness installs the worker count first");
+        Self::in_dir(name, dir)
     }
 
-    /// [`Harness::new`] after the banner and the environment check, with
-    /// the results directory given rather than read from the environment.
+    /// [`Harness::new`] after the banner and the environment, with the
+    /// results directory given.
     fn in_dir(name: &str, dir: PathBuf) -> Self {
         let dir_ok = match std::fs::create_dir_all(&dir) {
             Ok(()) => true,
@@ -111,7 +140,7 @@ impl Harness {
         };
         let events_path = if dir_ok {
             let path = dir.join(format!("{name}.events.jsonl"));
-            match obs::JsonlRecorder::create_atomic(&path) {
+            match obs::JsonlRecorder::create(&path) {
                 Ok(rec) => {
                     obs::install(Arc::new(rec));
                     Some(path)
@@ -125,10 +154,11 @@ impl Harness {
             None
         };
         if events_path.is_none() {
-            obs::install(Arc::new(obs::NullRecorder));
+            obs::uninstall();
         }
         let mut manifest = obs::RunManifest::start(name);
         manifest.config("obs", events_path.is_some());
+        manifest.config("threads", lori_par::global().threads() as u64);
         Harness {
             name: name.to_owned(),
             dir,
@@ -258,6 +288,12 @@ mod tests {
             std::fs::read_to_string(dir.join("exp-unit.manifest.json")).expect("manifest");
         let v = Value::parse(&manifest).unwrap();
         assert_eq!(v.get("seed").and_then(Value::as_f64), Some(9.0));
+        assert_eq!(
+            v.get("config")
+                .and_then(|c| c.get("threads"))
+                .and_then(Value::as_f64),
+            Some(lori_par::global().threads() as f64)
+        );
         let phases = v.get("phases").and_then(Value::as_arr).unwrap();
         assert_eq!(phases.len(), 1);
         assert_eq!(
@@ -315,5 +351,19 @@ mod tests {
         );
         assert!(dir.join("exp-crash.manifest.json").is_file());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn lori_threads_parsing() {
+        let all = Parallelism::available();
+        assert_eq!(parse_threads("1"), Ok(Parallelism::serial()));
+        assert_eq!(parse_threads(" 4 "), Ok(Parallelism::new(4)));
+        assert_eq!(parse_threads("0"), Ok(all));
+        assert_eq!(parse_threads(""), Ok(all));
+        for bad in ["abc", "-1", "2.5", "4 threads"] {
+            let err = parse_threads(bad).expect_err(bad);
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            assert!(err.contains("LORI_THREADS"), "{err}");
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! control logic, and a composite "processor datapath" standing in for the
 //! paper's RISC-V core case study (Fig. 2).
 //!
-//! The netlist carries an indexed graph core (see [`NetlistIndex`]): a
+//! The netlist carries an indexed graph core (the private `NetlistIndex`): a
 //! CSR-style sink index per net, primary-output multiplicities, and the
 //! cached topological order. The index is built once on first use, and
 //! every edit (adding nets, gates, or outputs) drops it.

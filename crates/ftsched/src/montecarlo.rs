@@ -101,8 +101,8 @@ pub struct SweepPoint {
 }
 
 /// Runs the full sweep over `p_values` for a segment `trace`, fanning the
-/// probability points out over the process-default worker pool
-/// ([`lori_par::global`], i.e. `LORI_THREADS`).
+/// probability points out over the process default's workers
+/// ([`lori_par::global`]).
 ///
 /// # Errors
 ///

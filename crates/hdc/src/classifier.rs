@@ -89,9 +89,9 @@ impl HdcClassifier {
         let mut rng = Rng::from_seed(config.seed ^ 0xC1A5_51F1);
         let tie = BinaryHv::random(config.dim, &mut rng);
 
-        // Encode once (fanned out over LORI_THREADS workers; the encoding
-        // is pure, so the result is worker-count independent), bundle per
-        // class.
+        // Encode once (fanned out over the process default's workers; the
+        // encoding is pure, so the result is worker-count independent),
+        // bundle per class.
         let encoded: Vec<BinaryHv> = encoder.encode_batch(xs, lori_par::global());
         let mut accs: Vec<BundleAccumulator> = (0..n_classes)
             .map(|_| BundleAccumulator::new(config.dim))

@@ -4,14 +4,14 @@
 //! Decision trees are the workhorse of the error-pattern mining approaches
 //! surveyed in Sec. III-B.2 (gradient-boosted trees on HPC error traces).
 //!
-//! A fit sorts every feature once ([`Presort`]) and grows the tree by
+//! A fit sorts every feature once (`Presort`) and grows the tree by
 //! stable-partitioning those orders in place, so each node sees its rows in
 //! ascending feature order with ties in row order, as a per-node stable
 //! sort would give. Each feature's thresholds are then scored in one pass
 //! from running statistics: class counts for Gini, which are exact, and
 //! shifted sums for variance, where every threshold whose score lies within
 //! a derived rounding-error margin of the best is re-scored with the
-//! two-pass [`impurity`]. The chosen splits are bit-identical to
+//! two-pass `impurity`. The chosen splits are bit-identical to
 //! recomputing both sides' impurity at every threshold (DESIGN.md §14);
 //! that quadratic scan survives as the test oracle in `tree/oracle.rs`.
 

@@ -2,23 +2,22 @@
 //!
 //! All hand-rolled on `std` only:
 //!
-//! 1. **Span tracing** ([`span`], [`span_with`], [`in_span`]): nested,
+//! 1. **Span tracing** ([`span()`], [`span_with`], [`span_under`]): nested,
 //!    monotonic-timed scopes recorded through a global [`Recorder`]. With
-//!    no recorder installed (or the [`NullRecorder`]), opening a span costs
-//!    one relaxed atomic load — safe to leave in Monte Carlo inner loops.
-//!    Spans carry process-unique ids and [`TraceContext`] propagates them
-//!    across worker threads, so recorded trees stay causally connected.
+//!    no recorder installed, opening a span costs one relaxed atomic load —
+//!    safe to leave in Monte Carlo inner loops. Spans carry process-unique
+//!    ids; a worker thread opens its outermost span under the
+//!    [`current_span_id`] its caller read, so recorded trees stay causally
+//!    connected across threads.
 //! 2. **Metrics** ([`counter`], [`gauge`]): a process-wide registry of
-//!    counters and gauges keyed by static names, plus the fixed-bucket
-//!    [`Histogram`] with quantile estimates that `lori-report profile`
-//!    uses for span durations.
+//!    counters and gauges keyed by static names.
 //! 3. **Run manifests** ([`RunManifest`]): a JSON document per experiment
 //!    run with seed, config, code version, wall time, per-phase breakdown,
 //!    and a metrics snapshot, written with [`atomic_write`] (temp file,
 //!    sync, rename), the one atomic writer every artifact shares.
 //!
 //! Install a [`JsonlRecorder`] to stream every event to an append-only
-//! `.events.jsonl` file:
+//! `.events.jsonl` file, or a [`MemoryRecorder`] in tests:
 //!
 //! ```no_run
 //! use lori_obs as obs;
@@ -29,7 +28,7 @@
 //!     let _sweep = obs::span("ftsched.sweep");
 //!     obs::counter("ftsched.rollbacks").incr(1);
 //! }
-//! obs::uninstall();
+//! obs::uninstall(); // drops the recorder: the file lands under its name
 //! ```
 
 #![warn(missing_docs)]
@@ -40,23 +39,21 @@ pub mod manifest;
 pub mod metrics;
 pub mod recorder;
 pub mod span;
-pub mod trace;
 
 pub use fsio::atomic_write;
 pub use json::Value;
 pub use manifest::{version_string, PhaseRecord, RunManifest};
 pub use metrics::{
-    counter, gauge, registry, Counter, Gauge, Histogram, MetricSnapshot, MetricValue, Registry,
+    counter, gauge, registry, Counter, Gauge, MetricSnapshot, MetricValue, Registry,
 };
-pub use recorder::{Event, JsonlRecorder, MemoryRecorder, NullRecorder, Recorder};
-pub use span::{in_span, span, span_with, Span};
-pub use trace::{ContextGuard, TraceContext};
+pub use recorder::{Event, JsonlRecorder, MemoryRecorder, Recorder};
+pub use span::{current_span_id, span, span_under, span_with, Span};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
-/// Fast-path switch: `true` only while a non-null recorder is installed.
+/// Fast-path switch: `true` only while a recorder is installed.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// The installed recorder. The `RwLock` is only contended during
@@ -76,15 +73,13 @@ pub fn recording() -> bool {
 
 /// Monotonic nanoseconds since the observability epoch (first use in this
 /// process). Saturates at `u64::MAX` after ~584 years.
-#[must_use]
-pub fn epoch_ns() -> u64 {
+pub(crate) fn epoch_ns() -> u64 {
     let epoch = *EPOCH.get_or_init(Instant::now);
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Installs `recorder` as the process-wide event sink, replacing (and
-/// flushing) any previous one. Installing a [`NullRecorder`] keeps the
-/// disabled fast path.
+/// flushing) any previous one.
 ///
 /// # Panics
 ///
@@ -92,10 +87,9 @@ pub fn epoch_ns() -> u64 {
 pub fn install(recorder: Arc<dyn Recorder>) {
     // Pin the epoch before the first event so t_ns starts near zero.
     let _ = epoch_ns();
-    let enabled = !recorder.is_null();
     let previous = {
         let mut slot = RECORDER.write().expect("recorder lock poisoned");
-        ENABLED.store(enabled, Ordering::Relaxed);
+        ENABLED.store(true, Ordering::Relaxed);
         slot.replace(recorder)
     };
     if let Some(prev) = previous {
@@ -120,17 +114,6 @@ pub fn uninstall() -> Option<Arc<dyn Recorder>> {
     previous
 }
 
-/// Flushes the installed recorder, if any.
-///
-/// # Panics
-///
-/// Panics if the recorder lock is poisoned.
-pub fn flush() {
-    if let Some(rec) = RECORDER.read().expect("recorder lock poisoned").as_ref() {
-        rec.flush();
-    }
-}
-
 /// Runs `f` with the installed recorder, if one is present.
 pub(crate) fn with_recorder(f: impl FnOnce(&dyn Recorder)) {
     if let Ok(slot) = RECORDER.read() {
@@ -149,16 +132,5 @@ mod tests {
         let a = epoch_ns();
         let b = epoch_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn null_recorder_does_not_enable() {
-        // Safe against parallel unit tests: install/uninstall of a null
-        // recorder never sets ENABLED, and integration tests that install
-        // real recorders live in a serialized harness.
-        install(Arc::new(NullRecorder));
-        assert!(!recording());
-        uninstall();
-        assert!(!recording());
     }
 }

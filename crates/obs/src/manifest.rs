@@ -72,12 +72,6 @@ impl RunManifest {
         });
     }
 
-    /// Sum of recorded phase wall times, in milliseconds.
-    #[must_use]
-    pub fn phase_total_ms(&self) -> f64 {
-        self.phases.iter().map(|p| p.wall_ms).sum()
-    }
-
     /// Stamps the total wall time and captures `metrics`.
     pub fn finish(&mut self, metrics: Vec<MetricSnapshot>) {
         self.wall_ms = self.start.elapsed().as_secs_f64() * 1e3;
@@ -193,7 +187,6 @@ mod tests {
         assert_eq!(phases.len(), 2);
         assert_eq!(phases[0].get("wall_ms").and_then(Value::as_f64), Some(12.5));
         assert!(v.get("wall_ms").and_then(Value::as_f64).unwrap() >= 0.0);
-        assert!((m.phase_total_ms() - 13.0).abs() < 1e-12);
     }
 
     #[test]

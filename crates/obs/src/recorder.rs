@@ -1,17 +1,15 @@
-//! Event sinks: the [`Recorder`] trait and its implementations.
+//! Event sinks: the [`Recorder`] trait and its two implementations.
 //!
 //! A recorder receives every span and gauge event from the instrumented
-//! code. Exactly one recorder is installed globally (see
-//! [`crate::install`]); when none is installed — or the [`NullRecorder`]
-//! is — instrumentation short-circuits on a single relaxed atomic load, so
-//! disabled tracing costs nothing measurable on hot paths.
+//! code. At most one recorder is installed globally (see
+//! [`crate::install`]); while none is, instrumentation short-circuits on a
+//! single relaxed atomic load, so disabled tracing costs nothing measurable
+//! on hot paths.
 
-use std::cell::RefCell;
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 
 /// One observability event.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,7 +29,7 @@ pub enum Event<'a> {
         /// Process-unique span id (never 0 for live spans).
         sid: u64,
         /// Parent span id: the innermost span open on this thread, or the
-        /// cross-thread parent adopted via [`crate::TraceContext`]; 0 for
+        /// cross-thread parent named through [`crate::span_under`]; 0 for
         /// roots.
         parent: u64,
     },
@@ -77,6 +75,9 @@ impl Event<'_> {
     /// recording hot path. It shares the number/string writers with the
     /// [`Value`] serializer, so the bytes are identical to building the
     /// equivalent object and calling [`Value::to_json`] (pinned by a test).
+    ///
+    /// [`Value`]: crate::Value
+    /// [`Value::to_json`]: crate::Value::to_json
     #[allow(clippy::cast_precision_loss)]
     pub fn write_json_line(&self, out: &mut String) {
         use crate::json::{write_num, write_str};
@@ -148,168 +149,64 @@ pub trait Recorder: Send + Sync {
 
     /// Flushes buffered output, if any.
     fn flush(&self) {}
-
-    /// `true` for recorders that drop everything; instrumentation skips all
-    /// work (including timestamping) when the installed recorder says so.
-    fn is_null(&self) -> bool {
-        false
-    }
-}
-
-/// Discards every event. Installing it (or no recorder at all) keeps the
-/// instrumented hot paths on their single-atomic-load fast path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn record(&self, _event: &Event<'_>) {}
-
-    fn is_null(&self) -> bool {
-        true
-    }
-}
-
-/// Bytes a thread accumulates locally before pushing one contiguous chunk
-/// into the shared writer. Sized so deep span nesting in a Monte Carlo
-/// point (~100 bytes/event) amortizes the writer lock over hundreds of
-/// events without holding noticeable memory per worker.
-const THREAD_BUF_FLUSH_BYTES: usize = 32 * 1024;
-
-/// Distinguishes recorder instances across install/uninstall cycles, so a
-/// thread-local buffer registered with one recorder is never appended to
-/// by a later one.
-static NEXT_RECORDER_ID: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// This thread's buffer for the recorder it last wrote to, keyed by
-    /// the recorder id.
-    static THREAD_BUF: RefCell<Option<(usize, Arc<Mutex<String>>)>> = const { RefCell::new(None) };
 }
 
 /// Appends events to a file, one JSON object per line.
 ///
-/// By default events take a per-thread buffered fast path: each recording
-/// thread appends lines to its own small buffer (registered with the
-/// recorder on first use) and only takes the shared writer lock when the
-/// buffer fills, so deeply nested spans in parallel sweeps no longer
-/// serialize every worker on one mutex. Buffers drain on [`Recorder::flush`]
-/// and on drop ([`crate::install`]/[`crate::uninstall`] flush the previous
-/// recorder), so no event is lost. Within a thread, event order is
-/// preserved; across threads the file interleaves at chunk granularity —
-/// consumers must order by `(tid, t_ns)`, which `lori-report` does.
+/// Each event is serialized first and then written under one writer lock,
+/// so lines land whole and in record order, and each thread's events keep
+/// their order. The stream goes to a same-directory temp file that is
+/// renamed onto the destination when the recorder drops (after
+/// [`crate::uninstall`] releases the last reference): a previous run's
+/// complete event log is never replaced by a partial one, and a killed
+/// process leaves only the temp file.
 #[derive(Debug)]
 pub struct JsonlRecorder {
     writer: Mutex<BufWriter<File>>,
-    /// `Some((tmp, destination))` when created via
-    /// [`JsonlRecorder::create_atomic`]: the stream goes to `tmp` and is
-    /// renamed into place when the recorder is dropped.
-    rename_on_drop: Option<(std::path::PathBuf, std::path::PathBuf)>,
-    /// Keys [`THREAD_BUF`] entries to this instance.
-    id: usize,
-    /// Every thread buffer ever registered with this recorder, so flush
-    /// and drop can drain buffers owned by parked or finished threads.
-    thread_bufs: Mutex<Vec<Arc<Mutex<String>>>>,
+    tmp: PathBuf,
+    path: PathBuf,
 }
 
 impl JsonlRecorder {
-    fn from_file(file: File, rename: Option<(std::path::PathBuf, std::path::PathBuf)>) -> Self {
-        JsonlRecorder {
-            writer: Mutex::new(BufWriter::new(file)),
-            rename_on_drop: rename,
-            id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
-            thread_bufs: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Creates (truncates) the events file.
+    /// Creates the temp sibling of `path` that the stream goes to until
+    /// the recorder drops.
     ///
     /// # Errors
     ///
     /// Propagates file-creation errors.
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(Self::from_file(file, None))
-    }
-
-    /// Like [`JsonlRecorder::create`], but the stream is written to a
-    /// same-directory temp file and renamed onto `path` when the recorder
-    /// is dropped (i.e. after [`crate::uninstall`] releases the last
-    /// reference). A previous run's complete event log is never replaced
-    /// by a partial one: a killed process leaves only the temp file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation errors.
-    pub fn create_atomic(path: impl AsRef<Path>) -> std::io::Result<Self> {
         let path = path.as_ref().to_path_buf();
         let tmp = crate::fsio::tmp_sibling(&path);
         let file = File::create(&tmp)?;
-        Ok(Self::from_file(file, Some((tmp, path))))
-    }
-
-    /// Drains every registered thread buffer into the shared writer.
-    fn drain_thread_bufs(&self) {
-        let bufs = self
-            .thread_bufs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        for buf in bufs.iter() {
-            let chunk = std::mem::take(&mut *buf.lock().unwrap_or_else(PoisonError::into_inner));
-            if !chunk.is_empty() {
-                let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-                let _ = writer.write_all(chunk.as_bytes());
-            }
-        }
+        Ok(JsonlRecorder {
+            writer: Mutex::new(BufWriter::new(file)),
+            tmp,
+            path,
+        })
     }
 }
 
 impl Drop for JsonlRecorder {
     fn drop(&mut self) {
-        self.drain_thread_bufs();
-        let _ = self
+        let writer = self
             .writer
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .flush();
-        if let Some((tmp, path)) = self.rename_on_drop.take() {
-            let _ = std::fs::rename(&tmp, &path);
-        }
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        let _ = writer.flush();
+        let _ = std::fs::rename(&self.tmp, &self.path);
     }
 }
 
 impl Recorder for JsonlRecorder {
     fn record(&self, event: &Event<'_>) {
-        THREAD_BUF.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            let registered = matches!(slot.as_ref(), Some((id, _)) if *id == self.id);
-            if !registered {
-                let buf = Arc::new(Mutex::new(String::with_capacity(
-                    THREAD_BUF_FLUSH_BYTES + 512,
-                )));
-                self.thread_bufs
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(Arc::clone(&buf));
-                *slot = Some((self.id, buf));
-            }
-            let buf = &slot.as_ref().expect("registered above").1;
-            // Only this thread and flush/drop ever take this lock, so it is
-            // uncontended on the hot path; the event serializes straight
-            // into the persistent buffer with no per-event allocation.
-            let mut buf = buf.lock().unwrap_or_else(PoisonError::into_inner);
-            event.write_json_line(&mut buf);
-            buf.push('\n');
-            if buf.len() >= THREAD_BUF_FLUSH_BYTES {
-                let chunk = std::mem::take(&mut *buf);
-                drop(buf);
-                let mut writer = self.writer.lock().expect("jsonl writer poisoned");
-                let _ = writer.write_all(chunk.as_bytes());
-            }
-        });
+        let mut line = String::with_capacity(128);
+        event.write_json_line(&mut line);
+        line.push('\n');
+        let mut writer = self.writer.lock().expect("jsonl writer poisoned");
+        let _ = writer.write_all(line.as_bytes());
     }
 
     fn flush(&self) {
-        self.drain_thread_bufs();
         let _ = self.writer.lock().expect("jsonl writer poisoned").flush();
     }
 }
@@ -516,12 +413,6 @@ mod tests {
         assert_eq!(v.get("sid").and_then(Value::as_f64), Some(3.0));
     }
 
-    #[test]
-    fn null_recorder_is_null() {
-        assert!(NullRecorder.is_null());
-        assert!(!MemoryRecorder::new().is_null());
-    }
-
     fn gauge_event(name: &'static str, t_ns: u64) -> Event<'static> {
         Event::Gauge {
             name,
@@ -531,9 +422,9 @@ mod tests {
     }
 
     #[test]
-    fn buffered_jsonl_preserves_per_thread_order_and_loses_nothing() {
+    fn jsonl_preserves_per_thread_order_and_loses_nothing() {
         let dir = std::env::temp_dir();
-        let path = dir.join(format!("lori-obs-buffered-{}.jsonl", std::process::id()));
+        let path = dir.join(format!("lori-obs-order-{}.jsonl", std::process::id()));
         let rec = std::sync::Arc::new(JsonlRecorder::create(&path).unwrap());
         let threads: Vec<_> = (0..4)
             .map(|t| {
@@ -552,7 +443,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        rec.flush();
+        drop(rec);
         let text = std::fs::read_to_string(&path).unwrap();
         let mut counts = [0u64; 4];
         let mut last_t = [None::<f64>; 4];
@@ -571,17 +462,20 @@ mod tests {
             last_t[idx] = Some(t);
         }
         assert_eq!(counts, [500; 4], "no event may be dropped");
-        drop(rec);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn buffered_jsonl_drains_on_drop() {
+    fn jsonl_drains_and_renames_on_drop() {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("lori-obs-drop-{}.jsonl", std::process::id()));
         let rec = JsonlRecorder::create(&path).unwrap();
         rec.record(&gauge_event("g.drop", 1));
-        drop(rec); // well under the flush threshold: only drop drains it
+        assert!(
+            !path.exists(),
+            "the stream stays in its temp file until drop"
+        );
+        drop(rec); // well under the BufWriter's capacity: only drop writes it
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 1);
         assert!(text.contains("g.drop"));

@@ -2,27 +2,47 @@
 //!
 //! [`span`] returns a guard; the span closes when the guard drops. Nesting
 //! is tracked per thread, and every live span carries a process-unique
-//! span id (`sid`) plus its parent's id (see [`crate::trace`]), so
-//! recorders can reconstruct one causally-connected tree across worker
-//! threads — `(tid, depth, t_ns)` still orders events within a thread.
-//! When recording is disabled the guard is a no-op created after one
-//! relaxed atomic load — no clock read, no allocation.
+//! span id (`sid`, from one atomic counter; 0 means "none") plus its
+//! parent's id: the innermost span open on the same thread, or, for
+//! [`span_under`], the parent the caller names. `lori-par` reads
+//! [`current_span_id`] before it fans out and opens each worker span under
+//! that id, so recorders can reconstruct one causally-connected tree across
+//! worker threads, while `(tid, depth, t_ns)` still orders events within a
+//! thread. When recording is disabled the guard is a no-op created after
+//! one relaxed atomic load: no clock read, no allocation.
 
 use crate::recorder::Event;
-use crate::{epoch_ns, recording, trace, with_recorder};
+use crate::{epoch_ns, recording, with_recorder};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 
+/// Span-id allocator. 0 is reserved for "no span".
+static NEXT_SID: AtomicU64 = AtomicU64::new(1);
+
 thread_local! {
     static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
     static DEPTH: Cell<u32> = const { Cell::new(0) };
+    /// The innermost span currently open on this thread (0 = none).
+    static CURRENT_SID: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The small per-process index of the calling thread.
 fn current_tid() -> u64 {
     TID.with(|t| *t)
+}
+
+/// Allocates a fresh, process-unique span id.
+fn next_sid() -> u64 {
+    NEXT_SID.fetch_add(1, Ordering::Relaxed)
+}
+
+/// The id of the innermost span open on the calling thread, or 0 when none
+/// is (always 0 while recording is off).
+#[must_use]
+pub fn current_span_id() -> u64 {
+    CURRENT_SID.with(Cell::get)
 }
 
 /// An open span; closes (and records its duration) on drop.
@@ -45,27 +65,35 @@ struct LiveSpan {
     prev_sid: u64,
 }
 
-impl Span {
-    /// The span's process-unique id, or 0 when tracing was disabled at
-    /// entry.
-    #[must_use]
-    pub fn sid(&self) -> u64 {
-        self.live.as_ref().map_or(0, |l| l.sid)
-    }
-}
-
 /// Opens a span named `name`.
 pub fn span(name: &'static str) -> Span {
-    span_inner(name, None)
+    span_inner(name, None, None)
 }
 
 /// Opens a span with a numeric attribute (e.g. the parameter value the
 /// iteration is working on).
 pub fn span_with(name: &'static str, attr: f64) -> Span {
-    span_inner(name, Some(attr))
+    span_inner(name, None, Some(attr))
 }
 
-fn span_inner(name: &'static str, attr: Option<f64>) -> Span {
+/// Opens a span whose parent is `parent`, a [`current_span_id`] read on
+/// another thread, instead of the innermost span open on this one. Spans
+/// opened inside it nest under it as usual.
+///
+/// ```
+/// let parent = lori_obs::current_span_id();
+/// std::thread::scope(|s| {
+///     s.spawn(move || {
+///         let _worker = lori_obs::span_under("worker.task", parent);
+///         let _step = lori_obs::span("worker.step"); // child of worker.task
+///     });
+/// });
+/// ```
+pub fn span_under(name: &'static str, parent: u64) -> Span {
+    span_inner(name, Some(parent), None)
+}
+
+fn span_inner(name: &'static str, parent: Option<u64>, attr: Option<f64>) -> Span {
     if !recording() {
         return Span { live: None };
     }
@@ -76,9 +104,9 @@ fn span_inner(name: &'static str, attr: Option<f64>) -> Span {
         d.set(depth + 1);
         depth
     });
-    let sid = trace::next_sid();
-    let parent = trace::current_parent();
-    let prev_sid = trace::swap_current(sid);
+    let sid = next_sid();
+    let prev_sid = CURRENT_SID.with(|c| c.replace(sid));
+    let parent = parent.unwrap_or(prev_sid);
     with_recorder(|rec| {
         rec.record(&Event::SpanEnter {
             name,
@@ -108,7 +136,7 @@ impl Drop for Span {
             return;
         };
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        trace::swap_current(live.prev_sid);
+        CURRENT_SID.with(|c| c.set(live.prev_sid));
         let t_ns = epoch_ns();
         let dur_ns = t_ns.saturating_sub(live.t0_ns);
         if recording() {
@@ -126,12 +154,6 @@ impl Drop for Span {
     }
 }
 
-/// Times `f` under a span and returns its result.
-pub fn in_span<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
-    let _guard = span(name);
-    f()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,10 +164,19 @@ mod tests {
         // install one serialize on the integration-test lock instead).
         let g = span("unit.disabled");
         assert!(g.live.is_none());
-        assert_eq!(g.sid(), 0);
+        assert_eq!(current_span_id(), 0);
         drop(g);
-        let out = in_span("unit.disabled2", || 7);
-        assert_eq!(out, 7);
+        let g = span_under("unit.disabled2", 7);
+        assert!(g.live.is_none());
+        assert_eq!(current_span_id(), 0);
+    }
+
+    #[test]
+    fn sids_are_unique_and_nonzero() {
+        let a = next_sid();
+        let b = next_sid();
+        assert_ne!(a, 0);
+        assert_ne!(a, b);
     }
 
     #[test]

@@ -98,7 +98,7 @@ fn jsonl_recorder_roundtrip_through_file() {
         let _s = obs::span_with("file.span", 0.25);
         obs::gauge("file.gauge").set(3.5);
     }
-    obs::uninstall(); // flushes
+    obs::uninstall(); // drops the recorder, which renames the stream into place
 
     let text = std::fs::read_to_string(&path).unwrap();
     let events: Vec<Value> = text
@@ -120,17 +120,14 @@ fn concurrent_spans_and_metrics_smoke() {
     const THREADS: usize = 8;
     const SPANS_PER_THREAD: usize = 200;
 
-    let hist = Arc::new(obs::Histogram::new(&[0.0, 50.0, 100.0, 200.0]));
     let events = record(|| {
         let handles: Vec<_> = (0..THREADS)
             .map(|_| {
-                let hist = Arc::clone(&hist);
                 std::thread::spawn(move || {
-                    for i in 0..SPANS_PER_THREAD {
+                    for _ in 0..SPANS_PER_THREAD {
                         let _outer = obs::span("mt.outer");
                         let _inner = obs::span("mt.inner");
                         obs::counter("mt.count").incr(1);
-                        hist.observe(i as f64);
                     }
                 })
             })
@@ -181,12 +178,6 @@ fn concurrent_spans_and_metrics_smoke() {
         obs::counter("mt.count").get(),
         (THREADS * SPANS_PER_THREAD) as u64
     );
-    assert_eq!(hist.count(), (THREADS * SPANS_PER_THREAD) as u64);
-    // 0..200 uniformly: p50 near 100, p95 near 190.
-    let p50 = hist.quantile(0.5).unwrap();
-    let p95 = hist.quantile(0.95).unwrap();
-    assert!((p50 - 100.0).abs() < 15.0, "p50 {p50}");
-    assert!(p95 > 150.0, "p95 {p95}");
 }
 
 #[test]
@@ -286,16 +277,17 @@ fn event_enter_exit_gauge_schema_is_stable() {
 #[test]
 fn trace_context_attributes_cross_thread_children() {
     let _guard = lock();
+    let mut read_sid = 0;
     let events = record(|| {
+        assert_eq!(obs::current_span_id(), 0, "no span open yet");
         let parent = obs::span("tc.parent");
-        assert_ne!(parent.sid(), 0);
-        let ctx = obs::TraceContext::current();
-        assert_eq!(ctx.parent_sid(), parent.sid());
+        let parent_sid = obs::current_span_id();
+        assert_ne!(parent_sid, 0);
+        read_sid = parent_sid;
         std::thread::scope(|scope| {
             for _ in 0..3 {
                 scope.spawn(move || {
-                    let _adopt = ctx.adopt();
-                    let _w = obs::span("tc.worker");
+                    let _w = obs::span_under("tc.worker", parent_sid);
                 });
             }
         });
@@ -311,13 +303,17 @@ fn trace_context_attributes_cross_thread_children() {
             .collect()
     };
     let parent_sid = field_num(find("tc.parent")[0], "sid");
+    assert_eq!(
+        parent_sid, read_sid as f64,
+        "current_span_id is the open span's sid"
+    );
     let workers = find("tc.worker");
     assert_eq!(workers.len(), 3);
     for w in &workers {
         assert_eq!(
             field_num(w, "parent"),
             parent_sid,
-            "worker adopts the spawning span as parent"
+            "worker records the spawning span as parent"
         );
         assert_ne!(field_num(w, "sid"), parent_sid, "sids stay unique");
     }
@@ -327,7 +323,7 @@ fn trace_context_attributes_cross_thread_children() {
     );
     assert!(
         find("tc.detached")[0].get("parent").is_none(),
-        "adoption does not leak outside the guard"
+        "the named parent does not leak past the worker span"
     );
 
     // Exits carry the sid of the span they close.

@@ -2,9 +2,9 @@
 //!
 //! The workspace's hot loops (the Sec. V-D Monte Carlo sweep, library
 //! characterization, ML-characterizer training, HDC batch encoding) are
-//! embarrassingly parallel: every task owns a pre-split [`lori_core::Rng`]
-//! sub-stream or is a pure function of its input. This crate fans those
-//! tasks out over scoped OS threads while keeping one hard contract:
+//! embarrassingly parallel: every task owns a pre-split RNG sub-stream or
+//! is a pure function of its input. This crate fans those tasks out over
+//! scoped OS threads while keeping one hard contract:
 //!
 //! **The output of [`par_map`] is identical — bit for bit — for every
 //! worker count, including the serial fast path.**
@@ -15,17 +15,17 @@
 //! cross-task accumulation (obs counters, RNG splitting) happens either in
 //! commutative atomics or serially before the fan-out.
 //!
-//! Worker counts resolve from the `LORI_THREADS` environment variable via
-//! [`Parallelism::from_env`] (unset or `0` → all available cores; `1` →
-//! serial fast path with zero thread spawns; [`Parallelism::parse`] is the
-//! one parser). [`par_map`] is the one executor ([`par_chunks`] maps over
-//! fixed-size chunks through it). A region fails fast: a panic inside any
-//! task propagates to the caller after all workers have stopped. Tasks are
-//! pure functions of their index, so a retry would fail the same way.
+//! The library reads no environment. A program's entry point installs the
+//! process default worker count once with [`init`]; [`global`] returns it,
+//! or every available core when none was installed. [`Parallelism::serial`]
+//! is the serial fast path with zero thread spawns. [`par_map`] is the one
+//! executor ([`par_chunks`] maps over fixed-size chunks through it). A
+//! region fails fast: a panic inside any task propagates to the caller
+//! after all workers have stopped. Tasks are pure functions of their index,
+//! so a retry would fail the same way.
 
 #![warn(missing_docs)]
 
-use std::fmt;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -66,41 +66,6 @@ impl Parallelism {
         }
     }
 
-    /// Parses a `LORI_THREADS` value: a non-negative integer worker count,
-    /// where `0` (or a blank value) means every available core and `1` the
-    /// serial fast path.
-    ///
-    /// # Errors
-    ///
-    /// Anything else is a [`ParallelismError`] naming the value.
-    pub fn parse(s: &str) -> Result<Self, ParallelismError> {
-        let t = s.trim();
-        if t.is_empty() {
-            return Ok(Self::available());
-        }
-        match t.parse::<usize>() {
-            Ok(0) => Ok(Self::available()),
-            Ok(n) => Ok(Self::new(n)),
-            Err(_) => Err(ParallelismError {
-                value: s.to_owned(),
-            }),
-        }
-    }
-
-    /// Resolves the worker count from `LORI_THREADS` through
-    /// [`Parallelism::parse`]; unset means every available core.
-    ///
-    /// A value `parse` rejects also falls back to every core here, so
-    /// library callers never fail on it; the `exp-*` binaries reject it
-    /// before running (exit status 2).
-    #[must_use]
-    pub fn from_env() -> Self {
-        std::env::var("LORI_THREADS")
-            .ok()
-            .and_then(|s| Self::parse(&s).ok())
-            .unwrap_or_else(Self::available)
-    }
-
     /// The worker count.
     #[must_use]
     pub fn threads(&self) -> usize {
@@ -114,31 +79,24 @@ impl Parallelism {
     }
 }
 
-/// A `LORI_THREADS` value that is not a non-negative integer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParallelismError {
-    /// The rejected value, as given.
-    pub value: String,
+static GLOBAL: OnceLock<Parallelism> = OnceLock::new();
+
+/// Installs `par` as the process default that [`global`] returns. The
+/// default is fixed once, by the first `init` or else by the first
+/// [`global`] call.
+///
+/// # Errors
+///
+/// Returns `par` back when the default was already fixed.
+pub fn init(par: Parallelism) -> Result<(), Parallelism> {
+    GLOBAL.set(par)
 }
 
-impl fmt::Display for ParallelismError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid LORI_THREADS value {:?}: expected a non-negative integer (0 = all cores)",
-            self.value
-        )
-    }
-}
-
-impl std::error::Error for ParallelismError {}
-
-/// The process-wide default parallelism, resolved from `LORI_THREADS` once
-/// on first use and cached for the lifetime of the process.
+/// The process default parallelism: the value [`init`] installed, or
+/// [`Parallelism::available`] when none was.
 #[must_use]
 pub fn global() -> Parallelism {
-    static GLOBAL: OnceLock<Parallelism> = OnceLock::new();
-    *GLOBAL.get_or_init(Parallelism::from_env)
+    *GLOBAL.get_or_init(Parallelism::available)
 }
 
 /// Maps `f` over `items`, in parallel, preserving input order.
@@ -152,10 +110,9 @@ pub fn global() -> Parallelism {
 /// Each worker opens a `par.worker` obs span (a no-op unless a recorder is
 /// installed), so traces show the fan-out shape; metric counters touched
 /// inside `f` are process-global atomics and stay exact under parallelism.
-/// The caller's [`lori_obs::TraceContext`] is captured before the fan-out
-/// and adopted inside every worker, so worker spans are recorded as
-/// children of the span enclosing the `par_map` call rather than as
-/// orphan per-thread roots.
+/// Every worker span names the span open at the call site as its parent,
+/// so worker spans are recorded as children of the span enclosing the
+/// `par_map` call rather than as orphan per-thread roots.
 ///
 /// # Panics
 ///
@@ -176,9 +133,9 @@ where
     let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
     let slots_ptr = SlotWriter::new(&mut slots);
-    // Captured once, outside the workers: every worker span becomes a
-    // child of the span open at the call site.
-    let ctx = lori_obs::TraceContext::current();
+    // Read once, outside the workers: every worker span becomes a child of
+    // the span open at the call site.
+    let parent = lori_obs::current_span_id();
 
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
@@ -187,8 +144,7 @@ where
             let f = &f;
             let slots_ptr = &slots_ptr;
             handles.push(scope.spawn(move || {
-                let _ctx = ctx.adopt();
-                let _span = lori_obs::span("par.worker");
+                let _span = lori_obs::span_under("par.worker", parent);
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     if i >= items.len() {
@@ -358,24 +314,11 @@ mod tests {
         assert_eq!(Parallelism::new(0).threads(), 1);
         assert_eq!(Parallelism::new(6).threads(), 6);
         assert!(Parallelism::available().threads() >= 1);
-        // from_env reads the ambient variable; whatever it is, the result
-        // is at least one thread.
-        assert!(Parallelism::from_env().threads() >= 1);
-        assert!(global().threads() >= 1);
-    }
-
-    #[test]
-    fn parallelism_parsing() {
-        let all = Parallelism::available();
-        assert_eq!(Parallelism::parse("1"), Ok(Parallelism::serial()));
-        assert_eq!(Parallelism::parse(" 4 "), Ok(Parallelism::new(4)));
-        assert_eq!(Parallelism::parse("0"), Ok(all));
-        assert_eq!(Parallelism::parse(""), Ok(all));
-        for bad in ["abc", "-1", "2.5", "4 threads"] {
-            let err = Parallelism::parse(bad).expect_err(bad);
-            assert_eq!(err.value, bad);
-            assert!(err.to_string().contains("LORI_THREADS"), "{err}");
-        }
+        // No test installs a default, so the first global() call fixes
+        // every available core, and a later init cannot move it.
+        assert_eq!(global(), Parallelism::available());
+        assert_eq!(init(Parallelism::new(3)), Err(Parallelism::new(3)));
+        assert_eq!(global(), Parallelism::available());
     }
 
     #[test]

@@ -69,10 +69,13 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
     Ok(cli)
 }
 
+/// The results directory: `--results-dir`, then `$LORI_RESULTS_DIR`, then
+/// `results`, the convention the `exp-*` harness writes under.
 fn resolve_dir(cli: &Cli) -> PathBuf {
     cli.results_dir
         .clone()
-        .unwrap_or_else(lori_report::results_dir)
+        .or_else(|| std::env::var_os("LORI_RESULTS_DIR").map(PathBuf::from))
+        .unwrap_or_else(|| PathBuf::from("results"))
 }
 
 fn cmd_profile(args: &[String]) -> Result<ExitCode, String> {

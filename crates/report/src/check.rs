@@ -206,52 +206,7 @@ fn check_metrics(manifest: &Value, wall_ms: Option<f64>, report: &mut CheckRepor
     }
 }
 
-/// Flags span ids claimed by more than one `enter` event. A recorder hands
-/// ids out from one atomic counter, so they cannot collide in a stream it
-/// wrote; a collision means the file was spliced together or edited, and
-/// the profiler may stitch spans under the wrong parent.
-fn check_sid_collisions(events_text: &str, report: &mut CheckReport) {
-    let mut seen: std::collections::HashMap<u64, (String, usize)> =
-        std::collections::HashMap::new();
-    let mut collisions = 0usize;
-    for (idx, line) in events_text.lines().enumerate() {
-        let Ok(v) = Value::parse(line) else {
-            continue; // parse_events already reported malformed lines
-        };
-        if v.get("ev").and_then(Value::as_str) != Some("enter") {
-            continue;
-        }
-        let Some(sid) = v.get("sid").and_then(Value::as_f64) else {
-            continue; // pre-sid legacy streams have nothing to collide
-        };
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let sid = sid as u64;
-        let name = v
-            .get("name")
-            .and_then(Value::as_str)
-            .unwrap_or("?")
-            .to_owned();
-        if let Some((first_name, first_line)) = seen.get(&sid) {
-            collisions += 1;
-            report.fail(format!(
-                "span id collision: sid {sid} claimed by '{first_name}' (line {first_line}) \
-                 and '{name}' (line {}) — the stream was not written by one recorder",
-                idx + 1
-            ));
-        } else {
-            seen.insert(sid, (name, idx + 1));
-        }
-    }
-    if collisions == 0 && !seen.is_empty() {
-        report.pass(format!(
-            "span ids unique across the stream ({})",
-            seen.len()
-        ));
-    }
-}
-
 fn check_events(events_text: &str, wall_ms: Option<f64>, report: &mut CheckReport) {
-    check_sid_collisions(events_text, report);
     match parse_events(events_text) {
         Err(e) => report.fail(format!("event stream invalid: {e}")),
         Ok(parsed) => {
@@ -497,57 +452,6 @@ mod tests {
             .iter()
             .any(|p| p.contains("trace context intact")));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn flags_sid_collision() {
-        // Two streams that both started their span counter at 1, spliced
-        // into one file: the same sid appears twice on distinct tids, so
-        // per-thread nesting checks alone cannot catch it.
-        let dir = std::env::temp_dir().join(format!("lori-report-sidcol-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("exp-unit.manifest.json"),
-            manifest(7.6, 1.0).to_json(),
-        )
-        .unwrap();
-        std::fs::write(
-            dir.join("exp-unit.events.jsonl"),
-            concat!(
-                "{\"ev\":\"enter\",\"name\":\"sweep\",\"t_ns\":0,\"tid\":0,\"depth\":0,\"sid\":1}\n",
-                "{\"ev\":\"exit\",\"name\":\"sweep\",\"t_ns\":1000,\"tid\":0,\"depth\":0,\"dur_ns\":1000,\"sid\":1}\n",
-                "{\"ev\":\"enter\",\"name\":\"spliced.root\",\"t_ns\":10,\"tid\":1,\"depth\":0,\"sid\":1,\"parent\":1}\n",
-                "{\"ev\":\"exit\",\"name\":\"spliced.root\",\"t_ns\":500,\"tid\":1,\"depth\":0,\"dur_ns\":490,\"sid\":1}\n",
-            ),
-        )
-        .unwrap();
-        let report = check_run(&dir, "exp-unit").unwrap();
-        assert!(!report.ok());
-        assert!(
-            report
-                .failures
-                .iter()
-                .any(|f| f.contains("span id collision")
-                    && f.contains("sid 1")
-                    && f.contains("spliced.root")),
-            "failures: {:?}",
-            report.failures
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn unique_sids_pass_collision_check() {
-        let mut report = CheckReport::default();
-        check_sid_collisions(
-            concat!(
-                "{\"ev\":\"enter\",\"name\":\"sweep\",\"t_ns\":0,\"tid\":0,\"depth\":0,\"sid\":1}\n",
-                "{\"ev\":\"enter\",\"name\":\"spliced.root\",\"t_ns\":10,\"tid\":1,\"depth\":0,\"sid\":2,\"parent\":1}\n",
-            ),
-            &mut report,
-        );
-        assert!(report.ok(), "failures: {:?}", report.failures);
-        assert!(report.passed.iter().any(|p| p.contains("span ids unique")));
     }
 
     #[test]

@@ -72,6 +72,16 @@ pub enum ReportError {
         /// Span id the exit event carried.
         found: u64,
     },
+    /// Two `enter` events claim the same nonzero span id. One recorder hands
+    /// ids out from one counter, so the stream was spliced or edited.
+    DuplicateSpanId {
+        /// 1-based line of the second claim.
+        line: usize,
+        /// The claimed span id.
+        sid: u64,
+        /// 1-based line of the first claim.
+        first_line: usize,
+    },
     /// Timestamps ran backwards within one thread's stream.
     NonMonotonic {
         /// 1-based line number.
@@ -148,6 +158,15 @@ impl fmt::Display for ReportError {
                 f,
                 "line {line}: tid {tid} exit '{name}' carries sid {found} \
                  but the open span has sid {expected}"
+            ),
+            ReportError::DuplicateSpanId {
+                line,
+                sid,
+                first_line,
+            } => write!(
+                f,
+                "line {line}: span id {sid} was already claimed on line {first_line} \
+                 — the stream was not written by one recorder"
             ),
             ReportError::NonMonotonic {
                 line,

@@ -9,7 +9,8 @@
 //!    monotonicity as it goes — then stitches worker-thread trees under
 //!    their recorded parent spans via trace-context ids, so a parallel
 //!    sweep profiles as one causal tree. Aggregates per-span-name
-//!    wall/self time, call counts, p50/p95/max durations, the critical
+//!    wall/self time, call counts, exact p50/p95 (through
+//!    `lori_core::stats::percentile`) and max durations, the critical
 //!    path (which may cross threads), and flamegraph folded stacks.
 //!    Deterministic: same input, byte-identical output.
 //! 2. **Sanity checks** ([`check`]): scans a manifest and its event stream
@@ -18,8 +19,9 @@
 //!    spans whose recorded parent never appears (broken trace-context
 //!    propagation), and counters implying physically impossible rates.
 //!
-//! The `lori-report` binary exposes both as subcommands
-//! (`profile <name>`, `check <name>`).
+//! The library reads no environment: the `lori-report` binary resolves the
+//! results directory and exposes both as subcommands (`profile <name>`,
+//! `check <name>`).
 
 #![warn(missing_docs)]
 
@@ -30,13 +32,3 @@ pub mod profile;
 pub use check::{check_run, CheckReport};
 pub use error::ReportError;
 pub use profile::{build_profile, parse_events, OrphanSpan, ParsedEvents, Profile, SpanNode};
-
-use std::path::PathBuf;
-
-/// The results directory: `$LORI_RESULTS_DIR` when set, else `results/`.
-/// Mirrors `lori-bench`'s convention so the CLI finds what the harness
-/// wrote without extra flags.
-#[must_use]
-pub fn results_dir() -> PathBuf {
-    std::env::var_os("LORI_RESULTS_DIR").map_or_else(|| PathBuf::from("results"), PathBuf::from)
-}

@@ -12,18 +12,19 @@
 //! uses `BTreeMap`s and insertion-ordered JSON objects; nothing depends on
 //! wall clocks, hashing, or iteration order.
 //!
-//! Streams recorded by current `lori-obs` carry span ids (`sid`) and
-//! parent ids: after per-thread reconstruction, thread-root spans whose
-//! recorded parent lives on another thread are *adopted* under that parent,
-//! so a parallel sweep profiles as one causally-connected tree instead of
-//! one disconnected tree per worker thread. A nonzero parent sid that never
-//! appears in the stream is an [`OrphanSpan`] — broken trace-context
-//! propagation that `lori-report check` reports as a failure. Streams
-//! without sids (older recorders) parse exactly as before: every id
-//! defaults to 0 and no adoption happens.
+//! Streams recorded by current `lori-obs` carry span ids (`sid`), unique
+//! across the stream, and parent ids: after per-thread reconstruction,
+//! thread-root spans whose recorded parent lives on another thread are
+//! *adopted* under that parent, so a parallel sweep profiles as one
+//! causally-connected tree instead of one disconnected tree per worker
+//! thread. A nonzero parent sid that never appears in the stream is an
+//! [`OrphanSpan`] — broken trace-context propagation that `lori-report
+//! check` reports as a failure. Streams without sids (older recorders)
+//! parse exactly as before: every id defaults to 0 and no adoption happens.
 
 use crate::error::ReportError;
-use lori_obs::{Histogram, Value};
+use lori_core::stats::percentile;
+use lori_obs::Value;
 use std::collections::BTreeMap;
 
 /// One completed span with its completed children.
@@ -154,10 +155,13 @@ struct ThreadState {
 /// Returns the first structural defect found, with its 1-based line
 /// number: invalid JSON, missing fields, unknown event kinds, unbalanced
 /// or misnested enter/exit pairs, depth discontinuities, per-thread
-/// timestamp regressions, span-id disagreements between an enter and its
-/// exit, and spans left open at end of stream.
+/// timestamp regressions, a nonzero span id claimed by two enters, span-id
+/// disagreements between an enter and its exit, and spans left open at end
+/// of stream.
 pub fn parse_events(text: &str) -> Result<ParsedEvents, ReportError> {
     let mut threads: BTreeMap<u64, ThreadState> = BTreeMap::new();
+    // Nonzero span id -> line of the enter that claimed it.
+    let mut claimed: BTreeMap<u64, usize> = BTreeMap::new();
     let mut arena: Vec<ArenaNode> = Vec::new();
     let mut thread_roots: Vec<usize> = Vec::new();
     let mut events = 0usize;
@@ -208,12 +212,22 @@ pub fn parse_events(text: &str) -> Result<ParsedEvents, ReportError> {
                             found: depth,
                         });
                     }
+                    let sid = optional_u64(&value, "sid", line)?;
+                    if sid != 0 {
+                        if let Some(first_line) = claimed.insert(sid, line) {
+                            return Err(ReportError::DuplicateSpanId {
+                                line,
+                                sid,
+                                first_line,
+                            });
+                        }
+                    }
                     state.stack.push(OpenSpan {
                         name: name.to_owned(),
                         depth,
                         t0_ns: t_ns,
                         line,
-                        sid: optional_u64(&value, "sid", line)?,
+                        sid,
                         parent: optional_u64(&value, "parent", line)?,
                         children: Vec::new(),
                     });
@@ -333,10 +347,11 @@ fn link_trees(
     mut arena: Vec<ArenaNode>,
     thread_roots: &[usize],
 ) -> (Vec<SpanNode>, Vec<OrphanSpan>) {
+    // Nonzero sids are unique: `parse_events` rejects a second claim.
     let mut by_sid: BTreeMap<u64, usize> = BTreeMap::new();
     for (idx, node) in arena.iter().enumerate() {
         if node.sid != 0 {
-            by_sid.entry(node.sid).or_insert(idx);
+            by_sid.insert(node.sid, idx);
         }
     }
 
@@ -451,9 +466,9 @@ pub struct NameStats {
     pub total_ns: u64,
     /// Total self (non-child) nanoseconds.
     pub self_ns: u64,
-    /// Median duration estimate.
+    /// Median duration, interpolated between order statistics.
     pub p50_ns: f64,
-    /// 95th-percentile duration estimate.
+    /// 95th-percentile duration, interpolated between order statistics.
     pub p95_ns: f64,
     /// Longest single duration (exact, not interpolated).
     pub max_ns: u64,
@@ -501,47 +516,31 @@ pub struct Profile {
     pub folded: BTreeMap<String, u64>,
 }
 
-/// Duration histogram edges: 100 ns to 100 s, 12 buckets per decade.
-/// Wide enough for everything this workspace records; interpolation error
-/// within one bucket is ~21%.
-fn duration_edges() -> Vec<f64> {
-    Histogram::log_edges(100.0, 1e11, 12)
-}
-
 /// Builds a [`Profile`] from a validated stream.
 #[must_use]
 pub fn build_profile(exp: &str, parsed: &ParsedEvents) -> Profile {
+    #[derive(Default)]
     struct Agg {
-        count: u64,
         total_ns: u64,
         self_ns: u64,
         max_ns: u64,
-        hist: Histogram,
+        durs: Vec<f64>,
     }
     let mut names: BTreeMap<String, Agg> = BTreeMap::new();
     let mut folded: BTreeMap<String, u64> = BTreeMap::new();
-    let edges = duration_edges();
 
     fn walk(
         node: &SpanNode,
         path: &mut String,
         names: &mut BTreeMap<String, Agg>,
         folded: &mut BTreeMap<String, u64>,
-        edges: &[f64],
     ) {
-        let agg = names.entry(node.name.clone()).or_insert_with(|| Agg {
-            count: 0,
-            total_ns: 0,
-            self_ns: 0,
-            max_ns: 0,
-            hist: Histogram::new(edges),
-        });
+        let agg = names.entry(node.name.clone()).or_default();
         let self_ns = node.self_ns();
-        agg.count += 1;
         agg.total_ns = agg.total_ns.saturating_add(node.dur_ns);
         agg.self_ns = agg.self_ns.saturating_add(self_ns);
         agg.max_ns = agg.max_ns.max(node.dur_ns);
-        agg.hist.observe(dur_f64(node.dur_ns));
+        agg.durs.push(dur_f64(node.dur_ns));
 
         let prev_len = path.len();
         if !path.is_empty() {
@@ -550,14 +549,14 @@ pub fn build_profile(exp: &str, parsed: &ParsedEvents) -> Profile {
         path.push_str(&node.name);
         *folded.entry(path.clone()).or_insert(0) += self_ns;
         for child in &node.children {
-            walk(child, path, names, folded, edges);
+            walk(child, path, names, folded);
         }
         path.truncate(prev_len);
     }
 
     let mut path = String::new();
     for root in &parsed.roots {
-        walk(root, &mut path, &mut names, &mut folded, &edges);
+        walk(root, &mut path, &mut names, &mut folded);
     }
 
     let names = names
@@ -566,11 +565,11 @@ pub fn build_profile(exp: &str, parsed: &ParsedEvents) -> Profile {
             (
                 name,
                 NameStats {
-                    count: agg.count,
+                    count: agg.durs.len() as u64,
                     total_ns: agg.total_ns,
                     self_ns: agg.self_ns,
-                    p50_ns: agg.hist.quantile(0.50).unwrap_or(0.0),
-                    p95_ns: agg.hist.quantile(0.95).unwrap_or(0.0),
+                    p50_ns: quantile(&agg.durs, 0.50),
+                    p95_ns: quantile(&agg.durs, 0.95),
                     max_ns: agg.max_ns,
                 },
             )
@@ -723,10 +722,16 @@ fn as_u64(v: f64) -> u64 {
     v as u64
 }
 
-/// `u64 -> f64` for histogram observation (durations fit well in 2^53).
+/// `u64 -> f64` for the quantile samples (durations fit well in 2^53).
 #[allow(clippy::cast_precision_loss)]
 fn dur_f64(v: u64) -> f64 {
     v as f64
+}
+
+/// The `q`-quantile of one span name's durations, of which there is at
+/// least one.
+fn quantile(durs: &[f64], q: f64) -> f64 {
+    percentile(durs, q).expect("a span name has a duration and q is in [0, 1]")
 }
 
 /// Rounds to 3 decimal places so interpolated quantiles serialize stably
@@ -787,6 +792,9 @@ mod tests {
         assert_eq!(step.total_ns, 80);
         assert_eq!(step.self_ns, 80);
         assert_eq!(step.max_ns, 50);
+        // Exact quantiles of {30, 50}, interpolated between the two.
+        assert!((step.p50_ns - 40.0).abs() < 1e-9, "p50 {}", step.p50_ns);
+        assert!((step.p95_ns - 49.0).abs() < 1e-9, "p95 {}", step.p95_ns);
         let run = &profile.names["run"];
         assert_eq!(run.self_ns, 120);
         assert_eq!(profile.folded["run"], 120);
@@ -891,6 +899,43 @@ mod tests {
             }) => {}
             other => panic!("expected SpanIdMismatch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn rejects_span_id_claimed_twice() {
+        // Two streams that both started their span counter at 1, spliced
+        // into one file: the same sid appears twice on distinct tids, so
+        // per-thread nesting checks alone cannot catch it.
+        let text = stream(&[
+            r#""ev":"enter","name":"sweep","t_ns":0,"tid":0,"depth":0,"sid":1"#,
+            r#""ev":"exit","name":"sweep","t_ns":1000,"tid":0,"depth":0,"dur_ns":1000,"sid":1"#,
+            r#""ev":"enter","name":"spliced.root","t_ns":10,"tid":1,"depth":0,"sid":1,"parent":1"#,
+            r#""ev":"exit","name":"spliced.root","t_ns":500,"tid":1,"depth":0,"dur_ns":490,"sid":1"#,
+        ]);
+        let err = parse_events(&text).expect_err("a spliced stream is refused");
+        match &err {
+            ReportError::DuplicateSpanId {
+                line: 3,
+                sid: 1,
+                first_line: 1,
+            } => {}
+            other => panic!("expected DuplicateSpanId, got {other:?}"),
+        }
+        let msg = err.to_string();
+        assert!(msg.contains("line 3") && msg.contains("line 1"), "{msg}");
+    }
+
+    #[test]
+    fn distinct_span_ids_parse() {
+        let text = stream(&[
+            r#""ev":"enter","name":"sweep","t_ns":0,"tid":0,"depth":0,"sid":1"#,
+            r#""ev":"enter","name":"par.worker","t_ns":10,"tid":1,"depth":0,"sid":2,"parent":1"#,
+            r#""ev":"exit","name":"par.worker","t_ns":500,"tid":1,"depth":0,"dur_ns":490,"sid":2"#,
+            r#""ev":"exit","name":"sweep","t_ns":1000,"tid":0,"depth":0,"dur_ns":1000,"sid":1"#,
+        ]);
+        let parsed = parse_events(&text).unwrap();
+        assert_eq!(parsed.roots.len(), 1);
+        assert!(parsed.orphans.is_empty());
     }
 
     #[test]
