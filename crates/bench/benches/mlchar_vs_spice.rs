@@ -1,5 +1,7 @@
 //! E2's speed claim as a benchmark: golden (SPICE-like) vs ML
 //! characterization of one cell arc, and per-instance library generation.
+//! Golden arcs run alone and in one batch of 220, the size of a cell's
+//! training sample, whose rail phases step eight arcs together.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lori_circuit::cell::CellKind;
@@ -9,6 +11,7 @@ use lori_circuit::netlist::processor_datapath;
 use lori_circuit::spicelike::{GoldenSimulator, OperatingPoint};
 use lori_circuit::tech::TechParams;
 use lori_core::units::{Celsius, Volts};
+use lori_core::Rng;
 use std::hint::black_box;
 
 fn bench_mlchar(c: &mut Criterion) {
@@ -34,6 +37,22 @@ fn bench_mlchar(c: &mut Criterion) {
     };
     c.bench_function("golden_single_arc", |b| {
         b.iter(|| sim.characterize(black_box(CellKind::Nand2), 2.0, black_box(&op)));
+    });
+    // NAND2 X2 arcs drawn from `MlCharConfig::default()`'s training box.
+    let mut rng = Rng::from_seed(0);
+    let batch: Vec<_> = (0..220)
+        .map(|_| {
+            let op = OperatingPoint {
+                slew_ps: rng.uniform_in(5.0, 160.0),
+                load_ff: rng.uniform_in(0.5, 16.0),
+                temperature: Celsius(65.0 + rng.uniform_in(0.0, 45.0)),
+                delta_vth: Volts(rng.uniform_in(0.0, 0.08)),
+            };
+            (CellKind::Nand2, 2.0, op)
+        })
+        .collect();
+    c.bench_function("golden_batch_of_220_arcs", |b| {
+        b.iter(|| sim.characterize_many(black_box(&batch)));
     });
     let nand2 = lib.find("NAND2_X2").expect("cell");
     c.bench_function("ml_single_arc", |b| {

@@ -41,7 +41,8 @@ impl Default for Corner {
     }
 }
 
-/// Characterizes one cell at a corner.
+/// Characterizes one cell at a corner, its 36 grid points in one golden
+/// batch.
 fn characterize_cell(
     sim: &GoldenSimulator,
     kind: CellKind,
@@ -50,22 +51,32 @@ fn characterize_cell(
 ) -> Result<StandardCell, CircuitError> {
     let slews = DEFAULT_SLEWS.to_vec();
     let loads = DEFAULT_LOADS.to_vec();
-    let mut delay = vec![vec![0.0; loads.len()]; slews.len()];
-    let mut out_slew = vec![vec![0.0; loads.len()]; slews.len()];
-    for (i, &s) in slews.iter().enumerate() {
-        for (j, &l) in loads.iter().enumerate() {
-            let op = OperatingPoint {
-                slew_ps: s,
-                load_ff: l,
-                temperature: corner.chip_temperature,
-                delta_vth: corner.delta_vth,
-            };
-            let t = sim.characterize(kind, drive, &op);
-            check_grid_point(&t, corner)?;
-            delay[i][j] = t.delay_ps;
-            out_slew[i][j] = t.out_slew_ps;
-        }
+    let grid: Vec<(CellKind, f64, OperatingPoint)> = slews
+        .iter()
+        .flat_map(|&slew_ps| {
+            loads.iter().map(move |&load_ff| {
+                let op = OperatingPoint {
+                    slew_ps,
+                    load_ff,
+                    temperature: corner.chip_temperature,
+                    delta_vth: corner.delta_vth,
+                };
+                (kind, drive, op)
+            })
+        })
+        .collect();
+    let timings = sim.characterize_many(&grid);
+    for t in &timings {
+        check_grid_point(t, corner)?;
     }
+    let rows = |field: fn(&ArcTiming) -> f64| -> Vec<Vec<f64>> {
+        timings
+            .chunks(loads.len())
+            .map(|row| row.iter().map(field).collect())
+            .collect()
+    };
+    let delay = rows(|t| t.delay_ps);
+    let out_slew = rows(|t| t.out_slew_ps);
     Ok(StandardCell {
         name: cell_name(kind, drive),
         kind,

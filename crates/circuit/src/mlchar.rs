@@ -85,13 +85,17 @@ impl MlCharacterizer {
     /// Each cell draws its samples from an independent RNG sub-stream
     /// split off `config.seed` by cell id, so the trained models are
     /// identical for every worker count (and independent of the order the
-    /// cell list is given in, beyond the serial split sequence).
+    /// cell list is given in, beyond the serial split sequence). A cell
+    /// draws all its samples first and characterizes them in one golden
+    /// batch ([`GoldenSimulator::characterize_many`]); samples at which the
+    /// cell cannot switch are dropped, in order.
     ///
     /// # Errors
     ///
     /// Returns [`CircuitError::Training`] if model fitting fails or
     /// [`CircuitError::InvalidParameter`] for degenerate ranges: a NaN or
-    /// infinite bound, or `lo > hi`.
+    /// infinite bound, `lo > hi`, or a negative lower bound of the slew or
+    /// load range, which the golden engine would clamp silently.
     pub fn train(
         sim: &GoldenSimulator,
         lib: &Library,
@@ -133,6 +137,14 @@ impl MlCharacterizer {
                 });
             }
         }
+        for lo in [config.slew_range.0, config.load_range.0] {
+            if lo < 0.0 {
+                return Err(CircuitError::InvalidParameter {
+                    what: "sample range",
+                    value: lo,
+                });
+            }
+        }
         let gb_cfg = GradientBoostConfig {
             stages: config.stages,
             learning_rate: 0.1,
@@ -155,40 +167,51 @@ impl MlCharacterizer {
         let fitted = lori_par::par_map(par, &tasks, |_, (cell_id, cell_rng)| {
             let cell = lib.cell(*cell_id);
             let mut rng = cell_rng.clone();
+            let samples: Vec<[f64; 4]> = (0..config.samples_per_cell)
+                .map(|_| {
+                    let slew = rng.uniform_in(
+                        config.slew_range.0,
+                        config.slew_range.1.max(config.slew_range.0 + 1e-9),
+                    );
+                    let load = rng.uniform_in(
+                        config.load_range.0,
+                        config.load_range.1.max(config.load_range.0 + 1e-9),
+                    );
+                    let dt = rng.uniform_in(
+                        config.delta_t_range.0,
+                        config.delta_t_range.1.max(config.delta_t_range.0 + 1e-9),
+                    );
+                    let dvth = rng.uniform_in(
+                        config.delta_vth_range.0,
+                        config
+                            .delta_vth_range
+                            .1
+                            .max(config.delta_vth_range.0 + 1e-9),
+                    );
+                    [slew, load, dt, dvth]
+                })
+                .collect();
+            let arcs: Vec<_> = samples
+                .iter()
+                .map(|&[slew, load, dt, dvth]| {
+                    let op = OperatingPoint {
+                        slew_ps: slew,
+                        load_ff: load,
+                        temperature: Celsius(config.chip_temperature.value() + dt),
+                        delta_vth: Volts(dvth),
+                    };
+                    (cell.kind, cell.drive, op)
+                })
+                .collect();
+            let timings = sim.characterize_many(&arcs);
             let mut xs = Vec::with_capacity(config.samples_per_cell);
             let mut delays = Vec::with_capacity(config.samples_per_cell);
             let mut slews = Vec::with_capacity(config.samples_per_cell);
-            for _ in 0..config.samples_per_cell {
-                let slew = rng.uniform_in(
-                    config.slew_range.0,
-                    config.slew_range.1.max(config.slew_range.0 + 1e-9),
-                );
-                let load = rng.uniform_in(
-                    config.load_range.0,
-                    config.load_range.1.max(config.load_range.0 + 1e-9),
-                );
-                let dt = rng.uniform_in(
-                    config.delta_t_range.0,
-                    config.delta_t_range.1.max(config.delta_t_range.0 + 1e-9),
-                );
-                let dvth = rng.uniform_in(
-                    config.delta_vth_range.0,
-                    config
-                        .delta_vth_range
-                        .1
-                        .max(config.delta_vth_range.0 + 1e-9),
-                );
-                let op = OperatingPoint {
-                    slew_ps: slew,
-                    load_ff: load,
-                    temperature: Celsius(config.chip_temperature.value() + dt),
-                    delta_vth: Volts(dvth),
-                };
-                let t = sim.characterize(cell.kind, cell.drive, &op);
+            for (x, t) in samples.iter().zip(&timings) {
                 if !t.delay_ps.is_finite() {
                     continue; // dead corner sample; skip
                 }
-                xs.push(vec![slew, load, dt, dvth]);
+                xs.push(x.to_vec());
                 delays.push(t.delay_ps);
                 slews.push(t.out_slew_ps);
             }
@@ -346,7 +369,8 @@ pub struct InstanceContext {
 }
 
 /// Golden (slow-path) instance library generation, for validating the ML
-/// path and for measuring the speedup of E2.
+/// path and for measuring the speedup of E2: every instance's arc in one
+/// golden batch, on the calling thread.
 #[must_use]
 pub fn golden_instance_library(
     sim: &GoldenSimulator,
@@ -355,7 +379,7 @@ pub fn golden_instance_library(
     contexts: &[InstanceContext],
     chip_temperature: Celsius,
 ) -> Vec<InstanceTiming> {
-    netlist
+    let arcs: Vec<_> = netlist
         .instances()
         .iter()
         .zip(contexts)
@@ -367,11 +391,14 @@ pub fn golden_instance_library(
                 temperature: Celsius(chip_temperature.value() + ctx.delta_t_k),
                 delta_vth: Volts(ctx.delta_vth_v),
             };
-            let t = sim.characterize(cell.kind, cell.drive, &op);
-            InstanceTiming {
-                delay_ps: t.delay_ps,
-                out_slew_ps: t.out_slew_ps,
-            }
+            (cell.kind, cell.drive, op)
+        })
+        .collect();
+    sim.characterize_many(&arcs)
+        .into_iter()
+        .map(|t| InstanceTiming {
+            delay_ps: t.delay_ps,
+            out_slew_ps: t.out_slew_ps,
         })
         .collect()
 }
@@ -541,6 +568,39 @@ mod tests {
     #[test]
     fn infinite_delta_vth_range_is_rejected() {
         assert_range_rejected(|c, r| c.delta_vth_range = r);
+    }
+
+    #[test]
+    fn negative_slew_or_load_lower_bound_is_rejected() {
+        let (sim, lib) = setup();
+        let inv = lib.find("INV_X1").unwrap();
+        let slew: fn(&mut MlCharConfig, (f64, f64)) = |c, r| c.slew_range = r;
+        let load: fn(&mut MlCharConfig, (f64, f64)) = |c, r| c.load_range = r;
+        for set in [slew, load] {
+            for (range, bad) in [((-3.0, 16.0), -3.0), ((-1e-9, -1e-9), -1e-9)] {
+                let mut config = small_config();
+                set(&mut config, range);
+                assert_eq!(
+                    MlCharacterizer::train(sim, lib, &[inv], &config),
+                    Err(CircuitError::InvalidParameter {
+                        what: "sample range",
+                        value: bad,
+                    }),
+                    "{range:?}"
+                );
+            }
+            // A zero lower bound is a range, and trains.
+            let mut config = small_config();
+            set(&mut config, (0.0, 16.0));
+            assert!(MlCharacterizer::train(sim, lib, &[inv], &config).is_ok());
+        }
+        // ΔT and ΔVth may fall below zero: cooler than the chip, or recovered.
+        let config = MlCharConfig {
+            delta_t_range: (-5.0, 45.0),
+            delta_vth_range: (-0.01, 0.08),
+            ..small_config()
+        };
+        assert!(MlCharacterizer::train(sim, lib, &[inv], &config).is_ok());
     }
 
     #[test]

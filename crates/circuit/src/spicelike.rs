@@ -14,10 +14,21 @@
 //! golden calls average about 17,000. Every step is taken — no phase is
 //! skipped in closed form — so the cost that experiment E2 weighs the ML
 //! characterizer against is a genuine golden-model cost, counted by the
-//! `circuit.transient.steps` metric, not a staged one. Each step computes
-//! only what changes in its phase of the transient (input ramp, saturated
-//! at the rail, linear at the rail); the single-loop form that recomputes
-//! the whole device current at every step is kept as the test oracle.
+//! `circuit.transient.steps` metric, not a staged one. An arc whose budget
+//! would exceed 10¹⁰ steps answers "cannot switch" without taking one.
+//!
+//! Each step computes only what changes in its phase of the transient
+//! (input ramp, saturated at the rail, linear at the rail). The ramp runs
+//! one arc at a time: it is bound by the throughput of its `powf`, which
+//! interleaving does not raise. The two rail phases are chains of
+//! dependent operations, a subtraction per step when saturated and two
+//! divisions when linear, so [`GoldenSimulator::characterize_many`] steps
+//! them for up to eight arcs of a batch at once, one arc per lane, and the
+//! lanes' chains overlap; an arc that crosses a threshold, leaves its phase
+//! or ends hands its lane to the next arc of the batch. Each lane's
+//! arithmetic is its own arc's, so a batch gives every arc the steps and
+//! the bits it gets alone. The single-loop form that recomputes the whole
+//! device current at every step is kept as the test oracle.
 
 use crate::cell::CellKind;
 use crate::error::CircuitError;
@@ -49,6 +60,24 @@ pub struct ArcTiming {
     pub out_slew_ps: f64,
 }
 
+/// The largest step budget an arc may size: an arc whose budget exceeds
+/// it answers "cannot switch" in 0 steps.
+///
+/// The budget grows without bound as `vth` nears `vdd`, because the drive
+/// current falls as `(vdd − vth)^alpha`: INV X1 at 20 ps into 4 fF sizes
+/// about 5.7·10⁸ steps at ΔVth 0.499 V (and takes 1.7·10⁷ of them),
+/// 1.1·10¹⁰ at 0.4999 V and 2.3·10¹¹ at 0.49999 V. The largest budget
+/// any test sizes is about 7.0·10⁸ steps (XOR2 at drive 0.001, an oracle
+/// edge point; the oracle's random ranges reach about 5.3·10⁸), and the
+/// binaries and the benchmark's workloads stay below 2.6·10⁶, so the
+/// ceiling stands more than ten times above every one of them.
+const STEP_CEILING: u64 = 10_000_000_000;
+
+/// How many arcs step the rail phases together. Eight lanes hide most of
+/// the division latency of the linear phase; four left some of it, and
+/// sixteen were no faster.
+const LANES: usize = 8;
+
 /// The golden transient engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GoldenSimulator {
@@ -56,7 +85,7 @@ pub struct GoldenSimulator {
     /// Integration steps per input-slew unit; total step count is
     /// `steps_per_ps × simulated time`, floored at `min_steps`.
     steps_per_ps: f64,
-    min_steps: usize,
+    min_steps: u64,
 }
 
 impl GoldenSimulator {
@@ -82,25 +111,35 @@ impl GoldenSimulator {
     }
 
     /// Characterizes one arc of `kind` at `drive` under `op` by running the
-    /// transient integration.
-    ///
-    /// Returns an [`ArcTiming`] with infinite delay and slew if the device
-    /// cannot switch (e.g. catastrophic aging), and the same answer, without
-    /// taking a step, if any field of `op` is NaN or infinite.
+    /// transient integration: [`GoldenSimulator::characterize_many`] on a
+    /// batch of one.
     #[must_use]
     pub fn characterize(&self, kind: CellKind, drive: f64, op: &OperatingPoint) -> ArcTiming {
-        let _span = lori_obs::span("circuit.transient.characterize");
-        let (timing, steps) = self.transient(kind, drive, op);
-        lori_obs::counter("circuit.transient.steps").incr(steps);
-        timing
+        self.characterize_many(&[(kind, drive, *op)])[0]
     }
 
-    /// The transient behind [`GoldenSimulator::characterize`]: the arc's
-    /// timing and the number of integration steps taken.
+    /// Characterizes every `(kind, drive, op)` arc of `arcs`, in order,
+    /// stepping the rail phases of up to eight arcs together.
     ///
-    /// `t` only grows and `v_out` only falls, so the run passes through
-    /// three phases in order (with `dt ≤ 0` it never leaves the first),
-    /// and each computes per step only what changes per step:
+    /// Every arc gets the timing and takes the steps it would alone. An
+    /// arc gets infinite delay and slew if the device cannot switch (e.g.
+    /// catastrophic aging), and the same answer, without taking a step, if
+    /// any field of its `op` is NaN or infinite or its step budget exceeds
+    /// 10¹⁰ steps. The batch opens one `circuit.transient.characterize`
+    /// span and adds its steps to `circuit.transient.steps`.
+    #[must_use]
+    pub fn characterize_many(&self, arcs: &[(CellKind, f64, OperatingPoint)]) -> Vec<ArcTiming> {
+        let _span = lori_obs::span("circuit.transient.characterize");
+        let runs = self.transients(arcs);
+        lori_obs::counter("circuit.transient.steps").incr(runs.iter().map(|r| r.steps).sum());
+        runs.into_iter().map(|r| r.timing).collect()
+    }
+
+    /// The transients behind [`GoldenSimulator::characterize_many`].
+    ///
+    /// `t` only grows and `v_out` only falls, so a transient passes through
+    /// three phases in order (with `dt ≤ 0` it never leaves the first), and
+    /// each computes per step only what changes per step:
     /// 1. the input ramp, while `vdd·t/slew < vdd`: the current is
     ///    `k · overdrive^alpha`, one `powf` per step;
     /// 2. the input at the rail with the device saturated
@@ -109,10 +148,38 @@ impl GoldenSimulator {
     /// 3. the input at the rail in the linear region: `i_sat_ua` scaled by
     ///    `v_out / vdsat`.
     ///
-    /// Every floating-point operation keeps the operands and the order of
-    /// the single-loop form that recomputes the whole current at every
-    /// step (the test oracle), so the steps and the bits are the same.
-    fn transient(&self, kind: CellKind, drive: f64, op: &OperatingPoint) -> (ArcTiming, u64) {
+    /// Each arc runs its ramp alone, in batch order; then every arc still
+    /// saturated goes through the saturated lanes, and every arc in its
+    /// linear region through the linear lanes. Every floating-point
+    /// operation keeps the operands and the order of the single-loop form
+    /// that recomputes the whole current at every step (the test oracle),
+    /// so the steps and the bits are the same.
+    fn transients(&self, arcs: &[(CellKind, f64, OperatingPoint)]) -> Vec<Transient> {
+        let mut runs = Vec::with_capacity(arcs.len());
+        let mut saturated = Vec::new();
+        let mut linear = Vec::new();
+        for (index, &(kind, drive, op)) in arcs.iter().enumerate() {
+            match self.ramp(index, kind, drive, &op) {
+                Ramped::Done(run) => runs.push(run),
+                Ramped::AtRail(arc) => {
+                    // Where the arc stands now, until it ends on the rail.
+                    runs.push(arc.finish());
+                    if arc.v_out >= arc.vdsat {
+                        saturated.push(arc);
+                    } else {
+                        linear.push(arc);
+                    }
+                }
+            }
+        }
+        step_rail(Rail::Saturated, &mut saturated, &mut runs, &mut linear);
+        step_rail(Rail::Linear, &mut linear, &mut runs, &mut Vec::new());
+        runs
+    }
+
+    /// Sizes one arc's transient and runs its input ramp.
+    fn ramp(&self, index: usize, kind: CellKind, drive: f64, op: &OperatingPoint) -> Ramped {
+        let vdd = self.tech.vdd.value();
         let fields = [
             op.slew_ps,
             op.load_ff,
@@ -120,12 +187,11 @@ impl GoldenSimulator {
             op.delta_vth.value(),
         ];
         if !fields.iter().all(|x| x.is_finite()) {
-            return (CANNOT_SWITCH, 0);
+            return Ramped::Done(Transient::no_step(vdd));
         }
-        let vdd = self.tech.vdd.value();
         let vth = self.tech.vth_at(op.temperature, op.delta_vth).value();
         if vth >= vdd {
-            return (CANNOT_SWITCH, 0);
+            return Ramped::Done(Transient::no_step(vdd));
         }
 
         // Effective drive width: stacking (logical effort) divides current.
@@ -134,7 +200,7 @@ impl GoldenSimulator {
             .tech
             .drive_current_ua(width, op.temperature, op.delta_vth);
         if i_sat_ua <= 0.0 {
-            return (CANNOT_SWITCH, 0);
+            return Ramped::Done(Transient::no_step(vdd));
         }
 
         // Total switched capacitance: external load + self-parasitics.
@@ -148,12 +214,14 @@ impl GoldenSimulator {
         let t_rc = 1000.0 * c_total * vdd / i_sat_ua; // ps
         let t_end = op.slew_ps + 30.0 * t_rc;
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let steps = ((t_end * self.steps_per_ps) as usize).max(self.min_steps);
+        let steps = ((t_end * self.steps_per_ps) as u64).max(self.min_steps);
+        if steps > STEP_CEILING {
+            return Ramped::Done(Transient::no_step(vdd));
+        }
         #[allow(clippy::cast_precision_loss)]
         let dt = t_end / steps as f64;
 
         let slew = op.slew_ps.max(1e-3);
-        let t_in_50 = 0.5 * slew;
         // The alpha-power current is `k · overdrive^alpha`; at the rail it
         // is `i_sat_ua`, the same product in the same order.
         let k = self.tech.unit_current_ua * width * self.tech.mobility_factor(op.temperature);
@@ -161,52 +229,49 @@ impl GoldenSimulator {
         let mut out = Crossings::new(vdd);
         let mut v_out = vdd;
         let mut t = 0.0f64;
-        let mut taken = 0usize;
+        let mut taken = 0u64;
+        let mut crossed = false;
         // dV/dt = −I/C; I in µA, C in fF, t in ps → dV = I·dt/C · 1e-3.
-        'run: {
-            // Input ramp 0 → Vdd over `slew`, until the first step whose
-            // input would reach the rail or whose `t` is NaN.
-            while taken < steps && vdd * t / slew < vdd {
-                taken += 1;
-                let overdrive = vdd * t / slew - vth;
-                let i_ua = if overdrive <= 0.0 {
-                    0.0
+        // Input ramp 0 → Vdd over `slew`, until the first step whose input
+        // would reach the rail or whose `t` is NaN.
+        while taken < steps && vdd * t / slew < vdd {
+            taken += 1;
+            let overdrive = vdd * t / slew - vth;
+            let i_ua = if overdrive <= 0.0 {
+                0.0
+            } else {
+                let sat = k * overdrive.powf(alpha);
+                if v_out >= vdsat {
+                    sat
                 } else {
-                    let sat = k * overdrive.powf(alpha);
-                    if v_out >= vdsat {
-                        sat
-                    } else {
-                        sat * (v_out / vdsat).max(0.0)
-                    }
-                };
-                v_out -= 1.0e-3 * i_ua * dt / c_total;
-                t += dt;
-                if v_out <= out.level && out.record(v_out, t) {
-                    break 'run;
+                    sat * (v_out / vdsat).max(0.0)
                 }
-            }
-            // Input at the rail, device saturated: a constant decrement.
-            let sat_step = 1.0e-3 * i_sat_ua * dt / c_total;
-            while taken < steps && v_out >= vdsat {
-                taken += 1;
-                v_out -= sat_step;
-                t += dt;
-                if v_out <= out.level && out.record(v_out, t) {
-                    break 'run;
-                }
-            }
-            // Input at the rail, linear region, until the step budget ends.
-            while taken < steps {
-                taken += 1;
-                let i_ua = i_sat_ua * (v_out / vdsat).max(0.0);
-                v_out -= 1.0e-3 * i_ua * dt / c_total;
-                t += dt;
-                if v_out <= out.level && out.record(v_out, t) {
-                    break 'run;
-                }
+            };
+            v_out -= 1.0e-3 * i_ua * dt / c_total;
+            t += dt;
+            if v_out <= out.level && out.record(v_out, t) {
+                crossed = true;
+                break;
             }
         }
-        (out.timing(t_in_50), taken as u64)
+        let arc = RailArc {
+            index,
+            steps,
+            taken,
+            dt,
+            vdsat,
+            i_sat_ua,
+            c_total,
+            t_in_50: 0.5 * slew,
+            v_out,
+            t,
+            out,
+        };
+        if crossed || taken == steps {
+            Ramped::Done(arc.finish())
+        } else {
+            Ramped::AtRail(arc)
+        }
     }
 }
 
@@ -216,11 +281,243 @@ const CANNOT_SWITCH: ArcTiming = ArcTiming {
     out_slew_ps: f64::INFINITY,
 };
 
+/// One arc's transient, run to its end.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Transient {
+    timing: ArcTiming,
+    /// Integration steps taken.
+    steps: u64,
+    /// The output voltage and the time after the last step, which the
+    /// oracle tests compare too: a step can change them in the last bit
+    /// without moving a crossing.
+    #[cfg_attr(not(test), allow(dead_code))]
+    v_out: f64,
+    #[cfg_attr(not(test), allow(dead_code))]
+    t: f64,
+}
+
+impl Transient {
+    /// The cannot-switch answer of an arc that takes no step.
+    fn no_step(vdd: f64) -> Self {
+        Transient {
+            timing: CANNOT_SWITCH,
+            steps: 0,
+            v_out: vdd,
+            t: 0.0,
+        }
+    }
+}
+
+/// Where an arc stands when its input ramp ends.
+enum Ramped {
+    /// Its transient is over: it never started, its output crossed 10 %,
+    /// or its step budget ran out.
+    Done(Transient),
+    /// Its input is at the rail, with steps left in its budget.
+    AtRail(RailArc),
+}
+
+/// An arc with its input at the rail: the constants its rail steps read
+/// and where its transient stands.
+#[derive(Clone, Copy)]
+struct RailArc {
+    /// Position in the batch.
+    index: usize,
+    /// The step budget, and the steps taken so far.
+    steps: u64,
+    taken: u64,
+    dt: f64,
+    vdsat: f64,
+    i_sat_ua: f64,
+    c_total: f64,
+    /// The input's 50 % point.
+    t_in_50: f64,
+    v_out: f64,
+    t: f64,
+    out: Crossings,
+}
+
+impl RailArc {
+    fn finish(&self) -> Transient {
+        Transient {
+            timing: self.out.timing(self.t_in_50),
+            steps: self.taken,
+            v_out: self.v_out,
+            t: self.t,
+        }
+    }
+}
+
+/// The two phases with the input at the rail.
+#[derive(Clone, Copy, PartialEq)]
+enum Rail {
+    /// `v_out ≥ vdsat`: each step subtracts the constant `sat_step`.
+    Saturated,
+    /// Below `vdsat`: the current scales with `v_out / vdsat`.
+    Linear,
+}
+
+/// Runs every arc of `queue` through `phase` in [`LANES`] lanes, until it
+/// ends (written to `runs` at its batch index) or, saturated, falls into
+/// its linear region (pushed onto `next`).
+///
+/// The lanes step together until one reaches its next threshold, leaves
+/// the phase or uses up its budget; that lane's arc is then handled here,
+/// and a lane whose arc is done takes the next one from the queue.
+fn step_rail(phase: Rail, queue: &mut [RailArc], runs: &mut [Transient], next: &mut Vec<RailArc>) {
+    let mut lanes = Lanes::default();
+    let mut waiting = 0..queue.len();
+    for lane in 0..LANES {
+        lanes.load(lane, waiting.next(), queue);
+    }
+    loop {
+        let budget = lanes.left.iter().copied().min().unwrap_or(u64::MAX);
+        if budget == u64::MAX {
+            return; // every lane idle
+        }
+        let n = match phase {
+            Rail::Saturated => lanes.step_saturated(budget),
+            Rail::Linear => lanes.step_linear(budget),
+        };
+        for lane in 0..LANES {
+            let Some(q) = lanes.held[lane] else { continue };
+            lanes.left[lane] -= n;
+            let v_out = lanes.v_out[lane];
+            // A NaN `v_out` is not saturated either, and leaves the phase.
+            let saturated = v_out >= lanes.vdsat[lane];
+            let leaves = phase == Rail::Saturated && !saturated;
+            if !(v_out <= lanes.level[lane] || leaves || lanes.left[lane] == 0) {
+                continue;
+            }
+            let arc = &mut queue[q];
+            arc.v_out = v_out;
+            arc.t = lanes.t[lane];
+            arc.taken = arc.steps - lanes.left[lane];
+            let crossed = v_out <= arc.out.level && arc.out.record(v_out, arc.t);
+            if crossed || arc.taken == arc.steps {
+                runs[arc.index] = arc.finish();
+            } else if leaves {
+                next.push(*arc);
+            } else {
+                lanes.level[lane] = arc.out.level;
+                continue;
+            }
+            lanes.load(lane, waiting.next(), queue);
+        }
+    }
+}
+
+/// The rail-phase state of up to [`LANES`] arcs, one per lane, in
+/// fixed-size arrays the step loops run over.
+#[derive(Default)]
+struct Lanes {
+    /// Each lane's queue position, `None` when idle.
+    held: [Option<usize>; LANES],
+    /// Steps left in each lane's budget; `u64::MAX` when idle.
+    left: [u64; LANES],
+    v_out: [f64; LANES],
+    t: [f64; LANES],
+    dt: [f64; LANES],
+    /// The next output threshold each lane's arc will cross.
+    level: [f64; LANES],
+    vdsat: [f64; LANES],
+    /// The saturated phase's decrement, `1e-3 · i_sat_ua · dt / c_total`.
+    sat_step: [f64; LANES],
+    i_sat_ua: [f64; LANES],
+    c_total: [f64; LANES],
+}
+
+/// What an idle lane holds: an arc that never moves, never crosses a
+/// threshold and never runs out of steps.
+const IDLE: RailArc = RailArc {
+    index: 0,
+    steps: u64::MAX,
+    taken: 0,
+    dt: 0.0,
+    vdsat: 1.0,
+    i_sat_ua: 0.0,
+    c_total: 1.0,
+    t_in_50: 0.0,
+    v_out: 1.0,
+    t: 0.0,
+    out: Crossings {
+        thresholds: [f64::NEG_INFINITY; 3],
+        times: [f64::NAN; 3],
+        next: 0,
+        level: f64::NEG_INFINITY,
+    },
+};
+
+impl Lanes {
+    /// Puts the arc at queue position `q` into `lane`, or [`IDLE`] when
+    /// `q` is `None`.
+    fn load(&mut self, lane: usize, q: Option<usize>, queue: &[RailArc]) {
+        let arc = q.map_or(&IDLE, |q| &queue[q]);
+        self.held[lane] = q;
+        self.left[lane] = arc.steps - arc.taken;
+        self.v_out[lane] = arc.v_out;
+        self.t[lane] = arc.t;
+        self.dt[lane] = arc.dt;
+        self.level[lane] = arc.out.level;
+        self.vdsat[lane] = arc.vdsat;
+        self.sat_step[lane] = 1.0e-3 * arc.i_sat_ua * arc.dt / arc.c_total;
+        self.i_sat_ua[lane] = arc.i_sat_ua;
+        self.c_total[lane] = arc.c_total;
+    }
+
+    /// Steps every lane through the saturated phase, at most `max` steps,
+    /// stopping after the first step on which a lane reaches its next
+    /// threshold or falls below `vdsat`; returns the steps taken.
+    fn step_saturated(&mut self, max: u64) -> u64 {
+        let (mut v_out, mut t) = (self.v_out, self.t);
+        let mut n = 0;
+        while n < max {
+            n += 1;
+            let mut stop = false;
+            for l in 0..LANES {
+                v_out[l] -= self.sat_step[l];
+                t[l] += self.dt[l];
+                let saturated = v_out[l] >= self.vdsat[l];
+                stop |= (v_out[l] <= self.level[l]) | !saturated;
+            }
+            if stop {
+                break;
+            }
+        }
+        (self.v_out, self.t) = (v_out, t);
+        n
+    }
+
+    /// Steps every lane through the linear phase, at most `max` steps,
+    /// stopping after the first step on which a lane reaches its next
+    /// threshold; returns the steps taken.
+    fn step_linear(&mut self, max: u64) -> u64 {
+        let (mut v_out, mut t) = (self.v_out, self.t);
+        let mut n = 0;
+        while n < max {
+            n += 1;
+            let mut stop = false;
+            for l in 0..LANES {
+                let i_ua = self.i_sat_ua[l] * (v_out[l] / self.vdsat[l]).max(0.0);
+                v_out[l] -= 1.0e-3 * i_ua * self.dt[l] / self.c_total[l];
+                t[l] += self.dt[l];
+                stop |= v_out[l] <= self.level[l];
+            }
+            if stop {
+                break;
+            }
+        }
+        (self.v_out, self.t) = (v_out, t);
+        n
+    }
+}
+
 /// The 90/50/10 % output crossing times of one falling transient.
 ///
 /// The thresholds fall, so they are recorded in order: a step compares
 /// `v_out` with `level`, the next unrecorded one, and leaves the rest to
 /// the rare [`Crossings::record`].
+#[derive(Clone, Copy)]
 struct Crossings {
     thresholds: [f64; 3],
     times: [f64; 3],
@@ -392,8 +689,8 @@ mod tests {
             ];
             for p in &points {
                 assert_eq!(
-                    s.transient(CellKind::Inv, 1.0, p),
-                    (CANNOT_SWITCH, 0),
+                    s.transients(&[(CellKind::Inv, 1.0, *p)]),
+                    [Transient::no_step(0.8)],
                     "{p:?}"
                 );
                 assert_eq!(

@@ -12,11 +12,15 @@
 //! runs at every catalog drive, so a one-bit drift in a delay or a slew, or
 //! one step more or fewer, shows up here.
 //!
+//! The 240 arcs run twice: once as single calls and once as one batch,
+//! whose rail phases step eight arcs together. Both must give the recorded
+//! bits and steps.
+//!
 //! This file holds one test, so no other golden call in the process moves
 //! the `circuit.transient.steps` counter while it runs.
 
 use lori::circuit::cell::{CellKind, DRIVE_STRENGTHS};
-use lori::circuit::spicelike::{GoldenSimulator, OperatingPoint};
+use lori::circuit::spicelike::{ArcTiming, GoldenSimulator, OperatingPoint};
 use lori::circuit::tech::TechParams;
 use lori::core::units::{Celsius, Volts};
 
@@ -40,6 +44,13 @@ fn op(slew_ps: f64, load_ff: f64, celsius: f64, delta_vth: f64) -> OperatingPoin
     }
 }
 
+/// Folds every timing's delay and slew bits into one hash.
+fn hash(timings: &[ArcTiming]) -> u64 {
+    timings.iter().fold(FNV_OFFSET, |hash, t| {
+        fnv1a(fnv1a(hash, t.delay_ps.to_bits()), t.out_slew_ps.to_bits())
+    })
+}
+
 #[test]
 fn golden_arcs_match_recorded_bits_and_steps() {
     let sim = GoldenSimulator::new(TechParams::default()).expect("valid tech");
@@ -53,19 +64,39 @@ fn golden_arcs_match_recorded_bits_and_steps() {
         // Slow edge, heavy load, cold and half aged.
         op(120.0, 12.0, -40.0, 0.04),
     ];
+    let arcs: Vec<(CellKind, f64, OperatingPoint)> = points
+        .iter()
+        .flat_map(|&point| {
+            CellKind::ALL.into_iter().flat_map(move |kind| {
+                DRIVE_STRENGTHS
+                    .into_iter()
+                    .map(move |drive| (kind, drive, point))
+            })
+        })
+        .collect();
+    assert_eq!(arcs.len(), 240);
     let steps = lori_obs::counter("circuit.transient.steps");
+
     let before = steps.get();
-    let mut hash = FNV_OFFSET;
-    for point in &points {
-        for kind in CellKind::ALL {
-            for drive in DRIVE_STRENGTHS {
-                let t = sim.characterize(kind, drive, point);
-                hash = fnv1a(hash, t.delay_ps.to_bits());
-                hash = fnv1a(hash, t.out_slew_ps.to_bits());
-            }
-        }
+    let single: Vec<ArcTiming> = arcs
+        .iter()
+        .map(|(kind, drive, point)| sim.characterize(*kind, *drive, point))
+        .collect();
+    let single_steps = steps.get() - before;
+
+    let before = steps.get();
+    let batch = sim.characterize_many(&arcs);
+    let batch_steps = steps.get() - before;
+
+    for (run, timings, taken) in [
+        ("single calls", &single, single_steps),
+        ("one batch", &batch, batch_steps),
+    ] {
+        assert_eq!(
+            hash(timings),
+            0x448a_9f50_a158_a199,
+            "{run}: delay/slew bits"
+        );
+        assert_eq!(taken, 3_454_209, "{run}: circuit.transient.steps");
     }
-    let taken = steps.get() - before;
-    assert_eq!(hash, 0x448a_9f50_a158_a199, "delay/slew bits");
-    assert_eq!(taken, 3_454_209, "circuit.transient.steps");
 }
