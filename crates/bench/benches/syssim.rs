@@ -8,7 +8,7 @@ use lori_core::Rng;
 use lori_ml::rl::{QLearning, RlConfig};
 use lori_sys::manager::{DvfsEnvConfig, DvfsEnvironment};
 use lori_sys::platform::{CoreKind, Platform};
-use lori_sys::sched::{Governor, Mapping, SimConfig, Simulator};
+use lori_sys::sched::{Mapping, SimConfig, Simulator};
 use lori_sys::task::generate_task_set;
 use std::hint::black_box;
 
@@ -26,17 +26,10 @@ fn bench_syssim(c: &mut Criterion) {
                     platform.clone(),
                     tasks.clone(),
                     mapping.clone(),
-                    SimConfig {
-                        governor: Governor::OnDemand {
-                            up: 0.8,
-                            down: 0.3,
-                            epoch_quanta: 10,
-                        },
-                        ..SimConfig::default()
-                    },
+                    SimConfig::default(),
                 )
                 .expect("simulator");
-                sim.run_for(1000.0);
+                sim.run_for(1000.0).expect("duration");
                 sim.report()
             });
         });

@@ -8,7 +8,7 @@
 use lori_bench::{fmt, render_table, Harness};
 use lori_core::Rng;
 use lori_sys::platform::{CoreKind, Platform};
-use lori_sys::sched::{Governor, Mapping, SimConfig, Simulator};
+use lori_sys::sched::{Mapping, SimConfig, Simulator};
 use lori_sys::task::generate_task_set;
 
 fn main() {
@@ -28,14 +28,16 @@ fn main() {
     let mut energy_by_level = Vec::new();
     let mut errors_by_level = Vec::new();
     for level in 0..5 {
-        let config = SimConfig {
-            governor: Governor::Fixed(level),
-            ..SimConfig::default()
-        };
         let r = h.phase("simulate", || {
-            let mut sim = Simulator::new(platform.clone(), tasks.clone(), mapping.clone(), config)
-                .expect("simulator");
-            sim.run_for(10_000.0);
+            let mut sim = Simulator::new(
+                platform.clone(),
+                tasks.clone(),
+                mapping.clone(),
+                SimConfig::default(),
+            )
+            .expect("simulator");
+            sim.set_global_level(level).expect("level");
+            sim.run_for(10_000.0).expect("duration");
             sim.report()
         });
         energy_by_level.push(r.metrics.energy_j);

@@ -1,5 +1,5 @@
-//! E11b (Sec. IV, refs \[1\]\[43\]\[44\]): a Q-learning DVFS manager vs static
-//! and ondemand governors.
+//! E11b (Sec. IV, refs \[1\]\[43\]\[44\]): a Q-learning DVFS manager vs the
+//! five static V-f levels.
 //!
 //! Paper claim: reinforcement-learning managers adapt the V-f knob at run
 //! time and find better reliability/energy operating points than static

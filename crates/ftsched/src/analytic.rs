@@ -224,7 +224,7 @@ mod tests {
     }
 
     #[test]
-    fn carryover_dominates_no_carryover_for_wcet() {
+    fn wcet_mc_hit_rate_reaches_per_segment_rate_below_knee() {
         // At this one point, below WCET's knee, the simulator's carried
         // slack outweighs its carried debt, so its MC hit rate is at least
         // the per-segment rate. Past the knee it is not.
@@ -233,7 +233,8 @@ mod tests {
         let p = 4e-6;
         let errors = ErrorModel::new(p).expect("p");
         let sys = MitigationSystem::new(BudgetAlgorithm::Wcet);
-        let bound = trace_hit_rate_no_carryover(&trace, &errors, &sys, &cp).expect("bound");
+        let per_segment =
+            trace_hit_rate_no_carryover(&trace, &errors, &sys, &cp).expect("per-segment rate");
         let mc = sweep(
             &[p],
             &trace,
@@ -245,8 +246,8 @@ mod tests {
         .expect("sweep")[0]
             .hit_rate[3];
         assert!(
-            mc + 0.03 >= bound,
-            "carry-over MC {mc} below analytic bound {bound}"
+            mc + 0.03 >= per_segment,
+            "carry-over MC {mc} more than 0.03 below the per-segment rate {per_segment}"
         );
     }
 

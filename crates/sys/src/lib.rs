@@ -1,12 +1,13 @@
 //! # lori-sys
 //!
 //! OS/system-level reliability substrate for LORI, implementing Sec. IV of
-//! the paper: the three optimization knobs (task-to-core mapping, DVFS,
-//! DPM) exercised on a simulated multicore platform with power, thermal,
+//! the paper: two of its three optimization knobs, task-to-core mapping and
+//! DVFS, exercised on a simulated multicore platform with power, thermal,
 //! soft-error, and lifetime models — and learning-based run-time managers
-//! on top.
+//! on top. The third knob, DPM, is surveyed in Sec. IV but measured by no
+//! experiment, so it is not reproduced.
 //!
-//! - [`platform`] — cores, V-f operating points, power model, DPM states;
+//! - [`platform`] — cores, V-f operating points, power model;
 //! - [`task`] — periodic real-time tasks and task-set generation (UUniFast);
 //! - [`thermal`] — a lumped RC thermal network with core-to-core coupling;
 //! - [`ser`] — soft-error rate as a function of supply voltage (lowering
@@ -14,7 +15,7 @@
 //! - [`mttf`] — device-level lifetime models (EM, TDDB, TC, NBTI, HCI),
 //!   which the simulator combines by summing failure rates;
 //! - [`sched`] — a quantum-based multicore simulator: EDF per core, static
-//!   mapping, DVFS governors, DPM, deadline accounting;
+//!   mapping, global V-f levels, deadline accounting;
 //! - [`mapping`] — heterogeneous task mapping and the MWTF metric (ref \[2\]);
 //! - [`manager`] — the Fig.-1 loop instantiated: an RL environment whose
 //!   actions are global V-f levels and whose reward trades energy, deadline

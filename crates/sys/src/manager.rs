@@ -10,7 +10,7 @@
 
 use crate::error::SysError;
 use crate::platform::Platform;
-use crate::sched::{Governor, Mapping, Metrics, SimConfig, Simulator};
+use crate::sched::{Mapping, Metrics, SimConfig, Simulator};
 use crate::task::Task;
 use lori_core::mgmt::{Environment, Transition};
 use lori_ml::rl::Discretizer;
@@ -96,10 +96,8 @@ impl Default for DvfsEnvConfig {
 /// An RL environment whose action is the global V-f level of the platform.
 #[derive(Debug, Clone)]
 pub struct DvfsEnvironment {
-    platform: Platform,
-    tasks: Vec<Task>,
-    mapping: Mapping,
-    sim_config: SimConfig,
+    /// The simulator as constructed, which every episode starts from.
+    initial: Simulator,
     config: DvfsEnvConfig,
     discretizer: Discretizer,
     n_levels: usize,
@@ -109,21 +107,21 @@ pub struct DvfsEnvironment {
 }
 
 impl DvfsEnvironment {
-    /// Creates the environment. The simulator always runs with
-    /// [`Governor::External`], regardless of `sim_config.governor`.
+    /// Creates the environment.
     ///
     /// # Errors
     ///
-    /// Propagates simulator construction errors and discretizer errors
-    /// (reported as [`SysError::BadParameter`]).
+    /// Returns [`SysError::BadParameter`] for a non-finite or non-positive
+    /// `epoch_ms`, and propagates simulator construction errors and
+    /// discretizer errors (reported as [`SysError::BadParameter`]).
     pub fn new(
         platform: Platform,
         tasks: Vec<Task>,
         mapping: Mapping,
-        mut sim_config: SimConfig,
+        sim_config: SimConfig,
         config: DvfsEnvConfig,
     ) -> Result<Self, SysError> {
-        sim_config.governor = Governor::External;
+        check_epoch(config.epoch_ms)?;
         let n_levels = platform
             .cores()
             .iter()
@@ -141,21 +139,13 @@ impl DvfsEnvironment {
                     value: 0.0,
                 },
             )?;
-        let sim = Simulator::new(
-            platform.clone(),
-            tasks.clone(),
-            mapping.clone(),
-            sim_config.clone(),
-        )?;
+        let initial = Simulator::new(platform, tasks, mapping, sim_config)?;
         Ok(DvfsEnvironment {
-            platform,
-            tasks,
-            mapping,
-            sim_config,
+            sim: initial.clone(),
+            initial,
             config,
             discretizer,
             n_levels,
-            sim,
             epoch: 0,
             last_metrics: Metrics::default(),
         })
@@ -185,13 +175,7 @@ impl Environment for DvfsEnvironment {
     }
 
     fn reset(&mut self) -> usize {
-        self.sim = Simulator::new(
-            self.platform.clone(),
-            self.tasks.clone(),
-            self.mapping.clone(),
-            self.sim_config.clone(),
-        )
-        .expect("validated at construction");
+        self.sim = self.initial.clone();
         self.epoch = 0;
         self.last_metrics = Metrics::default();
         self.observe()
@@ -204,7 +188,9 @@ impl Environment for DvfsEnvironment {
         self.sim
             .set_global_level(action)
             .expect("level validated by action_count");
-        self.sim.run_for(self.config.epoch_ms);
+        self.sim
+            .run_for(self.config.epoch_ms)
+            .expect("epoch validated at construction");
         let now = self.sim.metrics();
         let delta = now.since(&self.last_metrics);
         self.last_metrics = now;
@@ -221,6 +207,18 @@ impl Environment for DvfsEnvironment {
     }
 }
 
+/// The `DvfsEnvironment::new` guard: a control epoch must be a finite,
+/// positive duration, or every step would simulate nothing or never return.
+fn check_epoch(epoch_ms: f64) -> Result<(), SysError> {
+    if epoch_ms.is_finite() && epoch_ms > 0.0 {
+        return Ok(());
+    }
+    Err(SysError::BadParameter {
+        what: "epoch_ms",
+        value: epoch_ms,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,7 +228,7 @@ mod tests {
     use lori_core::Rng;
     use lori_ml::rl::{QLearning, RlConfig};
 
-    fn env(seed: u64) -> DvfsEnvironment {
+    fn env_with(seed: u64, epoch_ms: f64) -> Result<DvfsEnvironment, SysError> {
         let platform = Platform::homogeneous(CoreKind::Little, 2).unwrap();
         let mut rng = Rng::from_seed(seed);
         let tasks = generate_task_set(4, 0.5, 1.6e6, (10.0, 50.0), &mut rng).unwrap();
@@ -241,11 +239,15 @@ mod tests {
             mapping,
             SimConfig::default(),
             DvfsEnvConfig {
+                epoch_ms,
                 epochs_per_episode: 10,
                 ..DvfsEnvConfig::default()
             },
         )
-        .unwrap()
+    }
+
+    fn env(seed: u64) -> DvfsEnvironment {
+        env_with(seed, DvfsEnvConfig::default().epoch_ms).unwrap()
     }
 
     #[test]
@@ -331,5 +333,19 @@ mod tests {
         assert!(w.reward(&good, 60.0) > w.reward(&bad, 60.0));
         // Overtemp penalty bites.
         assert!(w.reward(&good, 100.0) < w.reward(&good, 60.0));
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_epoch_is_a_typed_error() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -50.0] {
+            match env_with(5, bad) {
+                Err(SysError::BadParameter { what, .. }) => assert_eq!(what, "epoch_ms"),
+                other => panic!("epoch_ms {bad} gave {:?}", other.map(|_| ())),
+            }
+        }
+        let mut e = env_with(5, 0.5).unwrap();
+        e.reset();
+        e.step(4);
+        assert_eq!(e.metrics().elapsed_ms, 1.0);
     }
 }

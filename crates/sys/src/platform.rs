@@ -1,4 +1,8 @@
-//! Cores, V-f operating points, the power model, and DPM states.
+//! Cores, V-f operating points, and the power model.
+//!
+//! A core draws dynamic power while it runs a job and leakage whenever it
+//! is powered; there are no DPM sleep states (Sec. IV surveys DPM, but no
+//! experiment here measures it).
 
 use crate::error::SysError;
 use lori_core::units::{Celsius, MegaHertz, Volts, Watts};
@@ -10,19 +14,6 @@ pub struct VfPoint {
     pub voltage: Volts,
     /// Clock frequency.
     pub frequency: MegaHertz,
-}
-
-/// Dynamic-power-management state of a core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PowerState {
-    /// Executing (or ready to execute) at its current V-f point.
-    #[default]
-    Active,
-    /// Clock-gated: leakage only.
-    Idle,
-    /// Power-gated: near-zero power; waking costs
-    /// [`CoreKind::wakeup_penalty_ms`].
-    Sleep,
 }
 
 /// Heterogeneous core flavour, in the big.LITTLE mold.
@@ -73,15 +64,6 @@ impl CoreKind {
         match self {
             CoreKind::Big => 0.35,
             CoreKind::Little => 0.12,
-        }
-    }
-
-    /// Time to wake from [`PowerState::Sleep`], in ms.
-    #[must_use]
-    pub fn wakeup_penalty_ms(self) -> f64 {
-        match self {
-            CoreKind::Big => 2.0,
-            CoreKind::Little => 1.0,
         }
     }
 
@@ -162,12 +144,9 @@ impl Core {
     }
 
     /// Leakage power at a voltage and temperature (exponential in T):
-    /// `P = P0 · V · exp(k·(T − T_ref))`, zero in [`PowerState::Sleep`].
+    /// `P = P0 · V · exp(k·(T − T_ref))`.
     #[must_use]
-    pub fn leakage_power(&self, voltage: Volts, temp: Celsius, state: PowerState) -> Watts {
-        if state == PowerState::Sleep {
-            return Watts(0.0);
-        }
+    pub fn leakage_power(&self, voltage: Volts, temp: Celsius) -> Watts {
         let k = 0.013; // per kelvin
         Watts(self.kind.leakage_scale_w() * voltage.value() * (k * (temp.value() - 45.0)).exp())
     }
@@ -276,17 +255,12 @@ mod tests {
     }
 
     #[test]
-    fn leakage_grows_with_temperature_and_stops_in_sleep() {
+    fn leakage_grows_with_temperature() {
         let core = Core::new(CoreKind::Little);
         let v = Volts(0.75);
-        let cool = core.leakage_power(v, Celsius(45.0), PowerState::Active);
-        let hot = core.leakage_power(v, Celsius(85.0), PowerState::Active);
+        let cool = core.leakage_power(v, Celsius(45.0));
+        let hot = core.leakage_power(v, Celsius(85.0));
         assert!(hot.value() > cool.value());
-        assert_eq!(
-            core.leakage_power(v, Celsius(85.0), PowerState::Sleep)
-                .value(),
-            0.0
-        );
     }
 
     #[test]

@@ -1,15 +1,18 @@
-//! The quantum-based multicore simulator: EDF per core, static task-to-core
-//! mapping, DVFS governors, DPM, and reliability accounting.
+//! The quantum-based multicore simulator behind E11a and E11b: EDF per
+//! core, static task-to-core mapping, V-f levels set through
+//! [`Simulator::set_global_level`], and reliability accounting.
 //!
-//! Each simulation quantum (default 1 ms) every active core executes its
-//! earliest-deadline ready job, burns power, heats the die, accumulates
-//! soft-error exposure, and accrues wear-out damage under the EM/TDDB/
-//! NBTI/HCI models; thermal-cycling damage is assessed at the end from the
-//! temperature trace.
+//! Every core starts at the top of its V-f ladder. Each 1 ms quantum every
+//! core executes its earliest-deadline ready job, burns power, heats the
+//! die, accumulates soft-error exposure, and accrues wear-out damage under
+//! the EM/TDDB/NBTI/HCI models; thermal-cycling damage is assessed at the
+//! end from the temperature trace. An idle core draws leakage only: the
+//! paper's third knob, DPM sleep states, is surveyed in Sec. IV but no
+//! experiment measures it, so the simulator has none.
 
 use crate::error::SysError;
 use crate::mttf::{em_mttf, hci_mttf, nbti_mttf, tc_mttf, tddb_mttf, Operating};
-use crate::platform::{Platform, PowerState, VfPoint};
+use crate::platform::Platform;
 use crate::ser::SerModel;
 use crate::task::Task;
 use crate::thermal::{count_thermal_cycles, ThermalConfig, ThermalModel};
@@ -61,74 +64,20 @@ impl Mapping {
     }
 }
 
-/// DVFS policy.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Governor {
-    /// Always the highest V-f level.
-    Performance,
-    /// Always the lowest V-f level.
-    Powersave,
-    /// Fixed level on every core.
-    Fixed(usize),
-    /// Linux-ondemand-style: raise the level when epoch utilization exceeds
-    /// `up`, lower when below `down`. Evaluated every `epoch_quanta`.
-    OnDemand {
-        /// Upper utilization threshold.
-        up: f64,
-        /// Lower utilization threshold.
-        down: f64,
-        /// Control period in quanta.
-        epoch_quanta: usize,
-    },
-    /// Levels are set externally via [`Simulator::set_level`] (used by the
-    /// learning managers).
-    External,
-}
+/// How long one simulation quantum lasts, in ms.
+const QUANTUM_MS: f64 = 1.0;
 
-/// Per-core scheduling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulingPolicy {
-    /// Earliest deadline first (optimal on one core).
-    #[default]
-    Edf,
-    /// Rate monotonic: fixed priority by period (shorter period wins).
-    RateMonotonic,
-}
+/// Quanta per sample of the temperature trace that thermal cycling is
+/// counted on.
+const TRACE_STRIDE: u64 = 10;
 
 /// Simulation configuration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimConfig {
-    /// Quantum length in ms.
-    pub quantum_ms: f64,
-    /// Per-core scheduling policy.
-    pub policy: SchedulingPolicy,
-    /// Governor.
-    pub governor: Governor,
-    /// Whether idle cores are put to sleep (DPM) after `dpm_idle_quanta`.
-    pub dpm_enabled: bool,
-    /// Consecutive idle quanta before sleeping.
-    pub dpm_idle_quanta: usize,
     /// Thermal parameters.
     pub thermal: ThermalConfig,
     /// Soft-error model.
     pub ser: SerModel,
-    /// Temperature-trace downsampling (quanta per sample).
-    pub trace_stride: usize,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            quantum_ms: 1.0,
-            policy: SchedulingPolicy::Edf,
-            governor: Governor::Performance,
-            dpm_enabled: false,
-            dpm_idle_quanta: 5,
-            thermal: ThermalConfig::default(),
-            ser: SerModel::default(),
-            trace_stride: 10,
-        }
-    }
 }
 
 /// Cumulative metrics, diffable for per-epoch rewards.
@@ -188,15 +137,9 @@ pub struct SimReport {
     pub metrics: Metrics,
     /// Time-average die temperature (hottest core average).
     pub avg_peak_temp: Celsius,
-    /// Maximum observed die temperature.
-    pub max_temp: Celsius,
     /// Estimated MTTF from damage accumulation + thermal cycling (worst
     /// core, sum of failure rates).
     pub mttf_estimate: Seconds,
-    /// Per-core busy fraction.
-    pub core_utilization: Vec<f64>,
-    /// Thermal cycles counted on the worst core (count, mean amplitude K).
-    pub thermal_cycles: (usize, f64),
 }
 
 #[derive(Debug, Clone)]
@@ -214,77 +157,50 @@ pub struct Simulator {
     mapping: Mapping,
     config: SimConfig,
     levels: Vec<usize>,
-    states: Vec<PowerState>,
-    wake_remaining_ms: Vec<f64>,
-    idle_quanta: Vec<usize>,
     ready: Vec<Vec<Job>>,
     next_release_ms: Vec<f64>,
     thermal: ThermalModel,
-    time_ms: f64,
-    quantum_index: usize,
     metrics: Metrics,
-    busy_ms: Vec<f64>,
     wear_damage: Vec<f64>,
     temp_trace: Vec<f64>,
     peak_temp_sum: f64,
-    peak_temp_samples: u64,
-    max_temp: f64,
+    quanta: u64,
     epoch_busy: Vec<f64>,
     epoch_elapsed: f64,
 }
 
 impl Simulator {
-    /// Creates a simulator.
+    /// Creates a simulator with every core at the top of its V-f ladder.
     ///
     /// # Errors
     ///
-    /// Returns [`SysError`] variants for invalid mapping, governor level, or
-    /// model parameters.
+    /// Returns [`SysError`] variants for an invalid mapping or model
+    /// parameters.
     pub fn new(
         platform: Platform,
         tasks: Vec<Task>,
         mapping: Mapping,
         config: SimConfig,
     ) -> Result<Self, SysError> {
-        if config.quantum_ms <= 0.0 {
-            return Err(SysError::BadParameter {
-                what: "quantum_ms",
-                value: config.quantum_ms,
-            });
-        }
         config.ser.validate()?;
         let n_cores = platform.core_count();
         Mapping::new(mapping.assignment().to_vec(), tasks.len(), n_cores)?;
-        let initial_level = |core: &crate::platform::Core| match &config.governor {
-            Governor::Powersave => 0,
-            Governor::Fixed(l) => *l,
-            _ => core.level_count() - 1,
-        };
-        let levels: Vec<usize> = platform.cores().iter().map(initial_level).collect();
-        for (i, (&l, core)) in levels.iter().zip(platform.cores()).enumerate() {
-            if l >= core.level_count() {
-                return Err(SysError::BadLevel { core: i, level: l });
-            }
-        }
+        let levels = platform
+            .cores()
+            .iter()
+            .map(|c| c.level_count() - 1)
+            .collect();
         let thermal = ThermalModel::new(n_cores, config.thermal.clone())?;
-        let n_tasks = tasks.len();
         Ok(Simulator {
             levels,
-            states: vec![PowerState::Active; n_cores],
-            wake_remaining_ms: vec![0.0; n_cores],
-            idle_quanta: vec![0; n_cores],
             ready: vec![Vec::new(); n_cores],
-            next_release_ms: vec![0.0; n_tasks],
+            next_release_ms: vec![0.0; tasks.len()],
             thermal,
-            time_ms: 0.0,
-            quantum_index: 0,
             metrics: Metrics::default(),
-            busy_ms: vec![0.0; n_cores],
             wear_damage: vec![0.0; n_cores],
             temp_trace: Vec::new(),
             peak_temp_sum: 0.0,
-            peak_temp_samples: 0,
-            max_temp: f64::NEG_INFINITY,
+            quanta: 0,
             epoch_busy: vec![0.0; n_cores],
             epoch_elapsed: 0.0,
             platform,
@@ -292,12 +208,6 @@ impl Simulator {
             mapping,
             config,
         })
-    }
-
-    /// Current simulated time in ms.
-    #[must_use]
-    pub fn time_ms(&self) -> f64 {
-        self.time_ms
     }
 
     /// Cumulative metrics so far.
@@ -312,8 +222,8 @@ impl Simulator {
         self.thermal.peak()
     }
 
-    /// Mean utilization over all cores since the last external level change
-    /// (used as an observation by learning managers).
+    /// Mean utilization over all cores since the last level change (used as
+    /// an observation by learning managers).
     #[must_use]
     pub fn recent_utilization(&self) -> f64 {
         if self.epoch_elapsed <= 0.0 {
@@ -322,22 +232,6 @@ impl Simulator {
         #[allow(clippy::cast_precision_loss)]
         let n = self.epoch_busy.len() as f64;
         self.epoch_busy.iter().sum::<f64>() / (self.epoch_elapsed * n)
-    }
-
-    /// Sets a core's V-f level (External governor).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SysError::BadLevel`] for an invalid level.
-    pub fn set_level(&mut self, core: usize, level: usize) -> Result<(), SysError> {
-        if core >= self.platform.core_count() || level >= self.platform.core(core).level_count() {
-            return Err(SysError::BadLevel { core, level });
-        }
-        self.levels[core] = level;
-        lori_obs::counter("sys.dvfs.actuations").incr(1);
-        self.epoch_busy.iter_mut().for_each(|b| *b = 0.0);
-        self.epoch_elapsed = 0.0;
-        Ok(())
     }
 
     /// Sets every core's V-f level.
@@ -361,9 +255,9 @@ impl Simulator {
     }
 
     /// Advances one quantum.
-    pub fn step_quantum(&mut self) {
-        let dt = self.config.quantum_ms;
-        let now = self.time_ms;
+    fn step_quantum(&mut self) {
+        let dt = QUANTUM_MS;
+        let now = self.metrics.elapsed_ms;
         let n_cores = self.platform.core_count();
 
         // Release jobs.
@@ -387,111 +281,51 @@ impl Simulator {
             self.metrics.missed += (before - queue.len()) as u64;
         }
 
-        // OnDemand governor.
-        if let Governor::OnDemand {
-            up,
-            down,
-            epoch_quanta,
-        } = self.config.governor
-        {
-            if self.quantum_index > 0 && self.quantum_index.is_multiple_of(epoch_quanta.max(1)) {
-                for core in 0..n_cores {
-                    #[allow(clippy::cast_precision_loss)]
-                    let util = self.epoch_busy[core] / (epoch_quanta.max(1) as f64 * dt);
-                    let max_level = self.platform.core(core).level_count() - 1;
-                    if util > up && self.levels[core] < max_level {
-                        self.levels[core] += 1;
-                    } else if util < down && self.levels[core] > 0 {
-                        self.levels[core] -= 1;
-                    }
-                }
-                self.epoch_busy.iter_mut().for_each(|b| *b = 0.0);
-            }
-        }
-
         // Execute.
         let mut power = vec![Watts(0.0); n_cores];
         for (core_idx, power_slot) in power.iter_mut().enumerate() {
             let core = self.platform.core(core_idx);
-            let vf: VfPoint = core.vf(self.levels[core_idx]).expect("validated level");
+            let vf = core.vf(self.levels[core_idx]).expect("validated level");
             let temp = self.thermal.temperature(core_idx);
+            let p_leak = core.leakage_power(vf.voltage, temp);
 
-            // DPM wake handling.
-            if self.states[core_idx] == PowerState::Sleep {
-                if self.ready[core_idx].is_empty() {
-                    // stay asleep, zero power
-                    continue;
-                }
-                // Wake up: pay the penalty before executing.
-                self.wake_remaining_ms[core_idx] -= dt;
-                if self.wake_remaining_ms[core_idx] > 0.0 {
-                    *power_slot = core.leakage_power(vf.voltage, temp, PowerState::Idle);
-                    continue;
-                }
-                self.states[core_idx] = PowerState::Active;
-            }
-
-            // Scheduler pick: EDF by absolute deadline, RM by task period.
-            let key = |job: &Job| -> f64 {
-                match self.config.policy {
-                    SchedulingPolicy::Edf => job.deadline_ms,
-                    SchedulingPolicy::RateMonotonic => self.tasks[job.task].period_ms,
-                }
-            };
+            // EDF pick: earliest absolute deadline.
             let pick = self.ready[core_idx]
                 .iter()
                 .enumerate()
                 .min_by(|a, b| {
-                    key(a.1)
-                        .partial_cmp(&key(b.1))
-                        .expect("finite scheduling key")
+                    a.1.deadline_ms
+                        .partial_cmp(&b.1.deadline_ms)
+                        .expect("finite deadline")
                 })
                 .map(|(i, _)| i);
 
-            match pick {
-                Some(ji) => {
-                    self.idle_quanta[core_idx] = 0;
-                    let throughput = core.throughput_per_ms(vf);
-                    let job = &mut self.ready[core_idx][ji];
-                    let work_possible = throughput * dt;
-                    let consumed = job.remaining_work.min(work_possible);
-                    job.remaining_work -= consumed;
-                    let busy_frac = (consumed / work_possible).clamp(0.0, 1.0);
-                    let busy_time_ms = dt * busy_frac;
-                    self.busy_ms[core_idx] += busy_time_ms;
-                    self.epoch_busy[core_idx] += busy_time_ms;
+            let Some(ji) = pick else {
+                *power_slot = p_leak;
+                continue;
+            };
+            let job = &mut self.ready[core_idx][ji];
+            let work_possible = core.throughput_per_ms(vf) * dt;
+            let consumed = job.remaining_work.min(work_possible);
+            job.remaining_work -= consumed;
+            let busy_frac = (consumed / work_possible).clamp(0.0, 1.0);
+            let busy_time_ms = dt * busy_frac;
+            self.epoch_busy[core_idx] += busy_time_ms;
 
-                    // Soft-error exposure while the task runs.
-                    let rate = self
-                        .config
-                        .ser
-                        .rate_at(vf.voltage, core.kind.ser_cross_section());
-                    let avf = self.tasks[job.task].avf;
-                    self.metrics.expected_soft_errors +=
-                        rate.per_second() * avf * busy_time_ms / 1000.0;
+            // Soft-error exposure while the task runs.
+            let rate = self
+                .config
+                .ser
+                .rate_at(vf.voltage, core.kind.ser_cross_section());
+            let avf = self.tasks[job.task].avf;
+            self.metrics.expected_soft_errors += rate.per_second() * avf * busy_time_ms / 1000.0;
 
-                    let done = job.remaining_work <= 0.0;
-                    if done {
-                        self.metrics.completed += 1;
-                        self.ready[core_idx].remove(ji);
-                    }
-                    let p_dyn = core.dynamic_power(vf, busy_frac);
-                    let p_leak = core.leakage_power(vf.voltage, temp, PowerState::Active);
-                    *power_slot = Watts(p_dyn.value() + p_leak.value());
-                }
-                None => {
-                    self.idle_quanta[core_idx] += 1;
-                    if self.config.dpm_enabled
-                        && self.idle_quanta[core_idx] >= self.config.dpm_idle_quanta
-                    {
-                        self.states[core_idx] = PowerState::Sleep;
-                        self.wake_remaining_ms[core_idx] = core.kind.wakeup_penalty_ms();
-                        // Sleeping core draws nothing.
-                    } else {
-                        *power_slot = core.leakage_power(vf.voltage, temp, PowerState::Idle);
-                    }
-                }
+            if job.remaining_work <= 0.0 {
+                self.metrics.completed += 1;
+                self.ready[core_idx].remove(ji);
             }
+            let p_dyn = core.dynamic_power(vf, busy_frac);
+            *power_slot = Watts(p_dyn.value() + p_leak.value());
         }
 
         // Energy, thermal, wear.
@@ -503,11 +337,7 @@ impl Simulator {
             let core = self.platform.core(core_idx);
             let vf = core.vf(self.levels[core_idx]).expect("validated level");
             let temp = self.thermal.temperature(core_idx);
-            let activity = if self.states[core_idx] == PowerState::Active {
-                (self.epoch_busy[core_idx] / (self.epoch_elapsed + dt)).clamp(0.05, 1.0)
-            } else {
-                0.05
-            };
+            let activity = (self.epoch_busy[core_idx] / (self.epoch_elapsed + dt)).clamp(0.05, 1.0);
             if let Ok(op) = Operating::new(temp, vf.voltage, activity) {
                 let rate: f64 = [em_mttf(&op), tddb_mttf(&op), nbti_mttf(&op), hci_mttf(&op)]
                     .iter()
@@ -520,39 +350,40 @@ impl Simulator {
         // Trace + bookkeeping.
         let peak = self.thermal.peak().value();
         self.peak_temp_sum += peak;
-        self.peak_temp_samples += 1;
-        self.max_temp = self.max_temp.max(peak);
-        if self
-            .quantum_index
-            .is_multiple_of(self.config.trace_stride.max(1))
-        {
+        if self.quanta.is_multiple_of(TRACE_STRIDE) {
             self.temp_trace.push(peak);
         }
-        self.time_ms += dt;
+        self.quanta += 1;
         self.epoch_elapsed += dt;
-        self.metrics.elapsed_ms = self.time_ms;
+        self.metrics.elapsed_ms += dt;
         self.metrics.worst_wear_damage = self.wear_damage.iter().copied().fold(0.0f64, f64::max);
-        self.quantum_index += 1;
     }
 
-    /// Runs for `duration_ms` of simulated time.
-    pub fn run_for(&mut self, duration_ms: f64) {
-        let end = self.time_ms + duration_ms;
-        while self.time_ms < end {
+    /// Runs for `duration_ms` of simulated time, in whole quanta.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SysError::BadParameter`] for a non-finite or negative
+    /// duration, which would run forever or not at all.
+    pub fn run_for(&mut self, duration_ms: f64) -> Result<(), SysError> {
+        check_duration(duration_ms)?;
+        let end = self.metrics.elapsed_ms + duration_ms;
+        while self.metrics.elapsed_ms < end {
             self.step_quantum();
         }
+        Ok(())
     }
 
     /// Produces the final report.
     #[must_use]
     pub fn report(&self) -> SimReport {
         #[allow(clippy::cast_precision_loss)]
-        let avg_peak = if self.peak_temp_samples == 0 {
+        let avg_peak = if self.quanta == 0 {
             self.config.thermal.ambient.value()
         } else {
-            self.peak_temp_sum / self.peak_temp_samples as f64
+            self.peak_temp_sum / self.quanta as f64
         };
-        let elapsed_s = self.time_ms / 1000.0;
+        let elapsed_s = self.metrics.elapsed_ms / 1000.0;
         // Wear-out MTTF: elapsed / damage; TC added via the trace.
         let worst_damage_rate = if elapsed_s > 0.0 {
             self.metrics.worst_wear_damage / elapsed_s
@@ -576,30 +407,24 @@ impl Simulator {
         } else {
             Seconds::from_years(crate::mttf::REF_YEARS * 100.0)
         };
-        let core_utilization = self
-            .busy_ms
-            .iter()
-            .map(|&b| {
-                if self.time_ms > 0.0 {
-                    b / self.time_ms
-                } else {
-                    0.0
-                }
-            })
-            .collect();
         SimReport {
             metrics: self.metrics,
             avg_peak_temp: Celsius(avg_peak),
-            max_temp: Celsius(if self.max_temp.is_finite() {
-                self.max_temp
-            } else {
-                self.config.thermal.ambient.value()
-            }),
             mttf_estimate: mttf,
-            core_utilization,
-            thermal_cycles: (tc_count, tc_amp),
         }
     }
+}
+
+/// The `run_for` guard: a simulated duration must be finite and
+/// non-negative.
+fn check_duration(duration_ms: f64) -> Result<(), SysError> {
+    if duration_ms.is_finite() && duration_ms >= 0.0 {
+        return Ok(());
+    }
+    Err(SysError::BadParameter {
+        what: "duration_ms",
+        value: duration_ms,
+    })
 }
 
 #[cfg(test)]
@@ -619,25 +444,17 @@ mod tests {
         generate_task_set(4, 0.4, 1.6e6, (10.0, 50.0), &mut rng).unwrap()
     }
 
-    fn sim(governor: Governor, seed: u64) -> Simulator {
+    /// A simulator on two Little cores, every core at its top level.
+    fn sim(seed: u64) -> Simulator {
         let tasks = light_tasks(seed);
         let mapping = Mapping::round_robin(tasks.len(), 2);
-        Simulator::new(
-            little_platform(),
-            tasks,
-            mapping,
-            SimConfig {
-                governor,
-                ..SimConfig::default()
-            },
-        )
-        .unwrap()
+        Simulator::new(little_platform(), tasks, mapping, SimConfig::default()).unwrap()
     }
 
     #[test]
-    fn light_load_meets_deadlines_at_performance() {
-        let mut s = sim(Governor::Performance, 1);
-        s.run_for(2000.0);
+    fn light_load_meets_deadlines_at_top_level() {
+        let mut s = sim(1);
+        s.run_for(2000.0).unwrap();
         let r = s.report();
         assert!(r.metrics.released > 50);
         assert_eq!(r.metrics.missed, 0, "missed {}", r.metrics.missed);
@@ -645,21 +462,22 @@ mod tests {
     }
 
     #[test]
-    fn powersave_saves_energy_but_risks_deadlines() {
-        let mut perf = sim(Governor::Performance, 2);
-        let mut save = sim(Governor::Powersave, 2);
-        perf.run_for(2000.0);
-        save.run_for(2000.0);
-        let rp = perf.report();
-        let rs = save.report();
+    fn lowest_level_saves_energy_but_risks_deadlines() {
+        let mut top = sim(2);
+        let mut low = sim(2);
+        low.set_global_level(0).unwrap();
+        top.run_for(2000.0).unwrap();
+        low.run_for(2000.0).unwrap();
+        let rt = top.report();
+        let rl = low.report();
         assert!(
-            rs.metrics.energy_j < rp.metrics.energy_j,
-            "powersave {} J vs performance {} J",
-            rs.metrics.energy_j,
-            rp.metrics.energy_j
+            rl.metrics.energy_j < rt.metrics.energy_j,
+            "lowest level {} J vs top level {} J",
+            rl.metrics.energy_j,
+            rt.metrics.energy_j
         );
         // Deadline behaviour can only get worse at lower speed.
-        assert!(rs.metrics.miss_rate() >= rp.metrics.miss_rate());
+        assert!(rl.metrics.miss_rate() >= rt.metrics.miss_rate());
     }
 
     #[test]
@@ -670,7 +488,7 @@ mod tests {
         let platform = Platform::homogeneous(CoreKind::Little, 1).unwrap();
         let mapping = Mapping::round_robin(tasks.len(), 1);
         let mut s = Simulator::new(platform, tasks, mapping, SimConfig::default()).unwrap();
-        s.run_for(2000.0);
+        s.run_for(2000.0).unwrap();
         let r = s.report();
         assert!(
             r.metrics.miss_rate() > 0.3,
@@ -681,10 +499,11 @@ mod tests {
 
     #[test]
     fn lower_vf_reduces_temperature_and_raises_ser() {
-        let mut hot = sim(Governor::Performance, 4);
-        let mut cool = sim(Governor::Powersave, 4);
-        hot.run_for(3000.0);
-        cool.run_for(3000.0);
+        let mut hot = sim(4);
+        let mut cool = sim(4);
+        cool.set_global_level(0).unwrap();
+        hot.run_for(3000.0).unwrap();
+        cool.run_for(3000.0).unwrap();
         let rh = hot.report();
         let rc = cool.report();
         assert!(rc.avg_peak_temp.value() < rh.avg_peak_temp.value());
@@ -701,130 +520,43 @@ mod tests {
     }
 
     #[test]
-    fn ondemand_tracks_between_extremes() {
-        let mut od = sim(
-            Governor::OnDemand {
-                up: 0.8,
-                down: 0.3,
-                epoch_quanta: 10,
-            },
-            5,
-        );
-        let mut perf = sim(Governor::Performance, 5);
-        let mut save = sim(Governor::Powersave, 5);
-        od.run_for(2000.0);
-        perf.run_for(2000.0);
-        save.run_for(2000.0);
-        let e_od = od.report().metrics.energy_j;
-        let e_perf = perf.report().metrics.energy_j;
-        let e_save = save.report().metrics.energy_j;
-        assert!(e_od <= e_perf * 1.01, "ondemand {e_od} vs perf {e_perf}");
-        assert!(e_od >= e_save * 0.99, "ondemand {e_od} vs save {e_save}");
-    }
-
-    #[test]
-    fn dpm_saves_energy_on_idle_platform() {
-        let tasks = light_tasks(6);
-        let mapping = Mapping::new(vec![0; tasks.len()], tasks.len(), 2).unwrap();
-        let base_cfg = SimConfig {
-            governor: Governor::Performance,
-            ..SimConfig::default()
-        };
-        let dpm_cfg = SimConfig {
-            dpm_enabled: true,
-            dpm_idle_quanta: 3,
-            ..base_cfg.clone()
-        };
-        // Core 1 is always idle: DPM should gate its leakage away.
-        let mut plain =
-            Simulator::new(little_platform(), tasks.clone(), mapping.clone(), base_cfg).unwrap();
-        let mut dpm = Simulator::new(little_platform(), tasks, mapping, dpm_cfg).unwrap();
-        plain.run_for(2000.0);
-        dpm.run_for(2000.0);
-        assert!(
-            dpm.report().metrics.energy_j < plain.report().metrics.energy_j,
-            "dpm {} vs plain {}",
-            dpm.report().metrics.energy_j,
-            plain.report().metrics.energy_j
-        );
-    }
-
-    #[test]
-    fn external_level_control_works() {
-        let mut s = sim(Governor::External, 7);
+    fn global_level_control_works() {
+        let mut s = sim(7);
         s.set_global_level(0).unwrap();
-        s.run_for(500.0);
+        s.run_for(500.0).unwrap();
         let low_energy = s.metrics().energy_j;
         s.set_global_level(4).unwrap();
-        s.run_for(500.0);
+        s.run_for(500.0).unwrap();
         let high_delta = s.metrics().energy_j - low_energy;
         assert!(high_delta > low_energy, "high-level epoch must burn more");
         assert!(s.set_global_level(99).is_err());
-        assert!(s.set_level(99, 0).is_err());
     }
 
     #[test]
     fn metrics_diff() {
-        let mut s = sim(Governor::Performance, 8);
-        s.run_for(500.0);
+        let mut s = sim(8);
+        s.run_for(500.0).unwrap();
         let snap = s.metrics();
-        s.run_for(500.0);
+        s.run_for(500.0).unwrap();
         let delta = s.metrics().since(&snap);
         assert!(delta.energy_j > 0.0);
         assert!((delta.elapsed_ms - 500.0).abs() < 1.5);
     }
 
     #[test]
-    fn rate_monotonic_schedules_light_loads() {
-        let tasks = light_tasks(10);
-        let mapping = Mapping::round_robin(tasks.len(), 2);
-        let mut sim = Simulator::new(
-            little_platform(),
-            tasks,
-            mapping,
-            SimConfig {
-                policy: SchedulingPolicy::RateMonotonic,
-                ..SimConfig::default()
-            },
-        )
-        .unwrap();
-        sim.run_for(2000.0);
-        let r = sim.report();
-        // Utilization 0.4 across 2 cores is far below the RM bound.
-        assert_eq!(r.metrics.missed, 0, "RM missed at light load");
-        assert!(r.metrics.completed > 20);
-    }
-
-    #[test]
-    fn both_policies_clean_at_moderate_load_and_miss_in_overload() {
+    fn edf_clean_at_moderate_load_and_misses_in_overload() {
         let platform = Platform::homogeneous(CoreKind::Little, 1).unwrap();
-        let run = |policy: SchedulingPolicy, util: f64, seed: u64| {
+        let run = |util: f64, seed: u64| {
             let mut rng = Rng::from_seed(seed);
             let tasks = generate_task_set(4, util, 1.6e6, (20.0, 60.0), &mut rng).unwrap();
             let mapping = Mapping::round_robin(tasks.len(), 1);
-            let mut sim = Simulator::new(
-                platform.clone(),
-                tasks,
-                mapping,
-                SimConfig {
-                    policy,
-                    ..SimConfig::default()
-                },
-            )
-            .unwrap();
-            sim.run_for(5000.0);
+            let mut sim =
+                Simulator::new(platform.clone(), tasks, mapping, SimConfig::default()).unwrap();
+            sim.run_for(5000.0).unwrap();
             sim.report().metrics.miss_rate()
         };
-        for policy in [SchedulingPolicy::Edf, SchedulingPolicy::RateMonotonic] {
-            assert_eq!(run(policy, 0.6, 11), 0.0, "{policy:?} missed at 0.6 util");
-            assert!(
-                run(policy, 2.0, 12) > 0.2,
-                "{policy:?} suspiciously clean at 2.0 util"
-            );
-        }
-        // Note: under *overload*, EDF's domino effect can make it miss more
-        // than RM — that is expected scheduler behaviour, not a bug, so no
-        // cross-policy ordering is asserted there.
+        assert_eq!(run(0.6, 11), 0.0, "EDF missed at 0.6 util");
+        assert!(run(2.0, 12) > 0.2, "EDF suspiciously clean at 2.0 util");
     }
 
     #[test]
@@ -839,18 +571,34 @@ mod tests {
     #[test]
     fn simulator_validation() {
         let tasks = light_tasks(9);
+        let off_platform = Mapping(vec![2; tasks.len()]);
         let mapping = Mapping::round_robin(tasks.len(), 2);
-        let bad_cfg = SimConfig {
-            quantum_ms: 0.0,
-            ..SimConfig::default()
-        };
-        assert!(
-            Simulator::new(little_platform(), tasks.clone(), mapping.clone(), bad_cfg).is_err()
-        );
-        let bad_level = SimConfig {
-            governor: Governor::Fixed(99),
-            ..SimConfig::default()
-        };
-        assert!(Simulator::new(little_platform(), tasks, mapping, bad_level).is_err());
+        let new =
+            |mapping, config| Simulator::new(little_platform(), tasks.clone(), mapping, config);
+        assert!(matches!(
+            new(off_platform, SimConfig::default()),
+            Err(SysError::BadMapping { what: "core", .. })
+        ));
+        let mut bad_ser = SimConfig::default();
+        bad_ser.ser.volts_per_decade = 0.0;
+        assert!(new(mapping, bad_ser).is_err());
+    }
+
+    #[test]
+    fn non_finite_or_negative_duration_is_a_typed_error() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let mut s = sim(10);
+            match s.run_for(bad) {
+                Err(SysError::BadParameter { what, .. }) => assert_eq!(what, "duration_ms"),
+                other => panic!("run_for({bad}) gave {other:?}"),
+            }
+            // Nothing was simulated.
+            assert_eq!(s.metrics(), Metrics::default());
+        }
+        let mut s = sim(10);
+        s.run_for(0.0).unwrap();
+        assert_eq!(s.metrics().elapsed_ms, 0.0);
+        s.run_for(2.5).unwrap();
+        assert_eq!(s.metrics().elapsed_ms, 3.0);
     }
 }

@@ -8,7 +8,7 @@
 //! both of which raise the per-task failure probability.
 
 use crate::error::SysError;
-use lori_core::units::{Fit, Probability, Seconds, Volts};
+use lori_core::units::{Fit, Volts};
 
 /// Voltage-dependent SER model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,15 +66,6 @@ impl SerModel {
         let decades = (self.v_nominal.value() - voltage.value()) / self.volts_per_decade;
         Fit(self.nominal_fit.value() * cross_section.max(0.0) * 10f64.powf(decades))
     }
-
-    /// Probability that a task execution of `duration` with architectural
-    /// vulnerability `avf` fails due to a soft error, at the given rate:
-    /// `P = 1 − exp(−λ · AVF · t)`.
-    #[must_use]
-    pub fn failure_probability(&self, rate: Fit, avf: f64, duration: Seconds) -> Probability {
-        let lambda = rate.per_second() * avf.clamp(0.0, 1.0);
-        Probability::saturating(1.0 - (-lambda * duration.value().max(0.0)).exp())
-    }
 }
 
 #[cfg(test)]
@@ -122,19 +113,5 @@ mod tests {
         let small = m.rate_at(Volts(0.8), 1.0).value();
         let big = m.rate_at(Volts(0.8), 1.8).value();
         assert!((big / small - 1.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn failure_probability_behaviour() {
-        let m = SerModel::default();
-        let rate = m.rate_at(Volts(0.6), 1.0);
-        let short = m.failure_probability(rate, 0.5, Seconds(0.001)).value();
-        let long = m.failure_probability(rate, 0.5, Seconds(10.0)).value();
-        assert!(long > short);
-        assert!((0.0..=1.0).contains(&short));
-        // Zero AVF means immune.
-        assert_eq!(m.failure_probability(rate, 0.0, Seconds(10.0)).value(), 0.0);
-        // Zero duration means no exposure.
-        assert_eq!(m.failure_probability(rate, 1.0, Seconds(0.0)).value(), 0.0);
     }
 }

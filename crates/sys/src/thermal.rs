@@ -43,30 +43,14 @@ impl ThermalModel {
     ///
     /// # Errors
     ///
-    /// Returns [`SysError::BadParameter`] for non-positive R/C or
+    /// Returns [`SysError::BadParameter`] for a non-finite field, a
+    /// non-positive R or C or a negative lateral conductance, and
     /// [`SysError::EmptyPlatform`] for zero cores.
     pub fn new(n_cores: usize, config: ThermalConfig) -> Result<Self, SysError> {
         if n_cores == 0 {
             return Err(SysError::EmptyPlatform("thermal nodes"));
         }
-        if config.r_to_ambient.is_nan() || config.r_to_ambient <= 0.0 {
-            return Err(SysError::BadParameter {
-                what: "r_to_ambient",
-                value: config.r_to_ambient,
-            });
-        }
-        if config.capacitance.is_nan() || config.capacitance <= 0.0 {
-            return Err(SysError::BadParameter {
-                what: "capacitance",
-                value: config.capacitance,
-            });
-        }
-        if config.lateral_conductance < 0.0 {
-            return Err(SysError::BadParameter {
-                what: "lateral_conductance",
-                value: config.lateral_conductance,
-            });
-        }
+        check_config(&config)?;
         let ambient = config.ambient.value();
         Ok(ThermalModel {
             config,
@@ -82,12 +66,6 @@ impl ThermalModel {
     #[must_use]
     pub fn temperature(&self, core: usize) -> Celsius {
         Celsius(self.temps[core])
-    }
-
-    /// All core temperatures.
-    #[must_use]
-    pub fn temperatures(&self) -> Vec<Celsius> {
-        self.temps.iter().map(|&t| Celsius(t)).collect()
     }
 
     /// Hottest core temperature.
@@ -126,6 +104,28 @@ impl ThermalModel {
     pub fn steady_state(&self, power: Watts) -> Celsius {
         Celsius(self.config.ambient.value() + power.value() * self.config.r_to_ambient)
     }
+}
+
+/// The `ThermalModel::new` guard: every field finite, R and C positive, and
+/// the lateral conductance non-negative. A NaN ambient or conductance makes
+/// every temperature NaN, and a simulation then reports NaN energy, an
+/// average peak of −∞ °C and next to no wear.
+fn check_config(config: &ThermalConfig) -> Result<(), SysError> {
+    let ambient = config.ambient.value();
+    let r = config.r_to_ambient;
+    let c = config.capacitance;
+    let g = config.lateral_conductance;
+    for (what, value, ok) in [
+        ("ambient", ambient, ambient.is_finite()),
+        ("r_to_ambient", r, r.is_finite() && r > 0.0),
+        ("capacitance", c, c.is_finite() && c > 0.0),
+        ("lateral_conductance", g, g.is_finite() && g >= 0.0),
+    ] {
+        if !ok {
+            return Err(SysError::BadParameter { what, value });
+        }
+    }
+    Ok(())
 }
 
 /// Counts thermal cycles in a temperature trace with a simple peak-valley
@@ -211,6 +211,39 @@ mod tests {
             ..ThermalConfig::default()
         };
         assert!(ThermalModel::new(1, bad_c).is_err());
+        let bad_g = ThermalConfig {
+            lateral_conductance: -0.1,
+            ..ThermalConfig::default()
+        };
+        assert!(ThermalModel::new(1, bad_g).is_err());
+    }
+
+    #[test]
+    fn non_finite_config_is_a_typed_error() {
+        type Set = fn(&mut ThermalConfig, f64);
+        let fields: [(&str, Set); 4] = [
+            ("ambient", |c, v| c.ambient = Celsius(v)),
+            ("r_to_ambient", |c, v| c.r_to_ambient = v),
+            ("capacitance", |c, v| c.capacitance = v),
+            ("lateral_conductance", |c, v| c.lateral_conductance = v),
+        ];
+        for (field, set) in fields {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut config = ThermalConfig::default();
+                set(&mut config, bad);
+                match ThermalModel::new(2, config) {
+                    Err(SysError::BadParameter { what, .. }) => assert_eq!(what, field),
+                    other => panic!("{field} = {bad} gave {other:?}"),
+                }
+            }
+        }
+        // Finite edge values pass: a cold ambient and no lateral coupling.
+        let edge = ThermalConfig {
+            ambient: Celsius(-40.0),
+            lateral_conductance: 0.0,
+            ..ThermalConfig::default()
+        };
+        assert!(ThermalModel::new(2, edge).is_ok());
     }
 
     #[test]

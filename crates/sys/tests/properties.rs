@@ -1,9 +1,9 @@
 //! Property-based tests for the system-level models.
 
-use lori_core::units::{Celsius, Fit, Seconds, Volts, Watts};
+use lori_core::units::{Celsius, Volts, Watts};
 use lori_core::Rng;
 use lori_sys::mttf::{em_mttf, hci_mttf, nbti_mttf, tddb_mttf, Operating};
-use lori_sys::platform::{Core, CoreKind, PowerState};
+use lori_sys::platform::{Core, CoreKind};
 use lori_sys::ser::SerModel;
 use lori_sys::task::{generate_task_set, total_utilization};
 use lori_sys::thermal::{ThermalConfig, ThermalModel};
@@ -26,16 +26,6 @@ proptest! {
         let high_v = m.rate_at(Volts(v + dv), 1.0).value();
         let low_v = m.rate_at(Volts(v), 1.0).value();
         prop_assert!(low_v > high_v);
-    }
-
-    /// Failure probability is a probability and monotone in exposure.
-    #[test]
-    fn failure_probability_domain(rate in 1.0f64..1e7, avf in 0.0f64..=1.0, t in 0.0f64..1e4) {
-        let m = SerModel::default();
-        let p1 = m.failure_probability(Fit(rate), avf, Seconds(t)).value();
-        let p2 = m.failure_probability(Fit(rate), avf, Seconds(t * 2.0)).value();
-        prop_assert!((0.0..=1.0).contains(&p1));
-        prop_assert!(p2 + 1e-15 >= p1);
     }
 
     /// Every wear-out mechanism returns a positive, finite MTTF across the
@@ -75,13 +65,10 @@ proptest! {
         }
     }
 
-    /// Leakage is zero in sleep and positive otherwise.
+    /// Leakage is positive across the operating envelope.
     #[test]
-    fn leakage_states(t in 20.0f64..120.0, v in 0.4f64..1.2) {
+    fn leakage_positive(t in 20.0f64..120.0, v in 0.4f64..1.2) {
         let core = Core::new(CoreKind::Big);
-        let active = core.leakage_power(Volts(v), Celsius(t), PowerState::Active).value();
-        let sleep = core.leakage_power(Volts(v), Celsius(t), PowerState::Sleep).value();
-        prop_assert!(active > 0.0);
-        prop_assert_eq!(sleep, 0.0);
+        prop_assert!(core.leakage_power(Volts(v), Celsius(t)).value() > 0.0);
     }
 }

@@ -13,7 +13,7 @@ use lori::ml::rl::{QLearning, RlConfig};
 use lori::sys::manager::{DvfsEnvConfig, DvfsEnvironment};
 use lori::sys::mapping::{evaluate_mapping, map_mwtf_aware, map_performance};
 use lori::sys::platform::{CoreKind, Platform};
-use lori::sys::sched::{Governor, Mapping, SimConfig, Simulator};
+use lori::sys::sched::{Mapping, SimConfig, Simulator};
 use lori::sys::ser::SerModel;
 use lori::sys::task::generate_task_set;
 
@@ -88,13 +88,11 @@ fn dvfs_tradeoff_shape() {
             platform.clone(),
             tasks.clone(),
             mapping.clone(),
-            SimConfig {
-                governor: Governor::Fixed(level),
-                ..SimConfig::default()
-            },
+            SimConfig::default(),
         )
         .expect("simulator");
-        sim.run_for(3000.0);
+        sim.set_global_level(level).expect("level");
+        sim.run_for(3000.0).expect("duration");
         sim.report()
     };
     let slow = run(0);
