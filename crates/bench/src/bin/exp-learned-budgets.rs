@@ -7,9 +7,7 @@
 //! trained linear predictor of consumed cycles.
 
 use lori_bench::{fmt, fmt_prob, render_table, Harness};
-use lori_ftsched::checkpoint::CheckpointSystem;
 use lori_ftsched::learning::compare_ds_vs_learned;
-use lori_ftsched::mitigation::{BudgetAlgorithm, MitigationSystem};
 use lori_ftsched::workload::adpcm_reference_trace;
 
 fn main() {
@@ -19,15 +17,13 @@ fn main() {
         "Learned execution-time budgets vs plain dynamic-scenario budgets",
     );
     let trace = adpcm_reference_trace();
-    let cp = CheckpointSystem::default();
-    let mitigation = MitigationSystem::new(BudgetAlgorithm::Ds);
     let p_axis = [1e-7, 1e-6, 3e-6, 6e-6, 1e-5];
     h.config("probability_points", p_axis.len() as u64);
 
     let rows = h.phase("compare", || {
         let mut rows = Vec::new();
         for &p in &p_axis {
-            let cmp = compare_ds_vs_learned(&trace, p, &cp, &mitigation, 8, 1).expect("comparison");
+            let cmp = compare_ds_vs_learned(&trace, p, 8, 1).expect("comparison");
             rows.push(vec![
                 fmt_prob(p),
                 fmt(cmp.ds_hit_rate),

@@ -11,7 +11,7 @@
 //! miss and the Monte Carlo falls below the per-segment rate (DS reads
 //! 0.043 against 0.639 at p = 4e-6).
 
-use crate::checkpoint::CheckpointSystem;
+use crate::checkpoint::{CheckpointSystem, CHECKPOINT_CYCLES, ROLLBACK_CYCLES};
 use crate::error::FtError;
 use crate::error_model::ErrorModel;
 use crate::mitigation::MitigationSystem;
@@ -37,7 +37,7 @@ pub fn max_tolerable_rollbacks(
     if capacity < fault_free {
         return None;
     }
-    let per_rollback = window + checkpoints.rollback_cycles.as_f64();
+    let per_rollback = window + ROLLBACK_CYCLES.as_f64();
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     Some(((capacity - fault_free) / per_rollback).floor() as u64)
 }
@@ -65,8 +65,7 @@ pub fn segment_hit_probability(
         return Ok(Probability::ZERO);
     };
     let window = Cycles(
-        work.value() / u64::from(checkpoints.checkpoints_per_segment)
-            + checkpoints.checkpoint_cycles.value(),
+        work.value() / u64::from(checkpoints.checkpoints_per_segment) + CHECKPOINT_CYCLES.value(),
     );
     let q = errors.no_error_probability(window);
     // P(N ≤ n) = 1 − (1−q)^{n+1}
@@ -158,9 +157,9 @@ mod tests {
         let cp = CheckpointSystem::default();
         let mut sys = MitigationSystem::new(BudgetAlgorithm::Ds);
         sys.max_speedup = 1.0;
-        sys.ds_margin = 1.0;
-        // Budget == fault-free cycles exactly: zero rollbacks tolerated but
-        // feasible; now shrink the work's budget via a tiny wcet mismatch:
+        // Without headroom the 5 % DS margin tolerates zero rollbacks of a
+        // 100k segment (a rollback costs a whole window), so the segment
+        // hits only with no error at all:
         let p = segment_hit_probability(
             Cycles(100_000),
             Cycles(100_000),
@@ -212,7 +211,7 @@ mod tests {
             &trace,
             &SweepConfig {
                 runs: 60,
-                ..SweepConfig::default()
+                ..SweepConfig::paper()
             },
         )
         .expect("sweep")[0]
@@ -240,7 +239,7 @@ mod tests {
             &trace,
             &SweepConfig {
                 runs: 60,
-                ..SweepConfig::default()
+                ..SweepConfig::paper()
             },
         )
         .expect("sweep")[0]

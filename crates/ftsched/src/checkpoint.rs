@@ -1,23 +1,25 @@
 //! The checkpointing and rollback-recovery timing model of Sec. V-B.
 //!
-//! Each application segment is atomic: a 100-cycle checkpoint routine runs
-//! at the end of every (re-)computation, and every error inserts a 48-cycle
-//! rollback routine followed by a full re-computation of the segment. The
-//! number of re-computations is unbounded (geometric, Eq. 2).
+//! Each application segment is atomic: a [`CHECKPOINT_CYCLES`]-cycle
+//! checkpoint routine runs at the end of every (re-)computation, and every
+//! error inserts a [`ROLLBACK_CYCLES`]-cycle rollback routine followed by a
+//! full re-computation of the segment. The number of re-computations is
+//! unbounded (geometric, Eq. 2).
 
 use crate::error::FtError;
 use crate::error_model::ErrorModel;
 use lori_core::units::Cycles;
 use lori_core::Rng;
 
-/// Checkpoint/rollback cost parameters (defaults from the paper, which takes
-/// them from OCEAN \[51\]).
+/// Cycles per checkpoint routine (the paper's value, from OCEAN \[51\]).
+pub const CHECKPOINT_CYCLES: Cycles = Cycles(100);
+
+/// Cycles per rollback routine (the paper's value, from OCEAN \[51\]).
+pub const ROLLBACK_CYCLES: Cycles = Cycles(48);
+
+/// The checkpoint granularity of a checkpoint/rollback system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointSystem {
-    /// Cycles per checkpoint routine.
-    pub checkpoint_cycles: Cycles,
-    /// Cycles per rollback routine.
-    pub rollback_cycles: Cycles,
     /// Checkpoints per segment (1 = the paper's setup; more = finer
     /// granularity, used by the wall-sensitivity study E13).
     pub checkpoints_per_segment: u32,
@@ -26,8 +28,6 @@ pub struct CheckpointSystem {
 impl Default for CheckpointSystem {
     fn default() -> Self {
         CheckpointSystem {
-            checkpoint_cycles: Cycles(100),
-            rollback_cycles: Cycles(48),
             checkpoints_per_segment: 1,
         }
     }
@@ -60,67 +60,36 @@ impl CheckpointSystem {
 
     /// The per-chunk recovery windows of a `work`-cycle segment: each of
     /// the `k` chunks plus its checkpoint routine, the last chunk absorbing
-    /// the division remainder.
-    fn windows(&self, work: Cycles) -> impl Iterator<Item = Cycles> + '_ {
+    /// the division remainder. A segment shorter than `k` cycles has empty
+    /// chunks and puts all its work in the last one.
+    fn windows(&self, work: Cycles) -> impl Iterator<Item = Cycles> {
         let k = u64::from(self.checkpoints_per_segment);
-        let chunk = Cycles((work.value() / k).max(1));
+        let chunk = work.value() / k;
         (0..k).map(move |i| {
             let this_chunk = if i == k - 1 {
-                Cycles(work.value() - chunk.value() * (k - 1))
+                work.value() - chunk * (k - 1)
             } else {
                 chunk
             };
             // A (re-)computation window includes the checkpoint routine,
             // which is just as exposed to errors as the main computation.
-            Cycles(this_chunk.value() + self.checkpoint_cycles.value())
+            Cycles(this_chunk + CHECKPOINT_CYCLES.value())
         })
     }
 
-    /// Simulates the execution of a segment of `work` cycles under error
-    /// model `errors`, sampling rollbacks per chunk from Eq. (2).
+    /// Precomputes the per-chunk windows and Eq.-(1) survival
+    /// probabilities of a segment of `work` cycles under error model
+    /// `errors`, so repeated executions skip the `powf` per draw.
     ///
     /// With `checkpoints_per_segment = k`, the segment is split into `k`
     /// equal chunks, each followed by its own checkpoint; a rollback only
     /// repeats the current chunk.
     ///
-    /// Loops that re-execute the same `(work, errors)` pair many times
-    /// should precompute a [`SegmentPlan`] via
-    /// [`CheckpointSystem::plan_segment`]: it hoists the Eq.-(1) `powf` out
-    /// of the draw loop while consuming the RNG identically.
-    #[must_use]
-    pub fn execute_segment(
-        &self,
-        work: Cycles,
-        errors: &ErrorModel,
-        rng: &mut Rng,
-    ) -> SegmentExecution {
-        let mut rollbacks = 0u64;
-        let mut total = 0u64;
-        for window in self.windows(work) {
-            let rb = errors.sample_rollbacks(window, rng);
-            rollbacks = rollbacks.saturating_add(rb);
-            // Saturating: at extreme p the rollback count can be astronomical;
-            // the deadline logic only needs "too many" to stay "too many".
-            total = total
-                .saturating_add(rb.saturating_add(1).saturating_mul(window.value()))
-                .saturating_add(rb.saturating_mul(self.rollback_cycles.value()));
-        }
-        SegmentExecution {
-            rollbacks,
-            total_cycles: Cycles(total),
-        }
-    }
-
-    /// Precomputes the per-chunk windows and Eq.-(1) survival
-    /// probabilities of a segment, so repeated executions skip the `powf`
-    /// per draw. [`SegmentPlan::execute`] makes exactly the geometric
-    /// draws [`CheckpointSystem::execute_segment`] would, in the same
-    /// order, with the same parameters.
-    ///
     /// # Panics
     ///
-    /// Panics if a chunk can never complete (`q == 0`, i.e. `p == 1`) —
-    /// the same condition `execute_segment` panics on at draw time.
+    /// Panics if a chunk can never complete (`q == 0`: `p == 1`, or a `p`
+    /// so high that `(1 − p)^window` underflows, from about 2.8e-3 for a
+    /// 270k-cycle window).
     #[must_use]
     pub fn plan_segment(&self, work: Cycles, errors: &ErrorModel) -> SegmentPlan {
         let chunks = self
@@ -131,38 +100,25 @@ impl CheckpointSystem {
                 (window, q)
             })
             .collect();
-        SegmentPlan {
-            chunks,
-            rollback_cycles: self.rollback_cycles,
-        }
+        SegmentPlan { chunks }
     }
 
     /// Analytic expectation of total cycles for a segment of `work` cycles:
     /// per chunk, `E[C] = (E[N_rb] + 1)·window + E[N_rb]·rollback`.
     #[must_use]
     pub fn expected_cycles(&self, work: Cycles, errors: &ErrorModel) -> f64 {
-        let k = u64::from(self.checkpoints_per_segment);
-        let chunk = Cycles((work.value() / k).max(1));
-        let mut total = 0.0;
-        for i in 0..k {
-            let this_chunk = if i == k - 1 {
-                Cycles(work.value() - chunk.value() * (k - 1))
-            } else {
-                chunk
-            };
-            let window = Cycles(this_chunk.value() + self.checkpoint_cycles.value());
-            let n = errors.expected_rollbacks(window);
-            total += (n + 1.0) * window.as_f64() + n * self.rollback_cycles.as_f64();
-        }
-        total
+        self.windows(work)
+            .map(|window| {
+                let n = errors.expected_rollbacks(window);
+                (n + 1.0) * window.as_f64() + n * ROLLBACK_CYCLES.as_f64()
+            })
+            .sum()
     }
 
     /// Fault-free cycles for a segment (work + checkpoints).
     #[must_use]
     pub fn fault_free_cycles(&self, work: Cycles) -> Cycles {
-        Cycles(
-            work.value() + u64::from(self.checkpoints_per_segment) * self.checkpoint_cycles.value(),
-        )
+        Cycles(work.value() + u64::from(self.checkpoints_per_segment) * CHECKPOINT_CYCLES.value())
     }
 }
 
@@ -175,13 +131,12 @@ impl CheckpointSystem {
 pub struct SegmentPlan {
     /// Per-chunk (recovery window, no-error probability).
     chunks: Vec<(Cycles, f64)>,
-    rollback_cycles: Cycles,
 }
 
 impl SegmentPlan {
-    /// Executes the planned segment, drawing rollbacks per chunk —
-    /// bit-identical RNG consumption and cycle accounting to
-    /// [`CheckpointSystem::execute_segment`] with the plan's parameters.
+    /// Executes the planned segment, sampling each chunk's rollback count
+    /// from Eq. (2) (inverse-CDF sampling of the geometric distribution,
+    /// exact and O(1) even for tiny `p`).
     #[must_use]
     pub fn execute(&self, rng: &mut Rng) -> SegmentExecution {
         let mut rollbacks = 0u64;
@@ -189,9 +144,11 @@ impl SegmentPlan {
         for &(window, q) in &self.chunks {
             let rb = rng.geometric(q);
             rollbacks = rollbacks.saturating_add(rb);
+            // Saturating: at extreme p the rollback count can be astronomical;
+            // the deadline logic only needs "too many" to stay "too many".
             total = total
                 .saturating_add(rb.saturating_add(1).saturating_mul(window.value()))
-                .saturating_add(rb.saturating_mul(self.rollback_cycles.value()));
+                .saturating_add(rb.saturating_mul(ROLLBACK_CYCLES.value()));
         }
         SegmentExecution {
             rollbacks,
@@ -209,7 +166,7 @@ mod tests {
         let sys = CheckpointSystem::default();
         let errors = ErrorModel::new(0.0).unwrap();
         let mut rng = Rng::from_seed(1);
-        let ex = sys.execute_segment(Cycles(100_000), &errors, &mut rng);
+        let ex = sys.plan_segment(Cycles(100_000), &errors).execute(&mut rng);
         assert_eq!(ex.rollbacks, 0);
         assert_eq!(ex.total_cycles, Cycles(100_100));
         assert_eq!(sys.fault_free_cycles(Cycles(100_000)), Cycles(100_100));
@@ -221,14 +178,11 @@ mod tests {
         let errors = ErrorModel::new(5e-6).unwrap();
         let mut rng = Rng::from_seed(2);
         let work = Cycles(150_000);
+        let plan = sys.plan_segment(work, &errors);
         let n = 20_000;
         #[allow(clippy::cast_precision_loss)]
         let mean = (0..n)
-            .map(|_| {
-                sys.execute_segment(work, &errors, &mut rng)
-                    .total_cycles
-                    .as_f64()
-            })
+            .map(|_| plan.execute(&mut rng).total_cycles.as_f64())
             .sum::<f64>()
             / f64::from(n);
         let expect = sys.expected_cycles(work, &errors);
@@ -244,8 +198,9 @@ mod tests {
         let errors = ErrorModel::new(3e-5).unwrap();
         let mut rng = Rng::from_seed(3);
         let work = Cycles(40_000);
+        let plan = sys.plan_segment(work, &errors);
         for _ in 0..200 {
-            let ex = sys.execute_segment(work, &errors, &mut rng);
+            let ex = plan.execute(&mut rng);
             let window = 40_000 + 100;
             let expect = (ex.rollbacks + 1) * window + ex.rollbacks * 48;
             assert_eq!(ex.total_cycles.value(), expect);
@@ -258,7 +213,6 @@ mod tests {
         let coarse = CheckpointSystem::default();
         let fine = CheckpointSystem {
             checkpoints_per_segment: 8,
-            ..CheckpointSystem::default()
         };
         let errors = ErrorModel::new(2e-5).unwrap();
         let work = Cycles(270_000);
@@ -271,7 +225,6 @@ mod tests {
         let coarse = CheckpointSystem::default();
         let fine = CheckpointSystem {
             checkpoints_per_segment: 8,
-            ..CheckpointSystem::default()
         };
         let errors = ErrorModel::new(1e-9).unwrap();
         let work = Cycles(270_000);
@@ -280,42 +233,21 @@ mod tests {
 
     #[test]
     fn chunking_preserves_total_work() {
-        let sys = CheckpointSystem {
-            checkpoints_per_segment: 7,
-            ..CheckpointSystem::default()
-        };
         let errors = ErrorModel::new(0.0).unwrap();
         let mut rng = Rng::from_seed(4);
-        // 100000 not divisible by 7: remainder must not be lost.
-        let ex = sys.execute_segment(Cycles(100_000), &errors, &mut rng);
-        assert_eq!(ex.total_cycles.value(), 100_000 + 7 * 100);
-    }
-
-    #[test]
-    fn plan_matches_execute_segment_draw_for_draw() {
-        // The hoisted-powf plan must consume the RNG exactly like the
-        // per-call path, across chunk counts and error rates (including a
-        // work size not divisible by k).
-        for k in [1u32, 3, 8] {
+        // 100000 not divisible by 7: remainder must not be lost. 3 cycles in
+        // 8 chunks: seven empty chunks and a last one holding all 3 cycles,
+        // each chunk still running its checkpoint routine.
+        for (work, k) in [(100_000, 7), (3, 8)] {
             let sys = CheckpointSystem {
                 checkpoints_per_segment: k,
-                ..CheckpointSystem::default()
             };
-            for p in [0.0, 1e-6, 3e-5] {
-                let errors = ErrorModel::new(p).unwrap();
-                let work = Cycles(100_000);
-                let plan = sys.plan_segment(work, &errors);
-                let mut rng_a = Rng::from_seed(42);
-                let mut rng_b = Rng::from_seed(42);
-                for _ in 0..500 {
-                    assert_eq!(
-                        sys.execute_segment(work, &errors, &mut rng_a),
-                        plan.execute(&mut rng_b),
-                        "k={k} p={p}"
-                    );
-                }
-                assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "k={k} p={p}");
-            }
+            let ex = sys.plan_segment(Cycles(work), &errors).execute(&mut rng);
+            let fault_free = work + u64::from(k) * 100;
+            assert_eq!(ex.total_cycles.value(), fault_free);
+            #[allow(clippy::cast_precision_loss)]
+            let expected = fault_free as f64;
+            assert_eq!(sys.expected_cycles(Cycles(work), &errors), expected);
         }
     }
 
@@ -331,7 +263,6 @@ mod tests {
     fn validation() {
         let bad = CheckpointSystem {
             checkpoints_per_segment: 0,
-            ..CheckpointSystem::default()
         };
         assert!(bad.validate().is_err());
         assert!(CheckpointSystem::default().validate().is_ok());

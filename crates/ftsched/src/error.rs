@@ -18,9 +18,10 @@ pub enum FtError {
     EmptyTrace,
     /// A sweep was configured with no probability points or zero runs.
     EmptySweep(&'static str),
-    /// A computation produced a non-finite value. `site` names the guard
-    /// that caught it (`sweep.point`, the Monte Carlo sweep's per-point
-    /// statistics) and `what` the quantity.
+    /// A non-finite value where a finite one is required. `site` names the
+    /// guard that caught it (`sweep.point`, the Monte Carlo sweep's
+    /// per-point statistics, or `headroom`, a speed headroom) and `what`
+    /// the quantity.
     NonFinite {
         /// Guard site that caught the value.
         site: &'static str,

@@ -12,7 +12,6 @@
 use crate::error::FtError;
 use lori_core::reliability::no_error_probability;
 use lori_core::units::{Cycles, Probability};
-use lori_core::Rng;
 
 /// The register-level error model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,26 +63,13 @@ impl ErrorModel {
             (1.0 - q) / q
         }
     }
-
-    /// Samples the number of rollbacks for a segment of `n_c` cycles
-    /// (inverse-CDF sampling of the geometric distribution — exact and O(1)
-    /// even for tiny `p`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the segment can never complete (`q == 0`), which only
-    /// happens for `p == 1` with non-zero `n_c`.
-    #[must_use]
-    pub fn sample_rollbacks(&self, n_c: Cycles, rng: &mut Rng) -> u64 {
-        let q = self.no_error_probability(n_c).value();
-        assert!(q > 0.0, "segment can never complete at p = 1");
-        rng.geometric(q)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointSystem;
+    use lori_core::Rng;
 
     #[test]
     fn construction_validates() {
@@ -124,30 +110,13 @@ mod tests {
     }
 
     #[test]
-    fn sampled_mean_matches_analytic() {
-        let m = ErrorModel::new(1e-5).unwrap();
-        let nc = Cycles(150_000);
-        let mut rng = Rng::from_seed(1);
-        let n = 100_000;
-        #[allow(clippy::cast_precision_loss)]
-        let mean = (0..n)
-            .map(|_| m.sample_rollbacks(nc, &mut rng) as f64)
-            .sum::<f64>()
-            / f64::from(n);
-        let analytic = m.expected_rollbacks(nc);
-        assert!(
-            (mean - analytic).abs() / analytic < 0.05,
-            "sampled {mean} vs analytic {analytic}"
-        );
-    }
-
-    #[test]
     fn zero_p_never_rolls_back() {
         let m = ErrorModel::new(0.0).unwrap();
         let mut rng = Rng::from_seed(2);
         assert_eq!(m.expected_rollbacks(Cycles(270_000)), 0.0);
+        let plan = CheckpointSystem::default().plan_segment(Cycles(270_000), &m);
         for _ in 0..100 {
-            assert_eq!(m.sample_rollbacks(Cycles(270_000), &mut rng), 0);
+            assert_eq!(plan.execute(&mut rng).rollbacks, 0);
         }
     }
 
@@ -169,13 +138,5 @@ mod tests {
         // And below 1e-6 they are well under 1.
         let m = ErrorModel::new(1e-6).unwrap();
         assert!(m.expected_rollbacks(Cycles(270_000)) < 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "segment can never complete")]
-    fn p_one_panics_on_sample() {
-        let m = ErrorModel::new(1.0).unwrap();
-        let mut rng = Rng::from_seed(3);
-        let _ = m.sample_rollbacks(Cycles(10), &mut rng);
     }
 }

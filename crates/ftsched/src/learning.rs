@@ -12,7 +12,7 @@
 use crate::checkpoint::CheckpointSystem;
 use crate::error::FtError;
 use crate::error_model::ErrorModel;
-use crate::mitigation::MitigationSystem;
+use crate::mitigation::{BudgetAlgorithm, DeadlineTracker, MitigationSystem, DS_MARGIN};
 use lori_core::units::Cycles;
 use lori_core::Rng;
 use lori_ml::data::Dataset;
@@ -28,41 +28,32 @@ pub struct LearnedBudget {
     refit_every: usize,
     /// Current model, if enough history exists.
     model: Option<LinearRegression>,
-    /// Multiplicative safety margin on predictions.
-    margin: f64,
 }
 
 impl LearnedBudget {
-    /// Creates a predictor with the given refit interval and margin.
+    /// Creates a predictor with the given refit interval.
     ///
     /// # Errors
     ///
-    /// Returns [`FtError::NonPositive`] for a zero refit interval or a
-    /// margin below 1.
-    pub fn new(refit_every: usize, margin: f64) -> Result<Self, FtError> {
+    /// Returns [`FtError::NonPositive`] for a zero refit interval.
+    pub fn new(refit_every: usize) -> Result<Self, FtError> {
         if refit_every == 0 {
             return Err(FtError::NonPositive {
                 what: "refit_every",
                 value: 0.0,
             });
         }
-        if margin < 1.0 {
-            return Err(FtError::NonPositive {
-                what: "margin - 1",
-                value: margin - 1.0,
-            });
-        }
         Ok(LearnedBudget {
             history: Vec::new(),
             refit_every,
             model: None,
-            margin,
         })
     }
 
     /// Predicted budget (in cycles) for a segment whose fault-free
-    /// requirement is `fault_free`. Before the first fit this falls back to
-    /// the fault-free requirement times the margin (plain DS behaviour).
+    /// requirement is `fault_free`: the model's prediction (at least
+    /// `fault_free`) times [`DS_MARGIN`]. Before the first fit this is
+    /// `fault_free` times the margin (plain DS behaviour).
     #[must_use]
     pub fn budget(&self, fault_free: Cycles) -> Cycles {
         let base = match &self.model {
@@ -70,7 +61,7 @@ impl LearnedBudget {
             None => fault_free.as_f64(),
         };
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        Cycles((base * self.margin) as u64)
+        Cycles((base * DS_MARGIN) as u64)
     }
 
     /// Records an observation and refits when due.
@@ -85,12 +76,6 @@ impl LearnedBudget {
                 }
             }
         }
-    }
-
-    /// Whether a model has been fitted yet.
-    #[must_use]
-    pub fn is_fitted(&self) -> bool {
-        self.model.is_some()
     }
 }
 
@@ -107,17 +92,18 @@ pub struct LearnedComparison {
     pub learned_mean_budget: f64,
 }
 
-/// Runs the comparison: the trace is repeated `laps` times so the learner
-/// has history to train on; hit rates are measured over the final lap.
+/// Runs the comparison at error probability `p` on the paper's system: one
+/// checkpoint per segment and DS budgets at the default speed headroom. The
+/// trace is repeated `laps` times so the learner has history to train on;
+/// hit rates are measured over the final lap.
 ///
 /// # Errors
 ///
-/// Propagates validation errors.
+/// [`FtError::EmptyTrace`] for an empty trace, [`FtError::EmptySweep`] for
+/// zero laps and [`FtError::BadProbability`] for `p` outside `[0, 1]`.
 pub fn compare_ds_vs_learned(
     trace: &[Cycles],
     p: f64,
-    checkpoints: &CheckpointSystem,
-    mitigation: &MitigationSystem,
     laps: usize,
     seed: u64,
 ) -> Result<LearnedComparison, FtError> {
@@ -127,38 +113,42 @@ pub fn compare_ds_vs_learned(
     if laps == 0 {
         return Err(FtError::EmptySweep("lap"));
     }
-    checkpoints.validate()?;
-    mitigation.validate()?;
+    let checkpoints = CheckpointSystem::default();
+    let mitigation = MitigationSystem::new(BudgetAlgorithm::Ds);
     let errors = ErrorModel::new(p)?;
+    let plans: Vec<_> = trace
+        .iter()
+        .map(|&work| checkpoints.plan_segment(work, &errors))
+        .collect();
     let mut rng = Rng::from_seed(seed);
-    let mut learner = LearnedBudget::new(8, mitigation.ds_margin)?;
+    let mut learner = LearnedBudget::new(8)?;
 
     let mut ds_hits = 0u64;
     let mut learned_hits = 0u64;
     let mut measured = 0u64;
     let mut ds_budget_sum = 0.0;
     let mut learned_budget_sum = 0.0;
-    let mut ds_tracker = mitigation.tracker();
-    let mut learned_tracker = mitigation.tracker();
+    let mut ds_tracker = DeadlineTracker::default();
+    let mut learned_tracker = DeadlineTracker::default();
 
     for lap in 0..laps {
         let is_final = lap == laps - 1;
         if is_final {
             // Hit rates are measured over the final lap with fresh slack so
             // training laps cannot bank (or owe) budget.
-            ds_tracker = mitigation.tracker();
-            learned_tracker = mitigation.tracker();
+            ds_tracker = DeadlineTracker::default();
+            learned_tracker = DeadlineTracker::default();
         }
-        for &work in trace {
+        for (&work, plan) in trace.iter().zip(&plans) {
             let fault_free = checkpoints.fault_free_cycles(work);
-            let ex = checkpoints.execute_segment(work, &errors, &mut rng);
+            let ex = plan.execute(&mut rng);
             // Plain DS budget: fault-free × margin.
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            let ds_budget = Cycles((fault_free.as_f64() * mitigation.ds_margin) as u64);
+            let ds_budget = Cycles((fault_free.as_f64() * DS_MARGIN) as u64);
             let learned_budget = learner.budget(fault_free);
-            let ds_hit = ds_tracker.advance_with_budget(mitigation, ds_budget, ex.total_cycles);
+            let ds_hit = ds_tracker.advance_with_budget(&mitigation, ds_budget, ex.total_cycles);
             let learned_hit =
-                learned_tracker.advance_with_budget(mitigation, learned_budget, ex.total_cycles);
+                learned_tracker.advance_with_budget(&mitigation, learned_budget, ex.total_cycles);
             if is_final {
                 measured += 1;
                 ds_budget_sum += ds_budget.as_f64();
@@ -185,25 +175,23 @@ pub fn compare_ds_vs_learned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mitigation::BudgetAlgorithm;
     use crate::workload::adpcm_reference_trace;
 
     #[test]
     fn learner_validation() {
-        assert!(LearnedBudget::new(0, 1.05).is_err());
-        assert!(LearnedBudget::new(8, 0.9).is_err());
-        assert!(LearnedBudget::new(8, 1.05).is_ok());
+        assert!(LearnedBudget::new(0).is_err());
+        assert!(LearnedBudget::new(8).is_ok());
     }
 
     #[test]
     fn learner_fits_after_enough_observations() {
-        let mut l = LearnedBudget::new(4, 1.05).unwrap();
-        assert!(!l.is_fitted());
+        let mut l = LearnedBudget::new(4).unwrap();
+        assert!(l.model.is_none());
         for i in 0..16u64 {
             let ff = Cycles(40_000 + i * 10_000);
             l.observe(ff, Cycles((ff.as_f64() * 1.5) as u64));
         }
-        assert!(l.is_fitted());
+        assert!(l.model.is_some());
         // Budgets now anticipate the 1.5× inflation.
         let b = l.budget(Cycles(100_000)).as_f64();
         assert!(b > 140_000.0, "budget {b}");
@@ -211,7 +199,7 @@ mod tests {
 
     #[test]
     fn unfitted_learner_acts_like_ds() {
-        let l = LearnedBudget::new(8, 1.05).unwrap();
+        let l = LearnedBudget::new(8).unwrap();
         let b = l.budget(Cycles(100_000)).as_f64();
         assert!((b - 105_000.0).abs() < 2.0);
     }
@@ -221,9 +209,7 @@ mod tests {
         // At an error rate inside the cliff window, learned budgets should
         // hit more deadlines than plain DS.
         let trace = adpcm_reference_trace();
-        let cp = CheckpointSystem::default();
-        let mit = MitigationSystem::new(BudgetAlgorithm::Ds);
-        let cmp = compare_ds_vs_learned(&trace, 4e-6, &cp, &mit, 6, 1).unwrap();
+        let cmp = compare_ds_vs_learned(&trace, 4e-6, 6, 1).unwrap();
         assert!(
             cmp.learned_hit_rate > cmp.ds_hit_rate,
             "learned {} vs ds {}",
@@ -237,20 +223,16 @@ mod tests {
 
     #[test]
     fn comparison_validation() {
-        let cp = CheckpointSystem::default();
-        let mit = MitigationSystem::new(BudgetAlgorithm::Ds);
-        assert!(compare_ds_vs_learned(&[], 1e-6, &cp, &mit, 3, 1).is_err());
+        assert!(compare_ds_vs_learned(&[], 1e-6, 3, 1).is_err());
         let trace = adpcm_reference_trace();
-        assert!(compare_ds_vs_learned(&trace, 1e-6, &cp, &mit, 0, 1).is_err());
-        assert!(compare_ds_vs_learned(&trace, 2.0, &cp, &mit, 3, 1).is_err());
+        assert!(compare_ds_vs_learned(&trace, 1e-6, 0, 1).is_err());
+        assert!(compare_ds_vs_learned(&trace, 2.0, 3, 1).is_err());
     }
 
     #[test]
     fn at_negligible_p_both_hit_everything() {
         let trace = adpcm_reference_trace();
-        let cp = CheckpointSystem::default();
-        let mit = MitigationSystem::new(BudgetAlgorithm::Ds);
-        let cmp = compare_ds_vs_learned(&trace, 1e-9, &cp, &mit, 3, 2).unwrap();
+        let cmp = compare_ds_vs_learned(&trace, 1e-9, 3, 2).unwrap();
         assert!((cmp.ds_hit_rate - 1.0).abs() < 1e-9);
         assert!((cmp.learned_hit_rate - 1.0).abs() < 1e-9);
     }

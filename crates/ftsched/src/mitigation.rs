@@ -68,6 +68,13 @@ impl BudgetAlgorithm {
     }
 }
 
+/// Multiplicative margin on the dynamic-scenario estimate (5 %).
+pub const DS_MARGIN: f64 = 1.05;
+
+/// The processor's default speed headroom over nominal (30 %), used by
+/// [`MitigationSystem::new`] and the paper's sweep configuration.
+pub const DEFAULT_MAX_SPEEDUP: f64 = 1.3;
+
 /// The mitigation system: budget algorithm + processor speed headroom.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MitigationSystem {
@@ -76,19 +83,16 @@ pub struct MitigationSystem {
     /// Maximum speed-up the processor can apply over nominal (the headroom
     /// the mitigation raises in advance of potential rollbacks).
     pub max_speedup: f64,
-    /// Multiplicative margin on the dynamic-scenario estimate.
-    pub ds_margin: f64,
 }
 
 impl MitigationSystem {
-    /// Creates a mitigation system with the paper-flavoured defaults
-    /// (30 % speed headroom, 5 % DS margin).
+    /// Creates a mitigation system with the [`DEFAULT_MAX_SPEEDUP`]
+    /// headroom.
     #[must_use]
     pub fn new(algorithm: BudgetAlgorithm) -> Self {
         MitigationSystem {
             algorithm,
-            max_speedup: 1.3,
-            ds_margin: 1.05,
+            max_speedup: DEFAULT_MAX_SPEEDUP,
         }
     }
 
@@ -96,22 +100,10 @@ impl MitigationSystem {
     ///
     /// # Errors
     ///
-    /// Returns [`FtError::NonPositive`] for a speed-up below 1 or a margin
-    /// below 1.
+    /// [`FtError::NonFinite`] for a NaN or infinite headroom,
+    /// [`FtError::NonPositive`] for a finite one below 1.
     pub fn validate(&self) -> Result<(), FtError> {
-        if self.max_speedup < 1.0 {
-            return Err(FtError::NonPositive {
-                what: "max_speedup - 1",
-                value: self.max_speedup - 1.0,
-            });
-        }
-        if self.ds_margin < 1.0 {
-            return Err(FtError::NonPositive {
-                what: "ds_margin - 1",
-                value: self.ds_margin - 1.0,
-            });
-        }
-        Ok(())
+        check_max_speedup(self.max_speedup)
     }
 
     /// The budget (in nominal-speed cycles) allocated to a segment whose
@@ -121,16 +113,34 @@ impl MitigationSystem {
     pub fn budget(&self, fault_free: Cycles, wcet_fault_free: Cycles) -> Cycles {
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         match self.algorithm {
-            BudgetAlgorithm::Wcet => Cycles((wcet_fault_free.as_f64() * self.ds_margin) as u64),
-            alg => Cycles((fault_free.as_f64() * self.ds_margin * alg.scale()) as u64),
+            BudgetAlgorithm::Wcet => Cycles((wcet_fault_free.as_f64() * DS_MARGIN) as u64),
+            alg => Cycles((fault_free.as_f64() * DS_MARGIN * alg.scale()) as u64),
         }
     }
+}
 
-    /// Starts a deadline tracker for a fresh run.
-    #[must_use]
-    pub fn tracker(&self) -> DeadlineTracker {
-        DeadlineTracker::default()
+/// The `headroom` guard: a speed headroom must be finite and at least 1
+/// (no slow-down). Unchecked, a NaN headroom misses every deadline and +∞
+/// hits every one.
+///
+/// # Errors
+///
+/// [`FtError::NonFinite`] for a NaN or infinite headroom,
+/// [`FtError::NonPositive`] for a finite one below 1.
+pub(crate) fn check_max_speedup(max_speedup: f64) -> Result<(), FtError> {
+    if !max_speedup.is_finite() {
+        return Err(FtError::NonFinite {
+            site: "headroom",
+            what: "max_speedup",
+        });
     }
+    if max_speedup < 1.0 {
+        return Err(FtError::NonPositive {
+            what: "max_speedup - 1",
+            value: max_speedup - 1.0,
+        });
+    }
+    Ok(())
 }
 
 /// Cumulative deadline accounting with slack carry-over, as in the
@@ -143,7 +153,8 @@ impl MitigationSystem {
 ///
 /// Slack earned by conservative budgets on cheap segments carries forward
 /// to absorb later rollback bursts — which is exactly why conservative
-/// algorithms hold out longer inside the error-rate window.
+/// algorithms hold out longer inside the error-rate window. A run starts
+/// from `DeadlineTracker::default()`, with nothing carried over.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DeadlineTracker {
     cum_actual: f64,
@@ -182,19 +193,6 @@ impl DeadlineTracker {
         self.cum_budget += budget.as_f64();
         self.cum_actual += actual.as_f64();
         self.cum_actual <= self.cum_budget * system.max_speedup
-    }
-
-    /// Current slack in cycles (negative when behind).
-    #[must_use]
-    pub fn slack(&self, system: &MitigationSystem) -> f64 {
-        self.cum_budget * system.max_speedup - self.cum_actual
-    }
-
-    /// Returns the tracker to its initial state, so hot loops can reuse one
-    /// allocation across Monte Carlo runs instead of rebuilding a fresh
-    /// tracker per run.
-    pub fn reset(&mut self) {
-        *self = DeadlineTracker::default();
     }
 }
 
@@ -239,7 +237,7 @@ mod tests {
         let cp = CheckpointSystem::default();
         for &alg in &BudgetAlgorithm::ALL {
             let sys = MitigationSystem::new(alg);
-            let mut tracker = sys.tracker();
+            let mut tracker = DeadlineTracker::default();
             for work in [40_000u64, 100_000, 270_000] {
                 let work = Cycles(work);
                 let actual = cp.fault_free_cycles(work);
@@ -260,8 +258,8 @@ mod tests {
         let work = Cycles(60_000);
         // 4 rollbacks of a 60k segment: 5×60100 + 4×48 ≈ 300692 cycles.
         let actual = Cycles(5 * 60_100 + 4 * 48);
-        let mut t_ds = ds.tracker();
-        let mut t_wcet = wcet.tracker();
+        let mut t_ds = DeadlineTracker::default();
+        let mut t_wcet = DeadlineTracker::default();
         assert!(!t_ds.advance(&ds, work, Cycles(270_000), actual, &cp));
         assert!(t_wcet.advance(&wcet, work, Cycles(270_000), actual, &cp));
     }
@@ -274,7 +272,7 @@ mod tests {
         let actual = Cycles(12 * 270_100); // 11 rollbacks of the largest segment
         for &alg in &BudgetAlgorithm::ALL {
             let sys = MitigationSystem::new(alg);
-            let mut tracker = sys.tracker();
+            let mut tracker = DeadlineTracker::default();
             assert!(
                 !tracker.advance(&sys, work, Cycles(270_000), actual, &cp),
                 "{} absorbed 11 rollbacks of the WCET segment",
@@ -289,7 +287,7 @@ mod tests {
         // absorbs a rollback burst an isolated segment could never survive.
         let cp = CheckpointSystem::default();
         let wcet = MitigationSystem::new(BudgetAlgorithm::Wcet);
-        let mut tracker = wcet.tracker();
+        let mut tracker = DeadlineTracker::default();
         // Five cheap fault-free segments build slack…
         for _ in 0..5 {
             let work = Cycles(40_000);
@@ -301,13 +299,13 @@ mod tests {
                 &cp
             ));
         }
-        assert!(tracker.slack(&wcet) > 1_000_000.0);
+        assert!(tracker.cum_budget * wcet.max_speedup - tracker.cum_actual > 1_000_000.0);
         // …which then swallows four rollbacks of a big segment.
         let work = Cycles(270_000);
         let burst = Cycles(5 * 270_100 + 4 * 48);
         assert!(tracker.advance(&wcet, work, Cycles(270_000), burst, &cp));
         // A fresh tracker (no banked slack) misses the same burst.
-        let mut fresh = wcet.tracker();
+        let mut fresh = DeadlineTracker::default();
         assert!(!fresh.advance(&wcet, work, Cycles(270_000), burst, &cp));
     }
 
@@ -317,9 +315,34 @@ mod tests {
         sys.validate().unwrap();
         sys.max_speedup = 0.5;
         assert!(sys.validate().is_err());
-        let mut sys = MitigationSystem::new(BudgetAlgorithm::Ds);
-        sys.ds_margin = 0.9;
-        assert!(sys.validate().is_err());
+    }
+
+    #[test]
+    fn non_finite_headroom_is_a_typed_error() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let sys = MitigationSystem {
+                max_speedup: bad,
+                ..MitigationSystem::new(BudgetAlgorithm::Ds)
+            };
+            assert_eq!(
+                sys.validate(),
+                Err(FtError::NonFinite {
+                    site: "headroom",
+                    what: "max_speedup"
+                }),
+                "max_speedup = {bad}"
+            );
+        }
+        assert_eq!(
+            check_max_speedup(0.5),
+            Err(FtError::NonPositive {
+                what: "max_speedup - 1",
+                value: -0.5
+            })
+        );
+        for good in [1.0, DEFAULT_MAX_SPEEDUP, 3.0, 1e300] {
+            assert_eq!(check_max_speedup(good), Ok(()), "max_speedup = {good}");
+        }
     }
 
     #[test]
@@ -332,8 +355,8 @@ mod tests {
         let work = Cycles(100_000);
         // One rollback: 2×100100 + 48.
         let actual = Cycles(2 * 100_100 + 48);
-        let mut t_slow = slow.tracker();
-        let mut t_fast = fast.tracker();
+        let mut t_slow = DeadlineTracker::default();
+        let mut t_fast = DeadlineTracker::default();
         assert!(!t_slow.advance(&slow, work, Cycles(270_000), actual, &cp));
         assert!(t_fast.advance(&fast, work, Cycles(270_000), actual, &cp));
     }

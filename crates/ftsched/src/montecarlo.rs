@@ -8,10 +8,12 @@
 //! `lori_par::par_map` fan points out over threads with bit-identical
 //! results at every worker count.
 
-use crate::checkpoint::CheckpointSystem;
+use crate::checkpoint::{CheckpointSystem, CHECKPOINT_CYCLES, ROLLBACK_CYCLES};
 use crate::error::FtError;
 use crate::error_model::ErrorModel;
-use crate::mitigation::{BudgetAlgorithm, MitigationSystem};
+use crate::mitigation::{
+    check_max_speedup, BudgetAlgorithm, DeadlineTracker, MitigationSystem, DEFAULT_MAX_SPEEDUP,
+};
 use lori_core::stats::Running;
 use lori_core::units::Cycles;
 use lori_core::Rng;
@@ -20,11 +22,11 @@ use lori_par::Parallelism;
 /// Configuration of one sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepConfig {
-    /// Checkpoint/rollback parameters.
+    /// Checkpoint granularity.
     pub checkpoints: CheckpointSystem,
-    /// Mitigation speed headroom / margin (algorithm field is ignored; all
-    /// four run).
-    pub mitigation: MitigationSystem,
+    /// Maximum processor speed-up over nominal, shared by the four budget
+    /// algorithms that every sweep runs.
+    pub max_speedup: f64,
     /// Monte Carlo runs per probability point (paper: 100).
     pub runs: usize,
     /// Base RNG seed.
@@ -33,13 +35,14 @@ pub struct SweepConfig {
 
 impl SweepConfig {
     /// The paper's Sec. V-D setup: 100 Monte Carlo runs per probability
-    /// point, seed 0, default checkpoint and mitigation parameters. Every
-    /// `exp-*` binary that reproduces a paper figure starts from this.
+    /// point, seed 0, one checkpoint per segment and the
+    /// [`DEFAULT_MAX_SPEEDUP`] headroom. Every `exp-*` binary that
+    /// reproduces a paper figure starts from this.
     #[must_use]
     pub fn paper() -> Self {
         SweepConfig {
             checkpoints: CheckpointSystem::default(),
-            mitigation: MitigationSystem::new(BudgetAlgorithm::Ds),
+            max_speedup: DEFAULT_MAX_SPEEDUP,
             runs: 100,
             seed: 0,
         }
@@ -55,8 +58,8 @@ impl SweepConfig {
     /// [`FtError::EmptySweep`] for an empty axis or zero runs,
     /// [`FtError::EmptyTrace`] for an empty trace,
     /// [`FtError::BadProbability`] for non-finite or out-of-range
-    /// probabilities, and parameter errors from the checkpoint and
-    /// mitigation validators.
+    /// probabilities, and parameter errors from the checkpoint validator
+    /// and the headroom guard.
     pub fn validate(&self, p_values: &[f64], trace: &[Cycles]) -> Result<(), FtError> {
         if p_values.is_empty() {
             return Err(FtError::EmptySweep("probability point"));
@@ -73,14 +76,7 @@ impl SweepConfig {
             }
         }
         self.checkpoints.validate()?;
-        self.mitigation.validate()?;
-        Ok(())
-    }
-}
-
-impl Default for SweepConfig {
-    fn default() -> Self {
-        SweepConfig::paper()
+        check_max_speedup(self.max_speedup)
     }
 }
 
@@ -188,25 +184,17 @@ fn point_tasks(
 /// Largest number of rollbacks of each trace segment that any of the four
 /// budget algorithms could actually *execute* before every deadline in the
 /// run — including all slack conceivably carried over — has irrevocably
-/// passed.
+/// passed, aligned with `trace` by index.
 ///
-/// [`CheckpointSystem::execute_segment`] samples the rollback count from
-/// the unbounded geometric of Eq. (2) analytically; it never executes the
-/// recoveries (its cycle math saturates for exactly that reason). At the
-/// top of the Fig. 5 axis the sampled count for a 270k-cycle segment is
-/// ~5·10¹¹, so charging raw samples to the `ftsched.rollbacks` counter
-/// claimed hundreds of trillions of "simulated" rollbacks per sweep — a
-/// physical impossibility for a millisecond run, and the corrupt value PR 5
-/// found checked into `results/exp-fig5.manifest.json`. The counter's
-/// contract is "recovery events the simulated system processed", and a
-/// deadline-scheduled system stops observing a segment's recoveries once
-/// even the most generous cumulative budget (Σ budgets × max speed-up) is
-/// exhausted, so per-segment counts are clamped to that horizon (+1 for
-/// the rollback that overruns it).
-///
-/// Returned per segment of `trace`, aligned by index. Fig. 5's
-/// `avg_rollbacks_per_segment` statistics intentionally keep the raw
-/// samples — the figure reports Eq. (2)'s expectation, not executed work.
+/// A sampled rollback count comes from the unbounded geometric of Eq. (2)
+/// and is never executed: at the top of the Fig. 5 axis it is about 5·10¹¹
+/// for a 270k-cycle segment. The `ftsched.rollbacks` counter records the
+/// recovery events the simulated system processed, and a deadline-scheduled
+/// system stops observing a segment's recoveries once even the most
+/// generous cumulative budget (Σ budgets × max speed-up) is exhausted, so
+/// per-segment counts are clamped to that horizon (+1 for the rollback that
+/// overruns it). Fig. 5's `avg_rollbacks_per_segment` statistics keep the
+/// raw samples: the figure reports Eq. (2)'s expectation, not executed work.
 #[must_use]
 pub fn observable_rollback_caps(trace: &[Cycles], config: &SweepConfig) -> Vec<u64> {
     // The most generous whole-run cycle capacity any algorithm can grant:
@@ -214,10 +202,10 @@ pub fn observable_rollback_caps(trace: &[Cycles], config: &SweepConfig) -> Vec<u
     let wcet_work = trace.iter().copied().max().unwrap_or(Cycles(0));
     let run_capacity = BudgetAlgorithm::ALL
         .iter()
-        .map(|&alg| {
+        .map(|&algorithm| {
             let sys = MitigationSystem {
-                algorithm: alg,
-                ..config.mitigation
+                algorithm,
+                max_speedup: config.max_speedup,
             };
             trace
                 .iter()
@@ -237,15 +225,11 @@ pub fn observable_rollback_caps(trace: &[Cycles], config: &SweepConfig) -> Vec<u
         .map(|&work| {
             // Each rollback of this segment re-runs one chunk window and
             // pays the rollback routine; more than capacity/per_rollback of
-            // them cannot fit before the run's final deadline.
-            let chunk =
-                (work.value() / u64::from(config.checkpoints.checkpoints_per_segment)).max(1);
-            let per_rollback = Cycles(
-                chunk
-                    + config.checkpoints.checkpoint_cycles.value()
-                    + config.checkpoints.rollback_cycles.value(),
-            )
-            .as_f64();
+            // them cannot fit before the run's final deadline. A regular
+            // chunk is the smallest, so it gives the most rollbacks.
+            let chunk = work.value() / u64::from(config.checkpoints.checkpoints_per_segment);
+            let per_rollback =
+                Cycles(chunk + CHECKPOINT_CYCLES.value() + ROLLBACK_CYCLES.value()).as_f64();
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
             let cap = (run_capacity / per_rollback).floor() as u64;
             cap.saturating_add(1)
@@ -273,13 +257,10 @@ fn run_point(
 ) -> Result<SweepPoint, FtError> {
     let _point_span = lori_obs::span_with("ftsched.sweep.point", task.p);
     let wcet_work = trace.iter().copied().max().ok_or(FtError::EmptyTrace)?;
-    let systems: Vec<MitigationSystem> = BudgetAlgorithm::ALL
-        .iter()
-        .map(|&alg| MitigationSystem {
-            algorithm: alg,
-            ..config.mitigation
-        })
-        .collect();
+    let systems = BudgetAlgorithm::ALL.map(|algorithm| MitigationSystem {
+        algorithm,
+        max_speedup: config.max_speedup,
+    });
     // Per-segment fault-free cycles depend only on the checkpoint config.
     let fault_free_run_total: f64 = trace
         .iter()
@@ -300,17 +281,13 @@ fn run_point(
     let mut segments_total = 0u64;
     let mut cycles_actual = 0.0f64;
     let mut cycles_fault_free = 0.0f64;
-    // One tracker per algorithm, allocated once and reset per run: this
-    // loop body executes `runs × |trace|` times per sweep point.
-    let mut trackers: Vec<_> = systems.iter().map(MitigationSystem::tracker).collect();
     for run in 0..config.runs {
         #[allow(clippy::cast_possible_truncation)]
         let mut rng = point_rng.split(run as u64);
         let mut run_rollbacks = 0u64;
         let mut run_observable = 0u64;
-        for t in &mut trackers {
-            t.reset();
-        }
+        // One tracker per algorithm, fresh for each run.
+        let mut trackers = [DeadlineTracker::default(); 4];
         for ((&work, &cap), plan) in trace.iter().zip(&rollback_caps).zip(&plans) {
             let ex = plan.execute(&mut rng);
             run_rollbacks = run_rollbacks.saturating_add(ex.rollbacks);
@@ -401,7 +378,7 @@ mod tests {
     fn quick_config() -> SweepConfig {
         SweepConfig {
             runs: 30,
-            ..SweepConfig::default()
+            ..SweepConfig::paper()
         }
     }
 
@@ -519,13 +496,50 @@ mod tests {
             );
         }
         let bad_ckpt = SweepConfig {
-            checkpoints: crate::checkpoint::CheckpointSystem {
+            checkpoints: CheckpointSystem {
                 checkpoints_per_segment: 0,
-                ..Default::default()
             },
-            ..config
+            ..config.clone()
         };
         assert!(bad_ckpt.validate(&[1e-6], &trace).is_err());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let bad_headroom = SweepConfig {
+                max_speedup: bad,
+                ..config.clone()
+            };
+            assert_eq!(
+                bad_headroom.validate(&[1e-6], &trace),
+                Err(FtError::NonFinite {
+                    site: "headroom",
+                    what: "max_speedup"
+                }),
+                "max_speedup = {bad}"
+            );
+            assert_eq!(
+                sweep(&[1e-5], &trace, &bad_headroom),
+                Err(FtError::NonFinite {
+                    site: "headroom",
+                    what: "max_speedup"
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn segments_shorter_than_their_chunk_count_sweep() {
+        // Three-cycle segments at eight checkpoints each: empty chunks, no
+        // underflow, and every fault-free run hits.
+        let config = SweepConfig {
+            checkpoints: CheckpointSystem {
+                checkpoints_per_segment: 8,
+            },
+            ..quick_config()
+        };
+        let points = sweep(&[0.0, 1e-6], &[Cycles(3), Cycles(5)], &config).unwrap();
+        assert_eq!(points.len(), 2);
+        assert_eq!(points[0].hit_rate, [1.0; 4]);
+        assert_eq!(points[0].avg_rollbacks_per_segment, 0.0);
+        assert!(points[1].hit_rate.iter().all(|h| (0.0..=1.0).contains(h)));
     }
 
     #[test]
@@ -556,10 +570,12 @@ mod tests {
     }
 
     #[test]
-    fn paper_config_is_the_default() {
-        assert_eq!(SweepConfig::paper(), SweepConfig::default());
-        assert_eq!(SweepConfig::paper().runs, 100);
-        assert_eq!(SweepConfig::paper().seed, 0);
+    fn paper_config_runs_100_per_point_from_seed_0() {
+        let paper = SweepConfig::paper();
+        assert_eq!(paper.runs, 100);
+        assert_eq!(paper.seed, 0);
+        assert_eq!(paper.checkpoints, CheckpointSystem::default());
+        assert_eq!(paper.max_speedup, DEFAULT_MAX_SPEEDUP);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::checkpoint::CheckpointSystem;
 use crate::error::FtError;
-use crate::mitigation::{BudgetAlgorithm, MitigationSystem};
+use crate::mitigation::BudgetAlgorithm;
 use crate::montecarlo::{sweep, SweepConfig};
 use lori_core::units::Cycles;
 
@@ -87,10 +87,7 @@ pub fn wall_sensitivity(
             (
                 format!("speedup={s}"),
                 SweepConfig {
-                    mitigation: MitigationSystem {
-                        max_speedup: s,
-                        ..base.mitigation
-                    },
+                    max_speedup: s,
                     ..base.clone()
                 },
             )
@@ -101,7 +98,6 @@ pub fn wall_sensitivity(
                 SweepConfig {
                     checkpoints: CheckpointSystem {
                         checkpoints_per_segment: k,
-                        ..base.checkpoints
                     },
                     ..base.clone()
                 },
@@ -134,7 +130,7 @@ mod tests {
     fn quick() -> SweepConfig {
         SweepConfig {
             runs: 20,
-            ..SweepConfig::default()
+            ..SweepConfig::paper()
         }
     }
 

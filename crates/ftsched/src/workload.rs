@@ -5,12 +5,9 @@
 //! of 40 k–270 k cycles. We do not have that RTL run; DESIGN.md documents
 //! the substitution: a deterministic synthetic trace with the same reported
 //! segment-length range and a periodic structure (real encoder blocks
-//! alternate cheap and expensive phases), plus a generator for randomized
-//! traces.
+//! alternate cheap and expensive phases).
 
-use crate::error::FtError;
 use lori_core::units::Cycles;
-use lori_core::Rng;
 
 /// Smallest segment the paper reports.
 pub const MIN_SEGMENT_CYCLES: u64 = 40_000;
@@ -44,68 +41,6 @@ pub fn adpcm_reference_trace() -> Vec<Cycles> {
         .collect()
 }
 
-/// Generates a random trace of `n` segments log-uniform in the paper's
-/// range.
-///
-/// # Errors
-///
-/// Returns [`FtError::EmptyTrace`] for `n == 0`.
-pub fn random_trace(n: usize, rng: &mut Rng) -> Result<Vec<Cycles>, FtError> {
-    if n == 0 {
-        return Err(FtError::EmptyTrace);
-    }
-    #[allow(
-        clippy::cast_precision_loss,
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss
-    )]
-    Ok((0..n)
-        .map(|_| {
-            let lo = (MIN_SEGMENT_CYCLES as f64).ln();
-            let hi = (MAX_SEGMENT_CYCLES as f64).ln();
-            Cycles(rng.uniform_in(lo, hi).exp() as u64)
-        })
-        .collect())
-}
-
-/// Summary statistics of a trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceStats {
-    /// Number of segments.
-    pub segments: usize,
-    /// Shortest segment.
-    pub min: Cycles,
-    /// Longest segment.
-    pub max: Cycles,
-    /// Mean segment length in cycles.
-    pub mean: f64,
-    /// Total cycles.
-    pub total: Cycles,
-}
-
-/// Computes trace statistics.
-///
-/// # Errors
-///
-/// Returns [`FtError::EmptyTrace`] for an empty trace.
-pub fn trace_stats(trace: &[Cycles]) -> Result<TraceStats, FtError> {
-    if trace.is_empty() {
-        return Err(FtError::EmptyTrace);
-    }
-    let min = trace.iter().copied().min().expect("non-empty");
-    let max = trace.iter().copied().max().expect("non-empty");
-    let total: Cycles = trace.iter().copied().sum();
-    #[allow(clippy::cast_precision_loss)]
-    let mean = total.as_f64() / trace.len() as f64;
-    Ok(TraceStats {
-        segments: trace.len(),
-        min,
-        max,
-        mean,
-        total,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,38 +48,18 @@ mod tests {
     #[test]
     fn reference_trace_matches_paper_range() {
         let trace = adpcm_reference_trace();
-        let stats = trace_stats(&trace).unwrap();
-        assert_eq!(stats.segments, 64);
-        assert!(stats.min.value() >= MIN_SEGMENT_CYCLES);
-        assert!(stats.max.value() <= MAX_SEGMENT_CYCLES);
+        let min = trace.iter().copied().min().unwrap();
+        let max = trace.iter().copied().max().unwrap();
+        assert_eq!(trace.len(), 64);
+        assert!(min.value() >= MIN_SEGMENT_CYCLES);
+        assert!(max.value() <= MAX_SEGMENT_CYCLES);
         // The trace should actually span most of the range.
-        assert!(stats.min.value() < 80_000, "min {}", stats.min);
-        assert!(stats.max.value() > 200_000, "max {}", stats.max);
+        assert!(min.value() < 80_000, "min {min}");
+        assert!(max.value() > 200_000, "max {max}");
     }
 
     #[test]
     fn reference_trace_is_deterministic() {
         assert_eq!(adpcm_reference_trace(), adpcm_reference_trace());
-    }
-
-    #[test]
-    fn random_trace_in_range() {
-        let mut rng = Rng::from_seed(1);
-        let trace = random_trace(200, &mut rng).unwrap();
-        for &c in &trace {
-            assert!(c.value() >= MIN_SEGMENT_CYCLES && c.value() <= MAX_SEGMENT_CYCLES);
-        }
-        assert!(random_trace(0, &mut rng).is_err());
-    }
-
-    #[test]
-    fn stats_basic() {
-        let trace = vec![Cycles(10), Cycles(20), Cycles(30)];
-        let s = trace_stats(&trace).unwrap();
-        assert_eq!(s.min, Cycles(10));
-        assert_eq!(s.max, Cycles(30));
-        assert_eq!(s.total, Cycles(60));
-        assert!((s.mean - 20.0).abs() < 1e-12);
-        assert!(trace_stats(&[]).is_err());
     }
 }

@@ -4,7 +4,7 @@ use lori_core::units::Cycles;
 use lori_core::Rng;
 use lori_ftsched::checkpoint::CheckpointSystem;
 use lori_ftsched::error_model::ErrorModel;
-use lori_ftsched::mitigation::{BudgetAlgorithm, MitigationSystem};
+use lori_ftsched::mitigation::{BudgetAlgorithm, DeadlineTracker, MitigationSystem};
 use proptest::prelude::*;
 
 proptest! {
@@ -47,7 +47,7 @@ proptest! {
         let sys = CheckpointSystem::default();
         let m = ErrorModel::new(p).unwrap();
         let mut rng = Rng::from_seed(seed);
-        let ex = sys.execute_segment(Cycles(nc), &m, &mut rng);
+        let ex = sys.plan_segment(Cycles(nc), &m).execute(&mut rng);
         let window = nc + 100;
         // Mirror the implementation's saturating arithmetic (extreme p can
         // produce astronomically many rollbacks).
@@ -85,7 +85,7 @@ proptest! {
         let mut rng = Rng::from_seed(seed);
         let works: Vec<u64> = (0..10).map(|_| rng.range(40_000, 270_000)).collect();
         let run = |inflate: u64| -> bool {
-            let mut t = sys.tracker();
+            let mut t = DeadlineTracker::default();
             let mut all = true;
             for &w in &works {
                 let actual = Cycles(cp.fault_free_cycles(Cycles(w)).value() + inflate);
@@ -110,7 +110,7 @@ proptest! {
         let wcet = Cycles(*works.iter().max().unwrap());
         for &alg in &BudgetAlgorithm::ALL {
             let sys = MitigationSystem::new(alg);
-            let mut t = sys.tracker();
+            let mut t = DeadlineTracker::default();
             for &w in &works {
                 let actual = cp.fault_free_cycles(Cycles(w));
                 prop_assert!(t.advance(&sys, Cycles(w), wcet, actual, &cp));

@@ -267,10 +267,11 @@ impl RecordEncoder {
     #[must_use]
     pub fn encode_batch(&self, rows: &[Vec<f64>], par: Parallelism) -> Vec<BinaryHv> {
         let _span = lori_obs::span("hdc.encode_batch");
-        let chunks = lori_par::par_chunks(par, rows, ENCODE_CHUNK, |_, chunk| {
+        let chunks: Vec<&[Vec<f64>]> = rows.chunks(ENCODE_CHUNK).collect();
+        let encoded = lori_par::par_map(par, &chunks, |_, chunk| {
             chunk.iter().map(|row| self.encode(row)).collect::<Vec<_>>()
         });
-        chunks.into_iter().flatten().collect()
+        encoded.into_iter().flatten().collect()
     }
 }
 

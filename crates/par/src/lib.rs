@@ -19,7 +19,7 @@
 //! process default worker count once with [`init`]; [`global`] returns it,
 //! or every available core when none was installed. [`Parallelism::serial`]
 //! is the serial fast path with zero thread spawns. [`par_map`] is the one
-//! executor ([`par_chunks`] maps over fixed-size chunks through it). A
+//! executor; callers with tiny items map it over `items.chunks(n)`. A
 //! region fails fast: a panic inside any task propagates to the caller
 //! after all workers have stopped. Tasks are pure functions of their index,
 //! so a retry would fail the same way.
@@ -174,30 +174,6 @@ where
         .collect()
 }
 
-/// Maps `f` over fixed-size chunks of `items`, in parallel, preserving
-/// chunk order.
-///
-/// `f` receives `(chunk_index, chunk)` where every chunk has `chunk_size`
-/// elements except possibly the last. Chunk boundaries depend only on
-/// `chunk_size` — never on the worker count — so the output is
-/// deterministic under any [`Parallelism`]. Use this when per-item work is
-/// too small to amortize dispatch (e.g. HDC batch encoding).
-///
-/// # Panics
-///
-/// Panics if `chunk_size == 0`; propagates panics from `f` like
-/// [`par_map`].
-pub fn par_chunks<T, R, F>(par: Parallelism, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    assert!(chunk_size > 0, "chunk_size must be positive");
-    let chunks: Vec<&[T]> = items.chunks(chunk_size).collect();
-    par_map(par, &chunks, |i, chunk| f(i, chunk))
-}
-
 /// A shared writer over pre-allocated result slots.
 ///
 /// Safety contract: [`SlotWriter::write`] may be called at most once per
@@ -249,8 +225,6 @@ mod tests {
         let items: Vec<u32> = Vec::new();
         let out = par_map(Parallelism::new(4), &items, |_, &x| x + 1);
         assert!(out.is_empty());
-        let chunked = par_chunks(Parallelism::new(4), &items, 8, |_, c| c.len());
-        assert!(chunked.is_empty());
     }
 
     #[test]
@@ -285,27 +259,6 @@ mod tests {
             })
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn par_chunks_boundaries_independent_of_workers() {
-        let items: Vec<usize> = (0..100).collect();
-        let f = |ci: usize, chunk: &[usize]| (ci, chunk.iter().sum::<usize>());
-        let serial = par_chunks(Parallelism::serial(), &items, 7, f);
-        let parallel = par_chunks(Parallelism::new(4), &items, 7, f);
-        assert_eq!(serial, parallel);
-        // 100 items in chunks of 7 → 15 chunks, last of size 2.
-        assert_eq!(serial.len(), 15);
-        assert_eq!(
-            serial.iter().map(|&(_, s)| s).sum::<usize>(),
-            (0..100).sum::<usize>()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk_size must be positive")]
-    fn zero_chunk_size_panics() {
-        let _ = par_chunks(Parallelism::serial(), &[1u8], 0, |_, c| c.len());
     }
 
     #[test]

@@ -18,6 +18,7 @@ pub const REF_YEARS: f64 = 20.0;
 
 const REF_TEMP_K: f64 = 80.0 + 273.15;
 const REF_VOLT: f64 = 1.0;
+const ABSOLUTE_ZERO_C: f64 = -273.15;
 
 /// A steady-state operating condition for lifetime evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,10 +36,17 @@ impl Operating {
     ///
     /// # Errors
     ///
-    /// Returns [`SysError::BadParameter`] for a non-positive voltage or an
-    /// activity outside `[0, 1]`.
+    /// Returns [`SysError::BadParameter`] for a temperature that is not
+    /// finite or not above absolute zero (−273.15 °C), a voltage that is not
+    /// finite and positive, or an activity outside `[0, 1]`.
     pub fn new(temperature: Celsius, voltage: Volts, activity: f64) -> Result<Self, SysError> {
-        if voltage.value().is_nan() || voltage.value() <= 0.0 {
+        if !temperature.value().is_finite() || temperature.value() <= ABSOLUTE_ZERO_C {
+            return Err(SysError::BadParameter {
+                what: "temperature",
+                value: temperature.value(),
+            });
+        }
+        if !voltage.value().is_finite() || voltage.value() <= 0.0 {
             return Err(SysError::BadParameter {
                 what: "voltage",
                 value: voltage.value(),
@@ -198,5 +206,46 @@ mod tests {
         assert!(Operating::new(Celsius(80.0), Volts(0.0), 0.5).is_err());
         assert!(Operating::new(Celsius(80.0), Volts(1.0), 1.5).is_err());
         assert!(Operating::new(Celsius(80.0), Volts(1.0), f64::NAN).is_err());
+    }
+
+    #[test]
+    fn non_finite_or_sub_absolute_zero_point_is_a_typed_error() {
+        let rejects = |op: Result<Operating, SysError>, field: &str, bad: f64| match op {
+            Err(SysError::BadParameter { what, value }) => {
+                assert_eq!(what, field);
+                assert_eq!(value.to_bits(), bad.to_bits(), "{field} = {bad}");
+            }
+            other => panic!("{field} = {bad}: {other:?}"),
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            rejects(
+                Operating::new(Celsius(bad), Volts(0.9), 0.5),
+                "temperature",
+                bad,
+            );
+            rejects(
+                Operating::new(Celsius(80.0), Volts(bad), 0.5),
+                "voltage",
+                bad,
+            );
+            rejects(
+                Operating::new(Celsius(80.0), Volts(0.9), bad),
+                "activity",
+                bad,
+            );
+        }
+        for cold in [-273.15, -300.0] {
+            rejects(
+                Operating::new(Celsius(cold), Volts(0.9), 0.5),
+                "temperature",
+                cold,
+            );
+        }
+        for t in [-273.0, -40.0, 25.0, 150.0] {
+            assert!(
+                Operating::new(Celsius(t), Volts(0.9), 0.5).is_ok(),
+                "{t} °C"
+            );
+        }
     }
 }

@@ -36,26 +36,17 @@ impl SerModel {
     ///
     /// # Errors
     ///
-    /// Returns [`SysError::BadParameter`] for non-positive rate, voltage, or
-    /// sensitivity.
+    /// Returns [`SysError::BadParameter`] for a rate, voltage, or
+    /// sensitivity that is not finite and positive.
     pub fn validate(&self) -> Result<(), SysError> {
-        if self.nominal_fit.value().is_nan() || self.nominal_fit.value() <= 0.0 {
-            return Err(SysError::BadParameter {
-                what: "nominal_fit",
-                value: self.nominal_fit.value(),
-            });
-        }
-        if self.v_nominal.value().is_nan() || self.v_nominal.value() <= 0.0 {
-            return Err(SysError::BadParameter {
-                what: "v_nominal",
-                value: self.v_nominal.value(),
-            });
-        }
-        if self.volts_per_decade.is_nan() || self.volts_per_decade <= 0.0 {
-            return Err(SysError::BadParameter {
-                what: "volts_per_decade",
-                value: self.volts_per_decade,
-            });
+        for (what, value) in [
+            ("nominal_fit", self.nominal_fit.value()),
+            ("v_nominal", self.v_nominal.value()),
+            ("volts_per_decade", self.volts_per_decade),
+        ] {
+            if !value.is_finite() || value <= 0.0 {
+                return Err(SysError::BadParameter { what, value });
+            }
         }
         Ok(())
     }
@@ -94,6 +85,34 @@ mod tests {
             ..SerModel::default()
         };
         assert!(m.validate().is_err());
+    }
+
+    #[test]
+    fn non_finite_field_is_a_typed_error() {
+        let fields = ["nominal_fit", "v_nominal", "volts_per_decade"];
+        let poison = |field: &str, v: f64| {
+            let mut m = SerModel::default();
+            match field {
+                "nominal_fit" => m.nominal_fit = Fit(v),
+                "v_nominal" => m.v_nominal = Volts(v),
+                _ => m.volts_per_decade = v,
+            }
+            m
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for what in fields {
+                match poison(what, bad).validate() {
+                    Err(SysError::BadParameter { what: w, value }) => {
+                        assert_eq!(w, what);
+                        assert_eq!(value.to_bits(), bad.to_bits(), "{what} = {bad}");
+                    }
+                    other => panic!("{what} = {bad}: {other:?}"),
+                }
+            }
+        }
+        for what in fields {
+            assert_eq!(poison(what, 0.5).validate(), Ok(()), "{what} = 0.5");
+        }
     }
 
     #[test]

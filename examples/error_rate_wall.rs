@@ -13,7 +13,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = adpcm_reference_trace();
     let config = SweepConfig {
         runs: 30,
-        ..SweepConfig::default()
+        ..SweepConfig::paper()
     };
 
     println!("error-rate wall per algorithm (hit rate crosses 50 %):");

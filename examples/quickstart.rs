@@ -21,8 +21,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         errors.expected_rollbacks(segment)
     );
 
-    // The checkpoint/rollback system (100-cycle checkpoints, 48-cycle
-    // rollbacks) and its expected cost.
+    // The checkpoint/rollback system (the paper's 100-cycle checkpoints and
+    // 48-cycle rollbacks, one checkpoint per segment) and its expected cost.
     let cp = CheckpointSystem::default();
     println!(
         "expected cycles incl. recovery: {:.0} (fault-free: {})",
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = adpcm_reference_trace();
     let config = SweepConfig {
         runs: 25,
-        ..SweepConfig::default()
+        ..SweepConfig::paper()
     };
     println!("\np          rollbacks/seg   DS      DS1.5x  DS2x    WCET");
     for point in sweep(&[1e-7, 3e-6, 3e-5], &trace, &config)? {

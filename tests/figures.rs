@@ -23,7 +23,7 @@ fn section_v_figures_shape() {
     let trace = adpcm_reference_trace();
     let config = SweepConfig {
         runs: 20,
-        ..SweepConfig::default()
+        ..SweepConfig::paper()
     };
     let points = sweep(&[1e-8, 5e-6, 1e-4], &trace, &config).expect("sweep");
     // Fig. 5: monotone rollback growth spanning orders of magnitude.
