@@ -241,19 +241,6 @@ impl Cpu {
         self.regs[r.index()] ^= 1u32 << (bit % 32);
     }
 
-    /// Flips one bit of the PC.
-    pub fn flip_pc_bit(&mut self, bit: u8) {
-        self.pc ^= 1usize << (bit % 16);
-    }
-
-    /// Flips one bit of a memory word (no-op when out of range — the fault
-    /// landed in unimplemented address space).
-    pub fn flip_memory_bit(&mut self, addr: usize, bit: u8) {
-        if let Some(w) = self.mem.get_mut(addr) {
-            *w ^= 1u32 << (bit % 32);
-        }
-    }
-
     fn addr(&self, base: Reg, offset: i32) -> Option<usize> {
         let a = i64::from(self.regs[base.index()]) + i64::from(offset);
         if a < 0 || a as usize >= self.mem.len() {
@@ -311,7 +298,7 @@ impl Cpu {
         // Compare sources at stores/branches when protection is active.
         if guard_active && (instr.is_store() || instr.is_branch()) {
             self.cycles += 1; // compare cost
-            for src in instr.sources_fixed().into_iter().flatten() {
+            for src in instr.sources() {
                 if self.regs[src.index()] != self.shadow[src.index()] {
                     return StepInfo {
                         instr_index: idx,
@@ -634,14 +621,5 @@ mod tests {
         );
         assert!(Protection::none().is_empty());
         assert_eq!(Protection::full(&p).len(), p.len());
-    }
-
-    #[test]
-    fn memory_bit_flip_out_of_range_is_noop() {
-        let p = add_program();
-        let mut cpu = Cpu::new(&p, &CpuConfig::default());
-        cpu.flip_memory_bit(10_000_000, 3);
-        let res = cpu.run(&p, &Protection::none());
-        assert_eq!(res.stop, StopReason::Halted);
     }
 }

@@ -1,8 +1,10 @@
 //! Error type for `lori-arch`.
 
+use lori_ml::MlError;
 use std::fmt;
 
-/// Errors produced by program construction and campaign configuration.
+/// Errors produced by program construction, campaign configuration and
+/// dataset assembly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArchError {
     /// A register index was out of range.
@@ -11,8 +13,8 @@ pub enum ArchError {
     EmptyProgram,
     /// A campaign was configured with zero trials.
     NoTrials,
-    /// A fault target refers to state that does not exist.
-    BadFaultTarget(String),
+    /// The rows a dataset builder assembled do not form a dataset.
+    Dataset(MlError),
     /// A protection configuration referenced an instruction out of range.
     BadProtectionIndex(usize),
 }
@@ -23,7 +25,7 @@ impl fmt::Display for ArchError {
             ArchError::BadRegister(r) => write!(f, "register r{r} out of range"),
             ArchError::EmptyProgram => write!(f, "program must contain at least one instruction"),
             ArchError::NoTrials => write!(f, "campaign needs at least one trial"),
-            ArchError::BadFaultTarget(what) => write!(f, "invalid fault target: {what}"),
+            ArchError::Dataset(e) => write!(f, "dataset assembly failed: {e}"),
             ArchError::BadProtectionIndex(i) => {
                 write!(f, "protected instruction index {i} out of range")
             }

@@ -47,8 +47,7 @@ impl RegisterFeatures {
 #[must_use]
 pub fn register_features(program: &Program, config: &CpuConfig) -> [RegisterFeatures; NUM_REGS] {
     let mut feats = [RegisterFeatures::default(); NUM_REGS];
-    for (i, instr) in program.instrs.iter().enumerate() {
-        let _ = i;
+    for instr in &program.instrs {
         for s in instr.sources() {
             feats[s.index()].static_readers += 1.0;
         }
@@ -185,7 +184,7 @@ pub fn instruction_features(program: &Program) -> Vec<InstructionFeatures> {
         let mut dependents = 0.0;
         if let Some(d) = instr.dest() {
             for later in program.instrs.iter().skip(i + 1) {
-                if later.sources().contains(&d) {
+                if later.sources().any(|s| s == d) {
                     dependents += 1.0;
                 }
                 if later.dest() == Some(d) {
@@ -196,7 +195,7 @@ pub fn instruction_features(program: &Program) -> Vec<InstructionFeatures> {
         #[allow(clippy::cast_precision_loss)]
         out.push(InstructionFeatures {
             opcode_class: instr.opcode_class() as f64,
-            n_sources: instr.sources().len() as f64,
+            n_sources: instr.sources().count() as f64,
             has_dest: f64::from(u8::from(instr.dest().is_some())),
             is_memory: f64::from(u8::from(instr.is_memory())),
             is_branch: f64::from(u8::from(instr.is_branch())),

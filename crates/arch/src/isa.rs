@@ -112,19 +112,11 @@ impl Instr {
         }
     }
 
-    /// The registers the instruction reads.
-    #[must_use]
-    pub fn sources(&self) -> Vec<Reg> {
-        self.sources_fixed().into_iter().flatten().collect()
-    }
-
-    /// The registers the instruction reads, without allocating: at most two
-    /// slots, in the same order as [`Instr::sources`], unused slots `None`.
-    /// This is the per-step hot-path variant used by the simulator's guard
-    /// compares and the lane engine's divergence masks.
-    #[must_use]
-    pub fn sources_fixed(&self) -> [Option<Reg>; 2] {
-        match *self {
+    /// The registers the instruction reads (at most two, the base register
+    /// first for memory accesses). Does not allocate: the simulator's guard
+    /// compares and the lane engine's divergence masks call it every step.
+    pub fn sources(&self) -> impl Iterator<Item = Reg> {
+        let slots = match *self {
             Instr::Add(_, a, b)
             | Instr::Sub(_, a, b)
             | Instr::Mul(_, a, b)
@@ -137,7 +129,8 @@ impl Instr {
             Instr::St(b, a, _) => [Some(a), Some(b)],
             Instr::Beq(a, b, _) | Instr::Bne(a, b, _) | Instr::Blt(a, b, _) => [Some(a), Some(b)],
             Instr::Jmp(_) | Instr::Nop | Instr::Halt => [None, None],
-        }
+        };
+        slots.into_iter().flatten()
     }
 
     /// Whether this is a memory access.
@@ -248,11 +241,11 @@ mod tests {
     fn dest_and_sources() {
         let add = Instr::Add(r(1), r(2), r(3));
         assert_eq!(add.dest(), Some(r(1)));
-        assert_eq!(add.sources(), vec![r(2), r(3)]);
+        assert_eq!(add.sources().collect::<Vec<_>>(), vec![r(2), r(3)]);
         let st = Instr::St(r(4), r(5), 0);
         assert_eq!(st.dest(), None);
-        assert_eq!(st.sources(), vec![r(5), r(4)]);
-        assert_eq!(Instr::Halt.sources(), vec![]);
+        assert_eq!(st.sources().collect::<Vec<_>>(), vec![r(5), r(4)]);
+        assert_eq!(Instr::Halt.sources().count(), 0);
         assert_eq!(Instr::Jmp(-2).dest(), None);
     }
 

@@ -1,10 +1,11 @@
 //! Bit-parallel fault-injection lanes: one simulation pass, 64 scenarios.
 //!
-//! [`run_fault_block`] evaluates up to [`MAX_LANES`] single-bit-flip trials
-//! of the same program/protection pair in a single pass over the
-//! instruction stream. The engine exploits the structure of single-fault
-//! campaigns: every trial is the fault-free execution plus a *sparse*
-//! perturbation, so instead of 64 full architectural copies it keeps
+//! [`campaign_outcomes`] evaluates blocks of up to [`MAX_LANES`]
+//! register-bit-flip trials of the same program/protection pair, each block
+//! in a single pass over the instruction stream. The engine exploits the
+//! structure of single-fault campaigns: every trial is the fault-free
+//! execution plus a *sparse* perturbation, so instead of 64 full
+//! architectural copies it keeps
 //!
 //! - **one reference CPU** — the fault-free machine, stepped normally;
 //! - **structure-of-arrays diffs** — for each register (and shadow
@@ -21,11 +22,11 @@
 //! free, and a write whose lane value matches the reference *clears* the
 //! diff bit, so masked faults re-converge and cost nothing from then on.
 //! A lane whose control flow leaves the reference trace (divergent branch
-//! direction, a PC-bit fault, or an access fate different from the
-//! reference's) **detaches**: its full state is materialized from
-//! reference + diffs into a scalar [`Cpu`] that runs the rest of the trial
-//! alone. Detached lanes are the slow path; campaign faults land mostly in
-//! dead or data registers, so blocks typically finish attached.
+//! direction, or an access fate different from the reference's)
+//! **detaches**: its full state is materialized from reference + diffs
+//! into a scalar [`Cpu`] that runs the rest of the trial alone. Detached
+//! lanes are the slow path; campaign faults land mostly in dead or data
+//! registers, so blocks typically finish attached.
 //!
 //! The determinism contract: for every [`FaultSpec`] the block outcome is
 //! identical to [`run_with_fault`]'s — same injection timing (the flip
@@ -38,7 +39,7 @@
 //! [`run_with_fault`]: crate::fault::run_with_fault
 
 use crate::cpu::{Cpu, CpuConfig, ExecResult, Protection, StopReason};
-use crate::fault::{classify, FaultSpec, FaultTarget, Outcome};
+use crate::fault::{classify, FaultSpec, Outcome};
 use crate::isa::{Instr, Program, Reg, NUM_REGS};
 use lori_par::Parallelism;
 use std::collections::HashMap;
@@ -83,8 +84,7 @@ pub fn campaign_outcomes(
 /// Panics if `faults` is empty or holds more than [`MAX_LANES`] specs.
 ///
 /// [`run_with_fault`]: crate::fault::run_with_fault
-#[must_use]
-pub fn run_fault_block(
+fn run_fault_block(
     program: &Program,
     config: &CpuConfig,
     protection: &Protection,
@@ -267,36 +267,21 @@ impl<'a> Block<'a> {
         }
     }
 
-    /// Applies `lane`'s fault to its diff state. Register and memory flips
-    /// become diffs; PC flips diverge immediately and detach.
+    /// Applies `lane`'s register flip to its diff state. The lane is
+    /// diff-free before its single injection, so its pre-flip value is the
+    /// reference's, and the flip always differs.
     fn inject(&mut self, lane: usize) {
-        match self.faults[lane].target {
-            FaultTarget::Register { reg, bit } => {
-                // The lane is diff-free before its single injection, so its
-                // pre-flip value is the reference's; the flip always differs.
-                let r = reg.index();
-                self.reg_val[r][lane] = self.cpu.reg(reg) ^ (1u32 << (bit % 32));
-                self.reg_diff[r] |= 1u64 << lane;
-            }
-            FaultTarget::Pc { bit } => {
-                let pc = self.cpu.pc() ^ (1usize << (bit % 16));
-                self.detach(lane, Some(pc));
-            }
-            FaultTarget::Memory { addr, bit } => {
-                // Out-of-range flips are no-ops, mirroring
-                // `Cpu::flip_memory_bit`.
-                if let Some(ref_v) = self.cpu.mem(addr) {
-                    self.mem_set(lane, addr, ref_v ^ (1u32 << (bit % 32)), ref_v);
-                }
-            }
-        }
+        let FaultSpec { reg, bit, .. } = self.faults[lane];
+        let r = reg.index();
+        self.reg_val[r][lane] = self.cpu.reg(reg) ^ (1u32 << (bit % 32));
+        self.reg_diff[r] |= 1u64 << lane;
     }
 
     /// Materializes `lane` into a scalar CPU at the reference's *pre-step*
     /// state (plus the lane's diffs) and runs its trial to completion. The
     /// scalar machine re-executes the diverging instruction itself, so
     /// cycle accounting and stop classification stay exact.
-    fn detach(&mut self, lane: usize, pc_override: Option<usize>) {
+    fn detach(&mut self, lane: usize) {
         let mut regs = self.cpu.reg_snapshot();
         let mut shadow = self.cpu.shadow_snapshot();
         for r in 0..NUM_REGS {
@@ -316,7 +301,7 @@ impl<'a> Block<'a> {
         let cpu = Cpu::from_parts(
             regs,
             shadow,
-            pc_override.unwrap_or(self.cpu.pc()),
+            self.cpu.pc(),
             mem,
             self.cpu.cycles(),
             self.cpu.max_cycles(),
@@ -433,14 +418,13 @@ impl<'a> Block<'a> {
         let protected = self.protection.covers(pc);
         let guard_active = !self.protection.is_empty();
         let is_guard = guard_active && (instr.is_store() || instr.is_branch());
-        let srcs = instr.sources_fixed();
 
         // Which lanes can behave differently from the reference here: any
         // lane whose source registers diverge (shadow divergence matters
         // only where shadow state is read — protected compute and guard
         // compares).
         let mut affected: u64 = 0;
-        for r in srcs.into_iter().flatten() {
+        for r in instr.sources() {
             affected |= self.reg_diff[r.index()];
             if protected || is_guard {
                 affected |= self.shadow_diff[r.index()];
@@ -457,7 +441,7 @@ impl<'a> Block<'a> {
             while m != 0 {
                 let lane = m.trailing_zeros() as usize;
                 m &= m - 1;
-                for r in srcs.into_iter().flatten() {
+                for r in instr.sources() {
                     if self.get_reg(lane, r) != self.get_shadow(lane, r) {
                         self.finish_lane(lane, Outcome::Detected);
                         break;
@@ -528,7 +512,7 @@ impl<'a> Block<'a> {
                         let lane = m.trailing_zeros() as usize;
                         m &= m - 1;
                         match addr_of(self.get_reg(lane, base), off, mem_len) {
-                            Some(_) => self.detach(lane, None),
+                            Some(_) => self.detach(lane),
                             None => self.finish_lane(lane, Outcome::Crash),
                         }
                     }
@@ -590,7 +574,7 @@ impl<'a> Block<'a> {
                         let lane = m.trailing_zeros() as usize;
                         m &= m - 1;
                         match addr_of(self.get_reg(lane, base), off, mem_len) {
-                            Some(_) => self.detach(lane, None),
+                            Some(_) => self.detach(lane),
                             None => self.finish_lane(lane, Outcome::Crash),
                         }
                     }
@@ -654,7 +638,7 @@ impl<'a> Block<'a> {
                     m &= m - 1;
                     let taken = branch_taken(instr, self.get_reg(lane, a), self.get_reg(lane, b));
                     if taken != ref_taken {
-                        self.detach(lane, None);
+                        self.detach(lane);
                     }
                 }
                 let info = self.cpu.step(self.program, self.protection);
@@ -683,13 +667,8 @@ mod tests {
     use crate::workload;
     use lori_core::rng::Rng;
 
-    /// Random mixed-target specs in a fixed order, covering edge cycles.
-    fn mixed_specs(
-        rng: &mut Rng,
-        golden: &ExecResult,
-        mem_words: usize,
-        n: usize,
-    ) -> Vec<FaultSpec> {
+    /// Random register flips in a fixed order, covering edge cycles.
+    fn random_specs(rng: &mut Rng, golden: &ExecResult, n: usize) -> Vec<FaultSpec> {
         (0..n)
             .map(|i| {
                 let cycle = match i {
@@ -698,20 +677,11 @@ mod tests {
                     2 => golden.cycles.saturating_sub(1),
                     _ => rng.below(golden.cycles.max(1) + 2),
                 };
-                let target = match rng.below(4) {
-                    0 => FaultTarget::Pc {
-                        bit: u8::try_from(rng.below(16)).unwrap(),
-                    },
-                    1 => FaultTarget::Memory {
-                        addr: rng.below(mem_words as u64 + 8) as usize,
-                        bit: u8::try_from(rng.below(32)).unwrap(),
-                    },
-                    _ => FaultTarget::Register {
-                        reg: Reg::new(u8::try_from(rng.below(NUM_REGS as u64)).unwrap()).unwrap(),
-                        bit: u8::try_from(rng.below(32)).unwrap(),
-                    },
-                };
-                FaultSpec { target, cycle }
+                FaultSpec {
+                    reg: Reg::new(u8::try_from(rng.below(NUM_REGS as u64)).unwrap()).unwrap(),
+                    bit: u8::try_from(rng.below(32)).unwrap(),
+                    cycle,
+                }
             })
             .collect()
     }
@@ -728,7 +698,7 @@ mod tests {
             ];
             for (p, protection) in protections.iter().enumerate() {
                 let mut rng = Rng::from_seed(0x1a9e + w as u64 * 31 + p as u64);
-                let specs = mixed_specs(&mut rng, &golden, config.memory_words, 64);
+                let specs = random_specs(&mut rng, &golden, 64);
                 let scalar: Vec<Outcome> = specs
                     .iter()
                     .map(|f| run_with_fault(program, &config, protection, &golden, f))
@@ -746,7 +716,7 @@ mod tests {
         let golden = run_golden(program, &config);
         let protection = Protection::for_instructions(program, 0..program.len() / 2).unwrap();
         let mut rng = Rng::from_seed(0xbeef);
-        let specs = mixed_specs(&mut rng, &golden, config.memory_words, 100);
+        let specs = random_specs(&mut rng, &golden, 100);
         let scalar: Vec<Outcome> = specs
             .iter()
             .map(|f| run_with_fault(program, &config, &protection, &golden, f))

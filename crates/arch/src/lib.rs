@@ -4,15 +4,16 @@
 //! the paper:
 //!
 //! - [`isa`] — a small RISC-style instruction set;
-//! - [`cpu`] — an architectural simulator with registers, PC, and memory,
-//!   plus optional shadow-register replication;
+//! - [`cpu`] — an architectural simulator executing one instruction per
+//!   cycle over registers, a PC, and memory, plus optional shadow-register
+//!   replication;
 //! - [`workload`] — real little programs (matrix multiply, sort, checksum,
 //!   dot product, Fibonacci) used as injection targets;
-//! - [`fault`] — bit-flip fault injection campaigns with outcome
-//!   classification (Masked / SDC / Crash / Hang / Detected) and AVF
-//!   estimation;
-//! - [`lane`] — a bit-parallel injection engine evaluating up to 64 fault
-//!   scenarios per simulation pass, bit-identical to the scalar path;
+//! - [`fault`] — register bit-flip injection campaigns (the one fault
+//!   model) with outcome classification (Masked / SDC / Crash / Hang /
+//!   Detected);
+//! - [`lane`] — a bit-parallel injection engine evaluating up to 64 trials
+//!   per simulation pass, bit-identical to the scalar path;
 //! - [`features`] — structural feature extraction for registers
 //!   ("flip-flops") and instructions, feeding the ML predictors;
 //! - [`predict`] — dataset builders for vulnerability prediction (the

@@ -10,13 +10,12 @@
 
 use crate::cpu::{CpuConfig, Protection};
 use crate::error::ArchError;
-use crate::fault::{FaultSpec, FaultTarget, Outcome};
+use crate::fault::{FaultSpec, Outcome};
 use crate::features::{instruction_features, register_features};
 use crate::isa::{Program, Reg, NUM_REGS};
 use crate::lane;
 use lori_core::Rng;
 use lori_ml::data::Dataset;
-use lori_ml::MlError;
 use lori_par::Parallelism;
 
 /// Builds the per-flip-flop vulnerability dataset for one or more programs.
@@ -28,8 +27,11 @@ use lori_par::Parallelism;
 ///
 /// # Errors
 ///
-/// Returns [`ArchError::NoTrials`] for `trials_per_ff == 0` or an ML error
-/// (propagated as [`MlError`]) if the assembled dataset is malformed.
+/// Returns [`ArchError::NoTrials`] for `trials_per_ff == 0`, and
+/// [`ArchError::Dataset`] if the rows do not form a dataset (no programs
+/// gives [`MlError::EmptyDataset`]).
+///
+/// [`MlError::EmptyDataset`]: lori_ml::MlError::EmptyDataset
 pub fn ff_vulnerability_dataset(
     programs: &[Program],
     config: &CpuConfig,
@@ -51,8 +53,11 @@ pub fn ff_vulnerability_dataset(
 ///
 /// # Errors
 ///
-/// Returns [`ArchError::NoTrials`] for `trials_per_ff == 0` or an ML error
-/// (propagated as [`MlError`]) if the assembled dataset is malformed.
+/// Returns [`ArchError::NoTrials`] for `trials_per_ff == 0`, and
+/// [`ArchError::Dataset`] if the rows do not form a dataset (no programs
+/// gives [`MlError::EmptyDataset`]).
+///
+/// [`MlError::EmptyDataset`]: lori_ml::MlError::EmptyDataset
 pub fn ff_vulnerability_dataset_with(
     programs: &[Program],
     config: &CpuConfig,
@@ -78,10 +83,8 @@ pub fn ff_vulnerability_dataset_with(
             for bit in 0..32u8 {
                 for _ in 0..trials_per_ff {
                     specs.push(FaultSpec {
-                        target: FaultTarget::Register {
-                            reg: Reg::new(reg_idx as u8).expect("in range"),
-                            bit,
-                        },
+                        reg: Reg::new(reg_idx as u8).expect("in range"),
+                        bit,
                         cycle: rng.below(golden.cycles.max(1)),
                     });
                 }
@@ -102,14 +105,15 @@ pub fn ff_vulnerability_dataset_with(
             }
         }
     }
-    Dataset::from_rows(rows, labels).map_err(|e: MlError| ArchError::BadFaultTarget(e.to_string()))
+    Dataset::from_rows(rows, labels).map_err(ArchError::Dataset)
 }
 
 /// Builds the per-instruction SDC-proneness dataset for one program.
 ///
 /// # Errors
 ///
-/// Returns [`ArchError::NoTrials`] for `trials_per_instr == 0`.
+/// Returns [`ArchError::NoTrials`] for `trials_per_instr == 0`, and
+/// [`ArchError::Dataset`] if the rows do not form a dataset.
 pub fn instruction_sdc_dataset(
     program: &Program,
     config: &CpuConfig,
@@ -127,7 +131,7 @@ pub fn instruction_sdc_dataset(
         .iter()
         .map(|&f| f64::from(u8::from(f > sdc_threshold)))
         .collect();
-    Dataset::from_rows(rows, labels).map_err(|e| ArchError::BadFaultTarget(e.to_string()))
+    Dataset::from_rows(rows, labels).map_err(ArchError::Dataset)
 }
 
 #[cfg(test)]
@@ -137,6 +141,7 @@ mod tests {
     use lori_ml::knn::Knn;
     use lori_ml::metrics::accuracy;
     use lori_ml::traits::Classifier;
+    use lori_ml::MlError;
 
     #[test]
     fn ff_dataset_shape() {
@@ -186,5 +191,13 @@ mod tests {
         let programs = [workload::fibonacci()];
         assert!(ff_vulnerability_dataset(&programs, &CpuConfig::default(), 0, 0.0, 1).is_err());
         assert!(instruction_sdc_dataset(&programs[0], &CpuConfig::default(), 0, 0.2, 1).is_err());
+    }
+
+    #[test]
+    fn no_programs_is_a_dataset_error() {
+        assert_eq!(
+            ff_vulnerability_dataset(&[], &CpuConfig::default(), 2, 0.0, 1),
+            Err(ArchError::Dataset(MlError::EmptyDataset))
+        );
     }
 }

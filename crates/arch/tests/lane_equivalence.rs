@@ -5,17 +5,16 @@
 //! counts, and artifacts* for any seed and worker count. The oracle is
 //! the scalar reference [`run_with_fault`], mapped over the same specs
 //! here in the test. These tests pin the contract across workloads,
-//! protections, ragged blocks, and the edge cycles (0 and
-//! `golden_cycles`, where the flip lands before the first step or never
-//! lands at all).
+//! protections, ragged blocks, and the edge cycles (0 and the golden run's
+//! cycle count, where the flip lands before the first step or never lands
+//! at all).
 
 use lori_arch::cpu::{run_golden, CpuConfig, ExecResult, Protection};
 use lori_arch::fault::{
-    per_instruction_sdc_with, random_register_campaign_with, run_with_fault, FaultSpec,
-    FaultTarget, Outcome,
+    per_instruction_sdc_with, random_register_campaign_with, run_with_fault, FaultSpec, Outcome,
 };
 use lori_arch::isa::{Program, Reg, NUM_REGS};
-use lori_arch::lane::{campaign_outcomes, run_fault_block, MAX_LANES};
+use lori_arch::lane::{campaign_outcomes, MAX_LANES};
 use lori_arch::predict::ff_vulnerability_dataset_with;
 use lori_arch::workload;
 use lori_core::Rng;
@@ -112,10 +111,10 @@ fn ff_dataset_identical_across_threads() {
 }
 
 #[test]
-fn edge_cycles_and_mixed_targets_match() {
-    // Faults at cycle 0 (flip before the first step), at golden_cycles
-    // (never injected: the run halts first), and past it, mixed across all
-    // three target kinds — engine vs scalar oracle, every workload.
+fn edge_cycles_match() {
+    // Faults at cycle 0 (flip before the first step), at the golden cycle
+    // count (never injected: the run halts first), and past it, in random
+    // registers — engine vs scalar oracle, every workload.
     let config = CpuConfig::default();
     for program in workload::all() {
         let golden = run_golden(&program, &config);
@@ -131,30 +130,26 @@ fn edge_cycles_and_mixed_targets_match() {
             golden.cycles.saturating_sub(1),
         ] {
             for bit in [0u8, 5, 13, 31] {
-                specs.push(FaultSpec {
-                    target: FaultTarget::Register {
+                for _ in 0..3 {
+                    specs.push(FaultSpec {
                         reg: Reg::new((rng.below(NUM_REGS as u64)) as u8).unwrap(),
                         bit,
-                    },
-                    cycle,
-                });
-                specs.push(FaultSpec {
-                    target: FaultTarget::Pc { bit: bit % 16 },
-                    cycle,
-                });
-                specs.push(FaultSpec {
-                    target: FaultTarget::Memory {
-                        addr: rng.below(config.memory_words as u64 + 4) as usize,
-                        bit,
-                    },
-                    cycle,
-                });
+                        cycle,
+                    });
+                }
             }
         }
         assert!(specs.len() > MAX_LANES, "forces a ragged final block");
         let scalar = scalar_outcomes(&program, &config, &protection, &golden, &specs);
-        let lanes = run_fault_block(&program, &config, &protection, &golden, &specs[..MAX_LANES]);
-        assert_eq!(&scalar[..MAX_LANES], &lanes[..], "{}", program.name);
+        let block = campaign_outcomes(
+            &program,
+            &config,
+            &protection,
+            &golden,
+            &specs[..MAX_LANES],
+            Parallelism::serial(),
+        );
+        assert_eq!(&scalar[..MAX_LANES], &block[..], "{}", program.name);
         let all = campaign_outcomes(
             &program,
             &config,

@@ -1,7 +1,7 @@
 //! Property-based tests for the architectural simulator.
 
 use lori_arch::cpu::{run_golden, Cpu, CpuConfig, Protection, StopReason};
-use lori_arch::fault::{run_with_fault, FaultSpec, FaultTarget, Outcome};
+use lori_arch::fault::{run_with_fault, FaultSpec, Outcome};
 use lori_arch::isa::{r, Instr, Program, Reg};
 use lori_arch::workload;
 use proptest::prelude::*;
@@ -24,7 +24,8 @@ proptest! {
         let cfg = CpuConfig::default();
         let golden = run_golden(p, &cfg);
         let fault = FaultSpec {
-            target: FaultTarget::Register { reg: Reg::new(reg).unwrap(), bit },
+            reg: Reg::new(reg).unwrap(),
+            bit,
             cycle: golden.cycles + 10,
         };
         let o = run_with_fault(p, &cfg, &Protection::none(), &golden, &fault);

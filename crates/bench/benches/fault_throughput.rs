@@ -19,7 +19,7 @@
 
 use criterion::{black_box, BenchmarkId, Criterion};
 use lori_arch::cpu::{run_golden, CpuConfig, ExecResult, Protection};
-use lori_arch::fault::{run_with_fault, FaultSpec, FaultTarget, Outcome};
+use lori_arch::fault::{run_with_fault, FaultSpec, Outcome};
 use lori_arch::isa::{Program, Reg, NUM_REGS};
 use lori_arch::lane::campaign_outcomes;
 use lori_arch::workload;
@@ -49,10 +49,8 @@ fn ff_vulnerability_sets(config: &CpuConfig, trials_per_ff: usize, seed: u64) ->
                     for _ in 0..trials_per_ff {
                         #[allow(clippy::cast_possible_truncation)]
                         specs.push(FaultSpec {
-                            target: FaultTarget::Register {
-                                reg: Reg::new(reg_idx as u8).expect("in range"),
-                                bit,
-                            },
+                            reg: Reg::new(reg_idx as u8).expect("in range"),
+                            bit,
                             cycle: rng.below(golden.cycles.max(1)),
                         });
                     }
@@ -77,10 +75,8 @@ fn anomaly_set(config: &CpuConfig, trials: usize, seed: u64) -> CampaignSet {
         .map(|_| {
             #[allow(clippy::cast_possible_truncation)]
             FaultSpec {
-                target: FaultTarget::Register {
-                    reg: Reg::new(rng.below(NUM_REGS as u64) as u8).expect("in range"),
-                    bit: rng.below(32) as u8,
-                },
+                reg: Reg::new(rng.below(NUM_REGS as u64) as u8).expect("in range"),
+                bit: rng.below(32) as u8,
                 cycle: rng.below(golden.cycles.max(1)),
             }
         })

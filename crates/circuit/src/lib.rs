@@ -19,8 +19,8 @@
 //!   the Fig. 3 trick of writing SHE temperatures *into the delay slots* of
 //!   the library so a conventional STA run emits an SDF full of
 //!   temperatures;
-//! - [`netlist`] — gate-level netlists and generators (adders, multipliers,
-//!   random logic, a processor-scale datapath);
+//! - [`netlist`] — gate-level netlists and two generators (a ripple-carry
+//!   adder and a processor-scale datapath);
 //! - [`sta`] — static timing analysis with per-instance cell overrides and
 //!   SDF export;
 //! - [`mlchar`] — ML-based on-the-fly characterization: train fast models on

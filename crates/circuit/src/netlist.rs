@@ -1,10 +1,11 @@
 //! Gate-level netlists and circuit generators.
 //!
 //! A [`Netlist`] is a DAG of single-output cell instances over nets, with
-//! primary inputs/outputs. Generators produce the processor-scale designs
-//! the experiments run on: ripple-carry adders, array multipliers, random
-//! control logic, and a composite "processor datapath" standing in for the
-//! paper's RISC-V core case study (Fig. 2).
+//! primary inputs/outputs. Two generators produce the designs the
+//! experiments and tests run on: a ripple-carry adder, and a composite
+//! "processor datapath" (adder, logic unit, multiplier array, random control
+//! logic and buffer trees) standing in for the paper's RISC-V core case
+//! study (Fig. 2).
 //!
 //! The netlist carries an indexed graph core (the private `NetlistIndex`): a
 //! CSR-style sink index per net, primary-output multiplicities, and the
@@ -437,136 +438,6 @@ pub fn ripple_carry_adder(lib: &Library, bits: usize) -> Result<Netlist, Circuit
     Ok(nl)
 }
 
-/// Builds an n×n array multiplier (`p = a × b`, 2n-bit product) from AND
-/// partial products and ripple-carry rows.
-/// Inputs: `a[0..n], b[0..n]`; outputs: `p[0..2n]`.
-///
-/// # Errors
-///
-/// Returns [`CircuitError::UnknownCell`] if required kinds are absent.
-pub fn array_multiplier(lib: &Library, bits: usize) -> Result<Netlist, CircuitError> {
-    let g = Gates::from_library(lib, 1.0)?;
-    let mut nl = Netlist::new();
-    let a: Vec<NetId> = (0..bits).map(|_| nl.add_input()).collect();
-    let b: Vec<NetId> = (0..bits).map(|_| nl.add_input()).collect();
-    // Partial products pp[i][j] = a[j] & b[i].
-    let pp: Vec<Vec<NetId>> = (0..bits)
-        .map(|i| {
-            (0..bits)
-                .map(|j| nl.add_gate(g.and2, &[a[j], b[i]]))
-                .collect()
-        })
-        .collect();
-    // Row-by-row addition; running[k] holds bit k of the accumulated sum.
-    let mut product = Vec::with_capacity(2 * bits);
-    let mut running: Vec<NetId> = pp[0].clone();
-    product.push(running[0]);
-    running.remove(0);
-    for (i, row) in pp.iter().enumerate().skip(1) {
-        // Add `row` to `running` with a ripple of full adders.
-        let mut next = Vec::with_capacity(bits);
-        let mut carry: Option<NetId> = None;
-        for (j, &x) in row.iter().enumerate().take(bits) {
-            let y = running.get(j).copied();
-            match (y, carry) {
-                (Some(y), Some(c)) => {
-                    let axb = nl.add_gate(g.xor2, &[x, y]);
-                    let sum = nl.add_gate(g.xor2, &[axb, c]);
-                    let co = nl.add_gate(g.maj3, &[x, y, c]);
-                    next.push(sum);
-                    carry = Some(co);
-                }
-                (Some(y), None) => {
-                    let sum = nl.add_gate(g.xor2, &[x, y]);
-                    let co = nl.add_gate(g.and2, &[x, y]);
-                    next.push(sum);
-                    carry = Some(co);
-                }
-                (None, Some(c)) => {
-                    let sum = nl.add_gate(g.xor2, &[x, c]);
-                    let co = nl.add_gate(g.and2, &[x, c]);
-                    next.push(sum);
-                    carry = Some(co);
-                }
-                (None, None) => {
-                    next.push(x);
-                }
-            }
-        }
-        if let Some(c) = carry {
-            next.push(c);
-        }
-        product.push(next[0]);
-        next.remove(0);
-        running = next;
-        let _ = i;
-    }
-    for bit in running {
-        product.push(bit);
-    }
-    for p in product {
-        nl.mark_output(p);
-    }
-    Ok(nl)
-}
-
-/// Builds a random combinational control block: `n_gates` gates over
-/// `n_inputs` primary inputs, with random kinds, drives, fanin chosen from
-/// recent nets (locality), and random activities.
-///
-/// # Errors
-///
-/// Returns [`CircuitError::UnknownCell`] if the library is missing kinds, or
-/// [`CircuitError::InvalidParameter`] for zero inputs/gates.
-pub fn random_logic(
-    lib: &Library,
-    n_inputs: usize,
-    n_gates: usize,
-    seed: u64,
-) -> Result<Netlist, CircuitError> {
-    if n_inputs == 0 {
-        return Err(CircuitError::InvalidParameter {
-            what: "n_inputs",
-            value: 0.0,
-        });
-    }
-    if n_gates == 0 {
-        return Err(CircuitError::InvalidParameter {
-            what: "n_gates",
-            value: 0.0,
-        });
-    }
-    let mut rng = Rng::from_seed(seed);
-    let mut nl = Netlist::new();
-    let mut pool: Vec<NetId> = (0..n_inputs).map(|_| nl.add_input()).collect();
-    let kinds = CellKind::ALL;
-    for _ in 0..n_gates {
-        let kind = kinds[rng.below(kinds.len() as u64) as usize];
-        let drive = crate::cell::DRIVE_STRENGTHS
-            [rng.below(crate::cell::DRIVE_STRENGTHS.len() as u64) as usize];
-        let cell = lib
-            .closest_drive(kind, drive)
-            .ok_or_else(|| CircuitError::UnknownCell(format!("{kind} missing from library")))?;
-        // Pick inputs with a bias toward recent nets (gives depth).
-        let mut ins = Vec::with_capacity(kind.input_count());
-        for _ in 0..kind.input_count() {
-            let span = pool.len().min(48);
-            let base = pool.len() - span;
-            #[allow(clippy::cast_possible_truncation)]
-            let idx = base + rng.below(span as u64) as usize;
-            ins.push(pool[idx]);
-        }
-        let out = nl.add_gate_with_activity(cell, &ins, rng.uniform_in(0.02, 0.5));
-        pool.push(out);
-    }
-    // Last few nets become outputs.
-    let n_out = pool.len().min(8);
-    for &net in &pool[pool.len() - n_out..] {
-        nl.mark_output(net);
-    }
-    Ok(nl)
-}
-
 /// Builds a processor-scale composite datapath: an adder, a multiplier,
 /// random control blocks, and buffer trees, merged into one netlist. For
 /// `width = 8` this lands in the thousands of instances — the scale regime
@@ -721,39 +592,6 @@ mod tests {
     }
 
     #[test]
-    fn multiplier_multiplies() {
-        let nl = array_multiplier(lib(), 4).unwrap();
-        nl.validate(lib()).unwrap();
-        assert_eq!(nl.primary_outputs().len(), 8);
-        for (a, b) in [(0u64, 0u64), (3, 5), (15, 15), (7, 9), (12, 11)] {
-            let mut inputs = to_bits(a, 4);
-            inputs.extend(to_bits(b, 4));
-            let out = nl.evaluate(lib(), &inputs).unwrap();
-            assert_eq!(from_bits(&out), a * b, "a={a} b={b}");
-        }
-    }
-
-    #[test]
-    fn random_logic_is_valid_dag() {
-        let nl = random_logic(lib(), 16, 500, 7).unwrap();
-        nl.validate(lib()).unwrap();
-        assert_eq!(nl.instance_count(), 500);
-        let order = nl.topological_order().unwrap();
-        assert_eq!(order.len(), 500);
-        // Evaluation runs without panicking.
-        let inputs = vec![true; 16];
-        let out = nl.evaluate(lib(), &inputs).unwrap();
-        assert_eq!(out.len(), nl.primary_outputs().len());
-    }
-
-    #[test]
-    fn random_logic_deterministic_per_seed() {
-        let a = random_logic(lib(), 8, 100, 3).unwrap();
-        let b = random_logic(lib(), 8, 100, 3).unwrap();
-        assert_eq!(a.instances(), b.instances());
-    }
-
-    #[test]
     fn datapath_is_processor_scale() {
         let nl = processor_datapath(lib(), 8, 1).unwrap();
         nl.validate(lib()).unwrap();
@@ -799,11 +637,5 @@ mod tests {
         let _n3 = nl.add_gate(inv, &[n1]);
         assert_eq!(nl.fanout(n1).len(), 2);
         assert_eq!(nl.fanout(a).len(), 1);
-    }
-
-    #[test]
-    fn generators_validate_params() {
-        assert!(random_logic(lib(), 0, 10, 1).is_err());
-        assert!(random_logic(lib(), 10, 0, 1).is_err());
     }
 }

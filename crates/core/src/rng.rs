@@ -177,20 +177,6 @@ impl Rng {
             Some(&slice[i])
         }
     }
-
-    /// Samples `k` distinct indices from `0..n` (reservoir when `k < n`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k > n`.
-    #[must_use]
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        assert!(k <= n, "cannot sample {k} distinct items from {n}");
-        let mut idx: Vec<usize> = (0..n).collect();
-        self.shuffle(&mut idx);
-        idx.truncate(k);
-        idx
-    }
 }
 
 #[cfg(test)]
@@ -293,18 +279,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn sample_indices_distinct() {
-        let mut r = Rng::from_seed(12);
-        let s = r.sample_indices(20, 10);
-        assert_eq!(s.len(), 10);
-        let mut d = s.clone();
-        d.sort_unstable();
-        d.dedup();
-        assert_eq!(d.len(), 10);
-        assert!(d.iter().all(|&i| i < 20));
     }
 
     #[test]

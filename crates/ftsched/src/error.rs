@@ -20,8 +20,9 @@ pub enum FtError {
     EmptySweep(&'static str),
     /// A non-finite value where a finite one is required. `site` names the
     /// guard that caught it (`sweep.point`, the Monte Carlo sweep's
-    /// per-point statistics, or `headroom`, a speed headroom) and `what`
-    /// the quantity.
+    /// per-point statistics, `headroom`, a speed headroom, or
+    /// `wall.bracket`, an end of `find_wall`'s bracket) and `what` the
+    /// quantity.
     NonFinite {
         /// Guard site that caught the value.
         site: &'static str,

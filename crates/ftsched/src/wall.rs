@@ -19,8 +19,12 @@ use lori_core::units::Cycles;
 ///
 /// # Errors
 ///
-/// Propagates sweep errors; returns [`FtError::EmptySweep`] if the hit rate
-/// does not bracket 0.5 in the interval.
+/// Before any sweep, rejects a bracket that bisection on `log10(p)` cannot
+/// narrow: [`FtError::NonFinite`] for a non-finite end,
+/// [`FtError::NonPositive`] for `p_lo <= 0` or `p_hi <= p_lo`, and
+/// [`FtError::BadProbability`] for `p_hi > 1`. Propagates sweep errors;
+/// returns [`FtError::EmptySweep`] if the hit rate does not bracket 0.5 in
+/// the interval.
 pub fn find_wall(
     algorithm: BudgetAlgorithm,
     trace: &[Cycles],
@@ -29,6 +33,7 @@ pub fn find_wall(
     p_hi: f64,
     iterations: usize,
 ) -> Result<f64, FtError> {
+    check_bracket(p_lo, p_hi)?;
     let alg_index = BudgetAlgorithm::ALL
         .iter()
         .position(|&a| a == algorithm)
@@ -51,6 +56,36 @@ pub fn find_wall(
         }
     }
     Ok(10f64.powf((lo + hi) / 2.0))
+}
+
+/// Accepts only finite ends with `0 < p_lo < p_hi <= 1`. At `p_lo = 0`
+/// every midpoint of `log10(0) = -inf` is `-inf` too, and the bisection
+/// would report a wall at p = 0.
+fn check_bracket(p_lo: f64, p_hi: f64) -> Result<(), FtError> {
+    for (what, p) in [("p_lo", p_lo), ("p_hi", p_hi)] {
+        if !p.is_finite() {
+            return Err(FtError::NonFinite {
+                site: "wall.bracket",
+                what,
+            });
+        }
+    }
+    if p_lo <= 0.0 {
+        return Err(FtError::NonPositive {
+            what: "p_lo",
+            value: p_lo,
+        });
+    }
+    if p_hi <= p_lo {
+        return Err(FtError::NonPositive {
+            what: "p_hi - p_lo",
+            value: p_hi - p_lo,
+        });
+    }
+    if p_hi > 1.0 {
+        return Err(FtError::BadProbability(p_hi));
+    }
+    Ok(())
 }
 
 /// One row of the sensitivity study.
@@ -171,6 +206,73 @@ mod tests {
                 rows[0].wall_p[alg]
             );
         }
+    }
+
+    #[test]
+    fn zero_p_lo_is_rejected() {
+        let trace = adpcm_reference_trace();
+        assert_eq!(
+            find_wall(BudgetAlgorithm::Ds, &trace, &quick(), 0.0, 1e-3, 4),
+            Err(FtError::NonPositive {
+                what: "p_lo",
+                value: 0.0
+            })
+        );
+    }
+
+    #[test]
+    fn negative_p_lo_is_rejected() {
+        let trace = adpcm_reference_trace();
+        assert_eq!(
+            find_wall(BudgetAlgorithm::Ds, &trace, &quick(), -1e-6, 1e-3, 4),
+            Err(FtError::NonPositive {
+                what: "p_lo",
+                value: -1e-6
+            })
+        );
+    }
+
+    #[test]
+    fn non_finite_ends_are_rejected() {
+        let trace = adpcm_reference_trace();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (p_lo, p_hi, what) in [(bad, 1e-3, "p_lo"), (1e-9, bad, "p_hi")] {
+                assert_eq!(
+                    find_wall(BudgetAlgorithm::Ds, &trace, &quick(), p_lo, p_hi, 4),
+                    Err(FtError::NonFinite {
+                        site: "wall.bracket",
+                        what
+                    }),
+                    "[{p_lo}, {p_hi}]"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_or_reversed_bracket_is_rejected() {
+        let trace = adpcm_reference_trace();
+        for (p_lo, p_hi) in [(1e-3, 1e-3), (1e-3, 1e-9)] {
+            assert!(
+                matches!(
+                    find_wall(BudgetAlgorithm::Ds, &trace, &quick(), p_lo, p_hi, 4),
+                    Err(FtError::NonPositive {
+                        what: "p_hi - p_lo",
+                        ..
+                    })
+                ),
+                "[{p_lo}, {p_hi}]"
+            );
+        }
+    }
+
+    #[test]
+    fn p_hi_above_one_is_rejected() {
+        let trace = adpcm_reference_trace();
+        assert_eq!(
+            find_wall(BudgetAlgorithm::Ds, &trace, &quick(), 1e-9, 2.0, 4),
+            Err(FtError::BadProbability(2.0))
+        );
     }
 
     #[test]

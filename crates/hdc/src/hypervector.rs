@@ -120,21 +120,6 @@ impl BinaryHv {
         }
     }
 
-    /// Cyclic permutation by `k` component positions (used to encode
-    /// sequence order). Bijective; `permute(k)` then `permute(dim - k)` is
-    /// the identity.
-    #[must_use]
-    pub fn permute(&self, k: usize) -> BinaryHv {
-        let k = k % self.dim;
-        let mut out = BinaryHv::zeros(self.dim);
-        for i in 0..self.dim {
-            if self.bit(i) {
-                out.set_bit((i + k) % self.dim, true);
-            }
-        }
-        out
-    }
-
     /// Normalized similarity in `[0, 1]`: `1 − hamming/dim`. Equal vectors
     /// score 1; complementary vectors score 0; random pairs ≈ 0.5.
     ///
@@ -440,24 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn permute_is_bijective() {
-        let mut rng = Rng::from_seed(5);
-        let a = BinaryHv::random(DIM, &mut rng);
-        let p = a.permute(7);
-        assert_eq!(p.count_ones(), a.count_ones());
-        assert_eq!(p.permute(DIM - 7), a);
-        assert_eq!(a.permute(0), a);
-        assert_eq!(a.permute(DIM), a);
-    }
-
-    #[test]
-    fn permuted_vector_dissimilar() {
-        let mut rng = Rng::from_seed(6);
-        let a = BinaryHv::random(DIM, &mut rng);
-        assert!((a.permute(1).similarity(&a) - 0.5).abs() < 0.05);
-    }
-
-    #[test]
     fn non_multiple_of_64_dims_work() {
         let mut rng = Rng::from_seed(7);
         let a = BinaryHv::random(100, &mut rng);
@@ -467,8 +434,6 @@ mod tests {
         let s = a.similarity(&b);
         assert!((0.0..=1.0).contains(&s));
         assert_eq!(a.bind(&b).bind(&b), a);
-        // Permutation must stay within 100 components.
-        assert_eq!(a.permute(40).permute(60), a);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! This crate provides:
 //!
 //! - [`hypervector`] — bit-packed binary hypervectors (XOR bind, majority
-//!   bundle, rotation permute, Hamming similarity) and bipolar hypervectors
-//!   (sign algebra, cosine similarity);
+//!   bundle, Hamming similarity) and bipolar hypervectors (sign algebra,
+//!   cosine similarity);
 //! - [`encoder`] — level (thermometer) encoding for continuous values and
 //!   record-based encoding of feature vectors;
 //! - [`classifier`] — a prototype-bundling classifier with perceptron-style

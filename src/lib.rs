@@ -13,9 +13,9 @@
 //! - [`hdc`] — hyperdimensional computing (robust brain-inspired inference).
 //! - [`circuit`] — transistor aging and self-heating, standard-cell
 //!   libraries, netlists, STA, and ML-based characterization (Sec. II).
-//! - [`arch`] — pipelined CPU simulation, fault injection, ML vulnerability
-//!   prediction, and selective protection (Sec. III).
-//! - [`sys`] — multicore OS-level reliability management: DVFS/DPM/mapping
+//! - [`arch`] — architectural CPU simulation, register fault injection, ML
+//!   vulnerability prediction, and selective protection (Sec. III).
+//! - [`sys`] — multicore OS-level reliability management: DVFS and mapping
 //!   knobs, thermal and lifetime models, RL managers (Sec. IV).
 //! - [`ftsched`] — the paper's original Section V evaluation: checkpointing/
 //!   rollback-recovery vs. cycle-noise mitigation, the "error rate wall".
